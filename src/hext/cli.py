@@ -14,10 +14,10 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 from typing import Dict
 
@@ -31,6 +31,7 @@ from .chern_futaki import (
 from .errors import CertificateFailure, HextError, NoBracket
 from .graded_algebra import rank1_check
 from .profile_ode import (
+    EPS_FLOOR,
     admissible_C_max,
     certify_m1,
     defect_scan,
@@ -104,9 +105,29 @@ def _emit(report: RunReport, args, human_lines) -> None:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (see {self.prog} --help)\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert`, then reject values failing `ok`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_scan_steps = _checked(int, lambda v: v >= 2, "at least 2")
+_finite_float = _checked(float, math.isfinite, "finite")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 
 
 def _usage_error(msg: str) -> int:
@@ -115,6 +136,14 @@ def _usage_error(msg: str) -> int:
 
 
 def cmd_shoot(args) -> int:
+    c_top = float(admissible_C_max(args.m, EPS_FLOOR))
+    if args.c_max is not None:
+        c_top = min(c_top, args.c_max)
+    if not args.c_min < c_top:
+        return _usage_error(
+            f"--c-min {args.c_min:g} must lie below --c-max and the admissible maximum"
+            f" (here {c_top:.10g})"
+        )
     started = time.perf_counter()
     params = {
         "m": args.m,
@@ -168,7 +197,7 @@ def cmd_shoot(args) -> int:
             f"m={args.m}: C* = {result.c_star:.12g}  (bracket {result.bracket[0]:.6g} .. {result.bracket[1]:.6g})",
             f"defect = {result.defect:.3e}, phi'(m+1) = {result.phi_prime_end:.10f}",
             f"lambda slope A = {result.a_slope:.10g}  (hcscK excluded: {result.not_hcsck})",
-            f"second-order residual = {residual:.3e}",
+            f"ODE residual (4th-order differences of v) = {residual:.3e}",
         ],
     )
     return EXIT_OK
@@ -261,11 +290,13 @@ def cmd_scan(args) -> int:
         "steps": args.steps,
     }
     report = RunReport(command="scan", parameters=params)
-    c_cap = float(admissible_C_max(args.m, Fraction(1, 100)))
+    c_cap = float(admissible_C_max(args.m, EPS_FLOOR))
     if args.c_max > c_cap + 1e-9:
         return _usage_error(
             f"--c-max {args.c_max:g} exceeds the admissible maximum {c_cap:.10g}"
         )
+    if not args.c_min < args.c_max:
+        return _usage_error("--c-min must lie below --c-max")
     try:
         scan = defect_scan(args.m, args.c_min, args.c_max, args.steps)
     except (HextError, ValueError) as exc:
@@ -388,28 +419,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for file artifacts")
 
     p = sub.add_parser("shoot", help="solve the boundary value problem by shooting on C")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="defect tolerance")
-    p.add_argument("--c-min", type=float, default=-50.0, help="lower end of the bracket scan")
-    p.add_argument("--c-max", type=float, default=None, help="upper end of the bracket scan (default: admissible maximum)")
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--tol", type=_positive_float, default=1e-8, help="defect tolerance")
+    p.add_argument("--c-min", type=_finite_float, default=-50.0, help="lower end of the bracket scan")
+    p.add_argument("--c-max", type=_finite_float, default=None, help="upper end of the bracket scan (default: admissible maximum)")
     common(p)
     p.set_defaults(func=cmd_shoot)
 
     p = sub.add_parser("certify", help="run the exact m=1 certificate")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("nonexist", help="constant-lambda (A=0) contradiction check")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     common(p)
     p.set_defaults(func=cmd_nonexist)
 
     p = sub.add_parser("scan", help="defect over a grid of C values")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c-min", type=float, required=True)
-    p.add_argument("--c-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=64)
+    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--c-min", type=_finite_float, required=True)
+    p.add_argument("--c-max", type=_finite_float, required=True)
+    p.add_argument("--steps", type=_scan_steps, default=64)
     common(p)
     p.set_defaults(func=cmd_scan)
 

@@ -20,6 +20,10 @@ from .. import ratpoly
 
 Rational = Union[int, float, Fraction]
 
+# the margin in L*C + N >= -2 + eps that defines the admissible C window of
+# the shooting scans (see admissible_C_max)
+EPS_FLOOR = Fraction(1, 100)
+
 
 def _frac(x: Rational) -> Fraction:
     # Fraction(float) is the exact binary value, which is what the shooting

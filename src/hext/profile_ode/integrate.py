@@ -12,12 +12,13 @@ parameter is C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from ..errors import (
     CertificateFailure,
@@ -27,9 +28,10 @@ from ..errors import (
     StepFailure,
 )
 from .coeffs import (
+    EPS_FLOOR,
     CoeffSet,
-    KahlerClassIndex,
     Rational,
+    _linear_maps,
     admissible_C_max,
     coeffs_from_C,
     compute_LN,
@@ -43,38 +45,39 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 class IntegratorConfig:
     """Adaptive-step configuration for the v-integration.
 
-    max_step defaults to m/1024 when left unset.  v_floor is the positivity
-    floor below which the run is aborted with PositivityLost; admissible C
-    (L*C + N >= -2 + eps_floor) keeps v well above it.
+    max_step defaults to m/max_step_divisor when left unset; halved()
+    doubles the divisor.  The cap keeps the defect refinement-stable.  Left
+    to the tolerance alone, DOP853 takes 7-13 steps and the defect is off by
+    more than 10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
+    rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect
+    at the tested points (m, C) = (1, 22/3), (1, 2), (5, 2), (7, 2),
+    (10, -20) is within 8.8e-11 of a 30-digit mpmath solve and within
+    8.7e-11 of its halved-cap value, at a few ms a solve.  v_floor is the
+    positivity floor below which a run is aborted with PositivityLost;
+    admissible C (L*C + N >= -2 + EPS_FLOOR) keeps v well above it.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: Optional[float] = None
     v_floor: float = 1e-9
-    eps_floor: float = 0.01
     method: str = "DOP853"
-    max_step_divisor: int = 1024
+    max_step_divisor: int = 32
 
     def resolved_max_step(self, m: int) -> float:
         return self.max_step if self.max_step is not None else m / self.max_step_divisor
 
     def halved(self) -> "IntegratorConfig":
-        return IntegratorConfig(
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            max_step=None if self.max_step is None else self.max_step / 2.0,
-            v_floor=self.v_floor,
-            eps_floor=self.eps_floor,
-            method=self.method,
-            max_step_divisor=self.max_step_divisor * 2,
-        )
+        half = None if self.max_step is None else self.max_step / 2.0
+        return replace(self, max_step=half, max_step_divisor=self.max_step_divisor * 2)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
 
 # coarser settings are enough to read off defect signs during a scan
 SCAN_CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step_divisor=64)
+
+GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
 
 
 class Trajectory:
@@ -143,19 +146,25 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def _solve(rhs, m: int, v0, cfg: IntegratorConfig, **options):
+    """solve_ivp from gamma = 1 to m+1 under the tolerances and cap of cfg."""
+    return solve_ivp(rhs, (1.0, float(m + 1)), v0, method=cfg.method, rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=cfg.resolved_max_step(m), **options)
+
+
 def integrate_v(
     m: int, C: Rational, config: Optional[IntegratorConfig] = None
 ) -> Trajectory:
     """Integrate v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 to gamma = m+1.
 
-    Raises PositivityLost if v reaches the configured floor (the signature of
-    an inadmissible C) and StepFailure if the solver gives up.
+    v is sampled from the dense output on GRID_POINTS uniform points, except
+    v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
+    reaches the configured floor (the signature of an inadmissible C) and
+    StepFailure if the solver gives up.
     """
     cfg = config or DEFAULT_CONFIG
-    KahlerClassIndex(m)
-    cs = coeffs_from_C(m, C)
+    cs = coeffs_from_C(m, C)  # validates m
     a, b, c = cs.float_abc()
-    c_float = float(cs.C)
 
     def rhs(t, y):
         v = y[0]
@@ -168,43 +177,33 @@ def integrate_v(
     floor_event.terminal = True
     floor_event.direction = -1.0
 
-    sol = solve_ivp(
-        rhs,
-        (1.0, float(m + 1)),
-        [2.0],
-        method=cfg.method,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.resolved_max_step(m),
-        events=[floor_event],
-        dense_output=False,
-    )
+    sol = _solve(rhs, m, [2.0], cfg, events=[floor_event], dense_output=True)
     if sol.status < 0:
         raise StepFailure(f"integration failed: {sol.message}")
     if sol.status == 1:
         gamma_stop = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
-        raise PositivityLost(gamma=gamma_stop, c=c_float, floor=cfg.v_floor)
-    grid = sol.t.copy()
-    v = sol.y[0].copy()
-    grid[0], v[0] = 1.0, 2.0  # pin the exact initial point against fp drift
+        raise PositivityLost(gamma=gamma_stop, c=c, floor=cfg.v_floor)
+    grid = np.linspace(1.0, float(m + 1), GRID_POINTS)
+    v = sol.sol(grid)[0]
+    v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
     return Trajectory(grid=grid, v=v, meta=cs)
 
 
 def residual_check(t: Trajectory) -> float:
-    """Max interior residual of the second-order form
+    """Max interior residual of v' = 2*sqrt(2)*sqrt(v) + q(gamma), with v'
+    taken from 4th-order central differences of the sampled v.
 
-        gamma*(phi + 2*gamma)*phi'' + phi'*(phi'*gamma - phi) - (A*gamma+B)*gamma^3
-
-    with phi'' in closed form from differentiating the first-order equation:
-    phi'' = (q'(gamma) - (2 + phi')*phi') / (2*gamma + phi).
+    The differences see only the samples, not how they were produced, so a
+    v that does not solve the equation gives a large residual.  Needs a
+    uniform grid of at least five points.
     """
-    a, b, c = t.meta.float_abc()
-    g = t.grid[1:-1]
-    phi = t.phi[1:-1]
-    dphi = t.phi_prime[1:-1]
-    qp = (4.0 * a / 3.0 * g + 1.5 * b) * g * g + c
-    phi2 = (qp - (2.0 + dphi) * dphi) / (2.0 * g + phi)
-    res = g * (phi + 2.0 * g) * phi2 + dphi * (dphi * g - phi) - (a * g + b) * g ** 3
+    n = t.grid.size
+    h = (t.grid[-1] - t.grid[0]) / (n - 1)
+    if n < 5 or np.ptp(np.diff(t.grid)) > 1e-9 * h:
+        raise ValueError("residual_check needs a uniform grid of at least 5 points")
+    v = t.v
+    dv = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    res = dv - (TWO_SQRT2 * np.sqrt(v[2:-2]) + t.q_values()[2:-2])
     return float(np.max(np.abs(res)))
 
 
@@ -223,13 +222,51 @@ class ScanResult:
     @property
     def brackets(self) -> List[Tuple[float, float]]:
         """Adjacent C pairs whose defects change sign."""
-        out = []
-        for lo, hi in zip(self.points, self.points[1:]):
-            if lo.defect is None or hi.defect is None:
-                continue
-            if lo.defect == 0.0 or lo.defect * hi.defect < 0.0:
-                out.append((lo.c, hi.c))
-        return out
+        return [
+            (lo.c, hi.c)
+            for lo, hi in zip(self.points, self.points[1:])
+            if lo.defect is not None and hi.defect is not None
+            and (lo.defect == 0.0 or lo.defect * hi.defect < 0.0)
+        ]
+
+
+def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanPoint, ...]:
+    """Defects at every C in `cs` from one solve_ivp call holding one v per C.
+
+    A terminal event would stop every component at once, so positivity is
+    checked per component instead: a C whose v reaches v_floor at a step is
+    reported as that point's error.  Below zero the square root is taken of
+    0, so such a v stays smooth and does not shrink the shared step.  A
+    failed solve is split in halves until the failure is down to single C.
+    """
+    # the exact affine maps C -> A, B of coeffs_from_C, rounded once per C
+    a1, a0, b1, b0 = _linear_maps(m)
+    exact = [Fraction(float(x)) for x in cs]
+    a3 = np.array([float(a1 * x + a0) for x in exact]) / 3.0
+    b2 = np.array([float(b1 * x + b0) for x in exact]) / 2.0
+    c = np.array([float(x) for x in exact])
+    floor = cfg.v_floor
+
+    def rhs(t, v):
+        q = ((a3 * t + b2) * t * t + c) * t
+        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q
+
+    sol = _solve(rhs, m, np.full(len(cs), 2.0), cfg)
+    if sol.status < 0 and len(cs) > 1:  # halve the batch to isolate the failing C
+        half = len(cs) // 2
+        return _solve_defects(m, cs[:half], cfg) + _solve_defects(m, cs[half:], cfg)
+    if sol.status < 0:
+        error = f"integration failed: {sol.message}"
+        return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
+    points = []
+    for x, v in zip(cs, sol.y):
+        lost = v <= floor
+        if lost.any():
+            exc = PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(x), floor=floor)
+            points.append(ScanPoint(c=float(x), defect=None, error=str(exc)))
+        else:
+            points.append(ScanPoint(c=float(x), defect=float(v[-1] - 2.0 * (m + 1) ** 2)))
+    return tuple(points)
 
 
 def defect_scan(
@@ -239,46 +276,33 @@ def defect_scan(
     steps: int,
     config: Optional[IntegratorConfig] = None,
 ) -> ScanResult:
-    """Defect over a monotone C grid.  Integrator errors are recorded per
-    point, not raised.  Requires C_hi inside the admissible window."""
+    """Defect over a monotone C grid, solved as one batch.  Integrator
+    errors are recorded per point, not raised.  Requires C_hi inside the
+    admissible window."""
     cfg = config or SCAN_CONFIG
     if steps < 2:
         raise ValueError("need at least two scan points")
-    c_max = float(admissible_C_max(m, Fraction(int(round(cfg.eps_floor * 10000)), 10000)))
+    c_max = float(admissible_C_max(m, EPS_FLOOR))
     if C_hi > c_max + 1e-9:
         raise ValueError(f"C_hi={C_hi:g} exceeds admissible maximum {c_max:.12g}")
     if not C_lo < C_hi:
         raise ValueError("need C_lo < C_hi")
-    points = []
-    for c in np.linspace(C_lo, C_hi, steps):
-        c = float(c)
-        try:
-            traj = integrate_v(m, c, cfg)
-            points.append(ScanPoint(c=c, defect=traj.defect))
-        except (PositivityLost, StepFailure) as exc:
-            points.append(ScanPoint(c=c, defect=None, error=str(exc)))
-    return ScanResult(m=m, points=tuple(points))
+    return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), cfg))
 
 
 def _extend_scan_upward(m: int, scan: ScanResult, max_steps: int = 256) -> ScanResult:
-    """Continue a bracketless scan past its top edge in steps of 1/64."""
+    """Continue a bracketless scan past its top edge in steps of 1/64 up to
+    the first defect that is not positive, eight C per solve (the roots for
+    m = 3..8 lie 4-7 steps past the edge)."""
     points = list(scan.points)
     last = points[-1]
     if last.defect is None or last.defect <= 0.0:
         return scan
-    delta = 2.0 ** -6
-    prev_d = last.defect
-    for k in range(1, max_steps + 1):
-        c = last.c + k * delta
-        try:
-            d = integrate_v(m, c, SCAN_CONFIG).defect
-        except (PositivityLost, StepFailure) as exc:
-            points.append(ScanPoint(c=c, defect=None, error=str(exc)))
-            break
-        points.append(ScanPoint(c=c, defect=d))
-        if d == 0.0 or d * prev_d < 0.0:
-            break
-        prev_d = d
+    for k in range(1, max_steps + 1, 8):
+        for point in _solve_defects(m, last.c + np.arange(k, k + 8) * 2.0 ** -6, SCAN_CONFIG):
+            points.append(point)
+            if point.defect is None or point.defect <= 0.0:
+                return ScanResult(m=m, points=tuple(points))
     return ScanResult(m=m, points=tuple(points))
 
 
@@ -306,16 +330,18 @@ def shoot(
     c_min: float = -50.0,
     c_max: Optional[float] = None,
 ) -> ShootResult:
-    """Bisect the defect to the C with v(m+1) = 2*(m+1)^2.
+    """Find the C with v(m+1) = 2*(m+1)^2 by Brent's method on the defect.
 
     The bracket is discovered by scanning C upward from c_min to the
     admissible maximum; at very negative C the defect is provably positive,
     so the scan only has to find the negative side.  Raises NoBracket (with
     the scan attached) when no sign change exists in the window, which for
     large m is a legitimate outcome rather than a failure of the method.
+    Brent's method stops once |defect| < defect_tol or the bracket is
+    narrower than c_tol; `iterations` counts its solves past the two edges.
     """
     cfg = config or DEFAULT_CONFIG
-    c_adm = float(admissible_C_max(m, Fraction(1, 100)))
+    c_adm = float(admissible_C_max(m, EPS_FLOOR))
     c_hi = c_adm if c_max is None else min(c_adm, c_max)
     scan = defect_scan(m, c_min, c_hi, scan_steps)
     if not scan.brackets and c_max is None:
@@ -331,70 +357,44 @@ def shoot(
             scan=scan,
         )
     lo, hi = scan.brackets[0]
+    best = {}
 
-    def defect_at(c: float) -> Tuple[float, Trajectory]:
+    def defect_at(c: float) -> float:
         traj = integrate_v(m, c, cfg)
-        return traj.defect, traj
+        if not best or abs(traj.defect) < abs(best["traj"].defect):
+            best.update(c=c, traj=traj)
+        # brentq returns at once on an exact zero: that is how defect_tol
+        # ends the search
+        return 0.0 if abs(traj.defect) < defect_tol else traj.defect
 
-    d_lo, traj_lo = defect_at(lo)
-    d_hi, traj_hi = defect_at(hi)
-    if d_lo == 0.0:
-        return _finish_shoot(m, lo, traj_lo, (lo, hi), 0, scan)
-    if d_hi == 0.0 or d_lo * d_hi > 0.0:
-        # scan used coarser tolerances; re-bracket defensively
-        if d_lo * d_hi > 0.0:
-            raise NoBracket(
-                f"bracket ({lo:g}, {hi:g}) lost its sign change at full accuracy",
-                scan=scan,
-            )
-        return _finish_shoot(m, hi, traj_hi, (lo, hi), 0, scan)
-
-    best_c, best_traj, best_d = (lo, traj_lo, d_lo) if abs(d_lo) < abs(d_hi) else (hi, traj_hi, d_hi)
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        d_mid, traj_mid = defect_at(mid)
-        if abs(d_mid) < abs(best_d):
-            best_c, best_traj, best_d = mid, traj_mid, d_mid
-        if abs(d_mid) < defect_tol:
-            break
-        if d_mid == 0.0:
-            break
-        if d_mid * d_lo < 0.0:
-            hi, d_hi = mid, d_mid
-        else:
-            lo, d_lo = mid, d_mid
-        if hi - lo < c_tol:
-            break
-    if abs(best_d) >= defect_tol and hi - lo >= c_tol:
-        raise StepFailure(
-            f"bisection did not converge in {max_iter} iterations (|defect|={abs(best_d):g})"
+    # the scan used coarser tolerances, so the edges are solved again
+    edges = {lo: defect_at(lo), hi: defect_at(hi)}
+    if edges[lo] * edges[hi] > 0.0:
+        raise NoBracket(
+            f"bracket ({lo:g}, {hi:g}) lost its sign change at full accuracy",
+            scan=scan,
         )
-    return _finish_shoot(m, best_c, best_traj, scan.brackets[0], iterations, scan)
-
-
-def _finish_shoot(
-    m: int,
-    c_star: float,
-    traj: Trajectory,
-    bracket: Tuple[float, float],
-    iterations: int,
-    scan: ScanResult,
-) -> ShootResult:
+    _, info = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
+                     xtol=c_tol, maxiter=max_iter, full_output=True, disp=False)
+    traj = best["traj"]
+    if not info.converged:
+        raise StepFailure(
+            f"Brent's method did not converge in {max_iter} iterations "
+            f"(|defect|={abs(traj.defect):g})"
+        )
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
     a_slope = float(traj.meta.A)
     return ShootResult(
         m=m,
-        c_star=c_star,
+        c_star=best["c"],
         trajectory=traj,
         defect=traj.defect,
         a_slope=a_slope,
         not_hcsck=abs(a_slope) > 1e-3,
         phi_prime_end=float(traj.phi_prime[-1]),
-        bracket=bracket,
-        iterations=iterations,
+        bracket=(lo, hi),
+        iterations=info.function_calls - 2,
         scan=scan,
     )
 

@@ -1,7 +1,11 @@
 """CLI surface: exit codes, artifacts, determinism, JSON reports."""
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 
@@ -150,3 +154,78 @@ def test_json_payload_deterministic(capsys):
     second = _payload(capsys.readouterr().out)
     assert first == second
     assert first["payload_sha256"] == second["payload_sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot", "--m", "0"],
+        ["shoot", "--m", "-2"],
+        ["scan", "--m", "0", "--c-min", "0", "--c-max", "1"],
+        ["nonexist", "--m", "0"],
+        ["certify", "--m", "0"],
+        ["shoot", "--m", "1", "--c-min", "nan"],
+        ["shoot", "--m", "1", "--c-max", "inf"],
+        ["shoot", "--m", "1", "--tol", "-1"],
+        ["shoot", "--m", "1", "--tol", "0"],
+        ["shoot", "--m", "1", "--c-min", "5", "--c-max", "2"],
+        ["shoot", "--m", "1", "--c-min", "9"],
+        ["scan", "--m", "1", "--c-min", "3", "--c-max", "2"],
+        ["scan", "--m", "1", "--c-min", "0", "--c-max", "1", "--steps", "1"],
+        ["scan", "--m", "1", "--c-min", "x", "--c-max", "1"],
+    ],
+)
+def test_invalid_input_is_one_line_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _mostly(valid, invalid):
+    """Draws from `valid` nine times in ten."""
+    return st.integers(0, 9).flatmap(lambda k: invalid if k == 0 else valid)
+
+
+_JUNK = st.sampled_from(["x", "", "1.5", "nan", "inf", "1e400", "-0", "-2", "0"])
+_M = _mostly(st.integers(1, 3).map(str), _JUNK)
+_INT = _mostly(st.integers(1, 9).map(str), _JUNK)
+_FLOAT = _mostly(st.floats(-60.0, 10.0).map(repr), _JUNK)
+_TOL = _mostly(st.sampled_from(["1e-8", "1e-3", "1e-12"]), _JUNK)
+# (flag, values, always given); m stays <= 3 so that every run is quick
+_FLAGS = {
+    "shoot": [("--m", _M, True), ("--tol", _TOL, False),
+              ("--c-min", _FLOAT, False), ("--c-max", _FLOAT, False)],
+    "certify": [("--m", _M, False)],
+    "nonexist": [("--m", _M, True)],
+    "scan": [("--m", _M, True), ("--c-min", _FLOAT, True), ("--c-max", _FLOAT, True),
+             ("--steps", _mostly(st.integers(2, 12).map(str), _JUNK), False)],
+    "alpha": [("--n", _INT, True), ("--d", _INT, True),
+              ("--method", st.sampled_from(["recursion", "closed", "series", "bogus"]), False)],
+    "futaki": [("--n", _INT, True), ("--d", _INT, True), ("--q", _INT, True)],
+    "grassmann": [("--k", _mostly(st.integers(1, 6).map(str), _JUNK), True)],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values, always in _FLAGS[command]:
+        if always or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_fuzzed_argv_never_tracebacks(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_NO_BRACKET, EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_USAGE:
+        assert len(err.getvalue().splitlines()) == 1, argv

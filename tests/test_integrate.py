@@ -19,6 +19,7 @@ from hext import (
     residual_check,
 )
 from hext.errors import PositivityLost
+from hext.profile_ode.integrate import SCAN_CONFIG, _solve_defects
 
 
 def test_initial_condition_exact():
@@ -106,6 +107,26 @@ def test_residual_small_and_refinement_invariant():
     assert abs(r1 - r2) < 1e-6
 
 
+def test_residual_rejects_garbage_trajectories(shot_m1):
+    t = shot_m1.trajectory
+    assert residual_check(t) < 1e-6
+    # a smooth v with v(1) = 2 that does not solve the equation
+    fake = 2.0 * t.grid ** 2 + 0.5 * np.sin(t.grid - 1.0)
+    assert residual_check(Trajectory(t.grid, fake, t.meta)) > 1.0
+    # the solution itself, with 1e-5 relative noise
+    rng = np.random.default_rng(7)
+    noisy = t.v * (1.0 + 1e-5 * rng.standard_normal(t.v.size))
+    noisy[0] = 2.0
+    assert residual_check(Trajectory(t.grid, noisy, t.meta)) > 1e-2
+
+
+def test_trajectory_samples_uniform_grid():
+    traj = integrate_v(3, 2)
+    assert traj.grid.size == 1025
+    assert np.ptp(np.diff(traj.grid)) < 1e-12
+    assert traj.grid[-1] == 4.0
+
+
 def test_trajectory_rejects_bad_data():
     cs = coeffs_from_C(1, 2)
     grid = np.linspace(1.0, 2.0, 11)
@@ -172,3 +193,36 @@ def test_defect_scan_rejects_inadmissible_top():
         defect_scan(1, 0.0, 9.0, 8)
     with pytest.raises(ValueError):
         defect_scan(1, 5.0, 2.0, 8)
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_batched_scan_matches_per_point_solves(m):
+    scan = defect_scan(m, -50.0, float(admissible_C_max(m, F(1, 100))), 64)
+    for p in scan.points:
+        d = integrate_v(m, p.c, SCAN_CONFIG).defect
+        assert (p.defect > 0) == (d > 0)
+        assert abs(p.defect - d) < 1e-7
+
+
+def test_batch_positivity_is_per_point():
+    # C = 20 is inadmissible for m = 1; its neighbours are not
+    cs = np.array([4.0, 20.0, 5.0])
+    points = _solve_defects(1, cs, SCAN_CONFIG)
+    assert [p.c for p in points] == list(cs)
+    assert points[1].defect is None and "floor" in points[1].error
+    with pytest.raises(PositivityLost) as info:
+        integrate_v(1, 20.0, SCAN_CONFIG)
+    assert f"C={info.value.c:.12g}" in points[1].error
+    for p in (points[0], points[2]):
+        assert p.error is None
+        assert abs(p.defect - integrate_v(1, p.c, SCAN_CONFIG).defect) < 1e-7
+
+
+def test_batch_solver_failure_is_per_point():
+    # v overflows at C = -1e300, which fails the whole solve; the batch is
+    # split until the failure is isolated
+    with np.errstate(all="ignore"):
+        bad, good = _solve_defects(1, np.array([-1e300, 4.0]), SCAN_CONFIG)
+    assert bad.defect is None and bad.error.startswith("integration failed")
+    assert good.error is None
+    assert abs(good.defect - integrate_v(1, 4.0, SCAN_CONFIG).defect) < 1e-7

@@ -1,11 +1,25 @@
-"""Shooting: bracket discovery, bisection convergence, and solution posts."""
+"""Shooting: bracket discovery, Brent convergence, and solution posts."""
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hext import coeffs_from_C, residual_check, shoot
+from hext import coeffs_from_C, integrate_v, residual_check, shoot
 from hext.errors import NoBracket
+from hext.profile_ode.integrate import SCAN_CONFIG
+
+# C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
+# table that perfbench/make_reference.py writes to perfbench/reference.json
+C_STAR_REF = {
+    1: 4.126269829713513,
+    2: 2.887105996252412,
+    3: 2.5075511798715646,
+    4: 2.3333414347427235,
+    5: 2.2371370935797725,
+    6: 2.177875481997457,
+    7: 2.1385968007529557,
+    8: 2.1111469195527324,
+}
 
 
 def test_m1_solution(shot_m1):
@@ -58,3 +72,23 @@ def test_no_bracket_raises_with_scan():
         shoot(1, c_min=7.8, c_max=8.0)
     assert info.value.scan is not None
     assert all(p.defect is None or p.defect < 0 for p in info.value.scan.points)
+
+
+@pytest.mark.parametrize("m", sorted(C_STAR_REF))
+def test_c_star_matches_mpmath_reference(m):
+    # m >= 4 has its root beyond the eps-floor window: the upward extension
+    res = shoot(m)
+    assert abs(res.c_star - C_STAR_REF[m]) < 1e-6
+    assert abs(res.defect) < 1e-8
+    assert res.bracket[0] < res.c_star < res.bracket[1]
+
+
+def test_upward_extension_matches_per_point_solves():
+    # for m = 4 the root lies past the eps-floor window; the extension's
+    # batched points must agree with one solve per C and stop at the first
+    # non-positive defect
+    ext = shoot(4).scan.points[64:]
+    assert ext and ext[-1].defect <= 0
+    assert all(p.defect > 0 for p in ext[:-1])
+    for p in ext:
+        assert abs(p.defect - integrate_v(4, p.c, SCAN_CONFIG).defect) < 1e-7
