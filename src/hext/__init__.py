@@ -43,12 +43,9 @@ from .graded_algebra import (
     AlgebraMatrix,
     GrassmannElement,
     TruncatedPoly,
-    gr_mul,
     rank1_check,
+    rank1_identities,
     scalar_projector_check,
-    ts_inv,
-    ts_mul,
-    ts_pow,
 )
 from .profile_ode import (
     CertificateM1,

@@ -27,7 +27,7 @@ from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from .errors import SeriesMismatch
-from .graded_algebra import TruncatedPoly, ts_inv
+from .graded_algebra import TruncatedPoly
 
 DEFAULT_MAX_N = 8
 
@@ -194,7 +194,7 @@ def alpha_series(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
     e = TruncatedPoly.eta(n)
     numer = (1 + t * w) ** (n + 1)
     denom = 1 + t * (w * d + e)
-    series = numer * ts_inv(denom)
+    series = numer * denom.inv()
     return _table_from_series(series, n, d)
 
 
@@ -284,7 +284,7 @@ def _diag_value(n: int, d: int, q: int) -> Fraction:
     """
     t = TruncatedPoly.t(n)
     w = TruncatedPoly.omega(n)
-    inv_sq = ts_inv((1 + t * w * d) ** 2)
+    inv_sq = ((1 + t * w * d) ** 2).inv()
     # theta part: t*(1+t*omega)^n * (d - (n+1) - n*t*omega*d) / (1+t*omega*d)^2
     theta_core = t * (1 + t * w) ** n * ((d - (n + 1)) + t * w * (-n * d)) * inv_sq
     # kappa (harmonic) part: t^2*(1+t*omega)^(n+1) / (1+t*omega*d)^2

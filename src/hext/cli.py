@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -386,10 +387,10 @@ def cmd_futaki(args) -> int:
 
 
 def cmd_grassmann(args) -> int:
-    started = time.perf_counter()
-    report = RunReport(command="grassmann", parameters={"k": args.k})
     if not 1 <= args.k <= 6:
         return _usage_error("need 1 <= k <= 6")
+    started = time.perf_counter()
+    report = RunReport(command="grassmann", parameters={"k": args.k})
     rep = rank1_check(args.k)
     report.outputs = {
         "identities": [
@@ -399,8 +400,6 @@ def cmd_grassmann(args) -> int:
     }
     report.summary = {"pass": rep.passed}
     report.wall_time_s = time.perf_counter() - started
-    if args.out:
-        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
     lines = [
         f"{'PASS' if i.passed else 'FAIL'}  {i.name}"
         + (f"  witness: {i.witness}" if i.witness else "")
@@ -468,8 +467,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
+
+
+def _attach_negative_values(argv):
+    """Write `--opt -1e6` as `--opt=-1e6`: argparse reads a token that starts
+    with "-" as an option unless it looks like -5 or -.5."""
+    out = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if option.startswith("--") and "=" not in option and _NEGATIVE_NUMBER.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

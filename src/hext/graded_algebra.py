@@ -3,8 +3,9 @@
 Two substrates live here.  GrassmannElement is an element of the exterior
 algebra on 2k odd generators with rational coefficients; it exists to verify
 the rank-one determinant identities det(I - lam*A) * (1 - lam*a) = 1 and
-(I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
-TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where
+(I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j,
+whose lambda-matrices have LamPoly entries (polynomials in lambda over the
+same algebra).  TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where
 every monomial with omega-degree + eta-degree >= n vanishes (forms above top
 degree on an (n-1)-dimensional space) and t is kept to degree <= n; it is
 the series engine behind the Chern coefficient tables.
@@ -13,10 +14,12 @@ All coefficients are exact rationals.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
@@ -29,15 +32,24 @@ from .errors import (
 Scalar = Union[int, Fraction]
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of e_a * e_b for disjoint index bitmasks a, b: parity of the
-    number of generator pairs (i in a, j in b) with i > j."""
-    inv = 0
+@functools.lru_cache(maxsize=1 << 12)
+def _below_parity(b: int) -> int:
+    """Bitmask (negative when infinite) whose bit i is the parity of the
+    generators of b below i.  For disjoint a, b the sign of e_a * e_b is the
+    parity of (a & _below_parity(b)).bit_count()."""
+    q = 0
     while b:
         low = b & -b
-        inv += bin(a >> low.bit_length()).count("1")
+        q ^= -(low << 1)  # every bit above this generator
         b ^= low
-    return -1 if inv & 1 else 1
+    return q
+
+
+def _label(mask: int) -> str:
+    """Monomial text of a generator bitmask: e01*e03 for 0b101, 1 for 0."""
+    if mask == 0:
+        return "1"
+    return "*".join(f"e{i + 1:02d}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 class GrassmannElement:
@@ -101,19 +113,8 @@ class GrassmannElement:
                 self.n_gen, {m: c * other for m, c in self.terms.items()}
             )
         self._check(other)
-        out: Dict[int, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                if ma & mb:
-                    continue  # repeated odd generator squares to zero
-                key = ma | mb
-                c = ca * cb * _merge_sign(ma, mb)
-                acc = out.get(key, Fraction(0)) + c
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return GrassmannElement(self.n_gen, out)
+        product = LamPoly.lift(self) * LamPoly.lift(other)
+        return GrassmannElement(self.n_gen, {mask: c for (_, mask), c in product.terms.items()})
 
     def __rmul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, Fraction)):
@@ -133,17 +134,12 @@ class GrassmannElement:
     def is_even(self) -> bool:
         return all(bin(m).count("1") % 2 == 0 for m in self.terms)
 
-    def _label(self, mask: int) -> str:
-        if mask == 0:
-            return "1"
-        return "*".join(f"e{i + 1:02d}" for i in range(self.n_gen) if mask >> i & 1)
-
     def to_json(self) -> str:
         """Canonical form: sorted monomial labels, rational strings."""
         obj = {
             "generators": self.n_gen,
             "terms": {
-                self._label(m): f"{c.numerator}/{c.denominator}"
+                _label(m): f"{c.numerator}/{c.denominator}"
                 for m, c in self.terms.items()
             },
         }
@@ -153,14 +149,9 @@ class GrassmannElement:
         if not self.terms:
             return "GrassmannElement(0)"
         parts = [
-            f"{c}*{self._label(m)}" for m, c in sorted(self.terms.items())
+            f"{c}*{_label(m)}" for m, c in sorted(self.terms.items())
         ]
         return "GrassmannElement(" + " + ".join(parts) + ")"
-
-
-def gr_mul(x: GrassmannElement, y: GrassmannElement) -> GrassmannElement:
-    """Exterior product; raises GeneratorMismatch on different generator sets."""
-    return x * y
 
 
 class AlgebraMatrix:
@@ -196,16 +187,7 @@ class AlgebraMatrix:
     def matmul(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
         if self.k != other.k:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.k):
-            row = []
-            for j in range(self.k):
-                acc = GrassmannElement.zero(self.n_gen)
-                for l in range(self.k):
-                    acc = acc + self.entries[i][l] * other.entries[l][j]
-                row.append(acc)
-            out.append(row)
-        return AlgebraMatrix(out)
+        return AlgebraMatrix(_matmul(self.entries, other.entries))
 
     def scaled(self, factor: GrassmannElement) -> "AlgebraMatrix":
         return AlgebraMatrix(
@@ -213,18 +195,8 @@ class AlgebraMatrix:
         )
 
     def det_leibniz(self) -> GrassmannElement:
-        """Leibniz sum; valid because even entries commute pairwise.
-
-        Fraction-free on purpose: the algebra has nilpotents, so no division
-        is available.
-        """
-        acc = GrassmannElement.zero(self.n_gen)
-        for perm in itertools.permutations(range(self.k)):
-            term = GrassmannElement.scalar(self.n_gen, _perm_sign(perm))
-            for i in range(self.k):
-                term = term * self.entries[i][perm[i]]
-            acc = acc + term
-        return acc
+        """Leibniz sum; valid because even entries commute pairwise."""
+        return _leibniz(self.entries, GrassmannElement.scalar(self.n_gen, 1))
 
     def det_cofactor(self) -> GrassmannElement:
         """First-row cofactor expansion (entries must commute: even elements)."""
@@ -243,6 +215,9 @@ class AlgebraMatrix:
         return acc
 
 
+# -- matrix algebra over any ring with +, - and * -------------------------------
+
+
 def _perm_sign(perm: Tuple[int, ...]) -> int:
     inv = sum(
         1
@@ -253,55 +228,108 @@ def _perm_sign(perm: Tuple[int, ...]) -> int:
     return -1 if inv & 1 else 1
 
 
-# -- polynomials in lambda with Grassmann coefficients ------------------------
-# Only even (hence central) coefficients arise below, so plain dict algebra
-# suffices; keys are lambda powers.
+def _leibniz(rows, one):
+    """Determinant as the sum over all permutations, in a commutative ring
+    whose unit is `one`.
 
-LamPoly = Dict[int, GrassmannElement]
-
-
-def _lp_zero() -> LamPoly:
-    return {}
-
-
-def _lp_const(e: GrassmannElement) -> LamPoly:
-    return {0: e} if not e.is_zero() else {}
-
-
-def _lp_add(x: LamPoly, y: LamPoly, n_gen: int) -> LamPoly:
-    out = dict(x)
-    for p, e in y.items():
-        acc = out.get(p, GrassmannElement.zero(n_gen)) + e
-        if acc.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = acc
-    return out
-
-def _lp_mul(x: LamPoly, y: LamPoly, n_gen: int) -> LamPoly:
-    out: LamPoly = {}
-    for px, ex in x.items():
-        for py, ey in y.items():
-            prod = ex * ey
-            if prod.is_zero():
-                continue
-            key = px + py
-            acc = out.get(key, GrassmannElement.zero(n_gen)) + prod
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
+    Fraction-free on purpose: the exterior algebra has nilpotents, so no
+    division is available.
+    """
+    total = one - one
+    for perm in itertools.permutations(range(len(rows))):
+        term = rows[0][perm[0]]
+        for i in range(1, len(perm)):
+            term = term * rows[i][perm[i]]
+        total = total + term if _perm_sign(perm) > 0 else total - term
+    return total
 
 
-def _lp_diff_witness(x: LamPoly, y: LamPoly, n_gen: int) -> Optional[str]:
-    """None when equal; otherwise a human-readable witness monomial."""
-    diff = _lp_add(x, {p: -e for p, e in y.items()}, n_gen)
-    for p in sorted(diff):
-        e = diff[p]
-        mask = min(e.terms)
-        return f"lambda^{p} * {e._label(mask)} (coefficient {e.terms[mask]})"
+def _matmul(X, Y):
+    """Product of square matrices given as lists of rows."""
+    n = len(Y)
+    return [
+        [sum((row[l] * Y[l][j] for l in range(1, n)), row[0] * Y[0][j]) for j in range(n)]
+        for row in X
+    ]
+
+
+def _first_mismatch(X, Y):
+    """(i, j, X_ij - Y_ij) at the first entry, in row-major order, where the
+    matrices differ; None when they are equal."""
+    for i, (x_row, y_row) in enumerate(zip(X, Y)):
+        for j, (x, y) in enumerate(zip(x_row, y_row)):
+            if x != y:
+                return i, j, x - y
     return None
+
+
+# -- polynomials in lambda with Grassmann coefficients -------------------------
+
+
+class LamPoly:
+    """Polynomial in a central variable lambda over the exterior algebra.
+
+    terms maps (lambda power, generator bitmask) to an exact coefficient,
+    an int when integral and a Fraction otherwise; zero coefficients are
+    never stored.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[Dict[Tuple[int, int], Scalar]] = None):
+        self.terms = {}
+        for key, c in (terms or {}).items():
+            if type(c) is not int:
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+                if c.denominator == 1:
+                    c = c.numerator
+            if c:
+                self.terms[key] = c
+
+    @classmethod
+    def lift(cls, e: GrassmannElement, power: int = 0) -> "LamPoly":
+        """lambda^power * e."""
+        return cls({(power, mask): c for mask, c in e.terms.items()})
+
+    def _plus(self, other: "LamPoly", sign: int) -> "LamPoly":
+        out = LamPoly()
+        out.terms = dict(self.terms)  # already exact; only touched keys change
+        for key, c in other.terms.items():
+            c = out.terms.pop(key, 0) + sign * c
+            if c:
+                out.terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+        return out
+
+    def __add__(self, other: "LamPoly") -> "LamPoly":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "LamPoly") -> "LamPoly":
+        return self._plus(other, -1)
+
+    def __mul__(self, other: "LamPoly") -> "LamPoly":
+        out: Dict[Tuple[int, int], Scalar] = {}
+        for (pa, ma), ca in self.terms.items():
+            for (pb, mb), cb in other.terms.items():
+                if ma & mb:
+                    continue  # repeated odd generator squares to zero
+                key = (pa + pb, ma | mb)
+                c = ca * cb
+                if (ma & _below_parity(mb)).bit_count() & 1:
+                    c = -c
+                out[key] = out.get(key, 0) + c
+        return LamPoly(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LamPoly) and self.terms == other.terms
+
+    def witness(self) -> Optional[str]:
+        """None for zero; otherwise the lowest monomial (lowest lambda power,
+        then lowest generator bitmask) with its coefficient, as text."""
+        if not self.terms:
+            return None
+        power, mask = min(self.terms)
+        return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[power, mask]})"
 
 
 @dataclass(frozen=True)
@@ -328,99 +356,69 @@ class RankOneReport:
 
 
 def rank1_check(k: int) -> RankOneReport:
-    """Verify the three rank-one identities on A_ij = alpha_i * beta_j.
+    """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6."""
+    if not 1 <= k <= 6:
+        raise ValueError("k must be in 1..6 (cost grows as 2^(2k))")
+    return rank1_identities(AlgebraMatrix.rank_one(k))
 
-    (i)   A@A == a*A with a = -Tr A;
+
+def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
+    """Check the three rank-one identities on A, with a = -Tr A:
+
+    (i)   A@A == a*A;
     (ii)  (I - lam*A) * (I + lam * geom(a) * A) == I, where geom(a) is the
           finite geometric series sum (lam*a)^j (a is nilpotent);
     (iii) det(I - lam*A) * (1 - lam*a) == 1 by Leibniz expansion.
+
+    All three hold for A_ij = alpha_i * beta_j with odd alpha, beta; a
+    failing identity carries the lowest monomial where it fails.
     """
-    if not 1 <= k <= 6:
-        raise ValueError("k must be in 1..6 (cost grows as 2^(2k))")
-    A = AlgebraMatrix.rank_one(k)
-    n_gen = A.n_gen
-    one = GrassmannElement.scalar(n_gen, 1)
+    k = A.k
     a = -A.trace()
 
-    identities: List[IdentityCheck] = []
-
     # (i) A^2 == a * A
-    A2 = A.matmul(A)
-    aA = A.scaled(a)
-    witness = None
-    for i in range(k):
-        for j in range(k):
-            if A2.entries[i][j] != aA.entries[i][j]:
-                d = A2.entries[i][j] - aA.entries[i][j]
-                mask = min(d.terms)
-                witness = f"entry ({i},{j}) monomial {d._label(mask)}"
-                break
-        if witness:
-            break
-    identities.append(IdentityCheck("A_squared_equals_aA", witness is None, witness))
+    bad = _first_mismatch(A.matmul(A).entries, A.scaled(a).entries)
+    witness_i = None
+    if bad is not None:
+        witness_i = f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms))}"
 
-    # geometric series for 1/(1 - lam*a): finite because a^(k+1) == 0
-    geom: LamPoly = {}
-    power = one
-    j = 0
-    while not power.is_zero():
-        geom[j] = power
-        power = power * a
-        j += 1
-        if j > 2 * k + 2:
-            raise RuntimeError("nilpotency bound exceeded; algebra is broken")
+    one, zero = LamPoly({(0, 0): 1}), LamPoly()
+    eye = [[one if i == j else zero for j in range(k)] for i in range(k)]
+    lam_A = [[LamPoly.lift(e, 1) for e in row] for row in A.entries]
+    lam_a = LamPoly.lift(a, 1)
 
-    # lambda-polynomial matrices
-    def lp_entry(i, j, sign):
-        e: LamPoly = {}
-        if i == j:
-            e[0] = one
-        off = A.entries[i][j] * sign
-        if not off.is_zero():
-            e = _lp_add(e, {1: off}, n_gen)
-        return e
+    # geometric series for 1/(1 - lam*a); it ends because a nilpotent element
+    # of the exterior algebra on n_gen generators has a^(n_gen + 1) == 0
+    geom, power = zero, one
+    for _ in range(A.n_gen + 1):
+        geom = geom + power
+        power = power * lam_a
+    if power.terms:
+        raise ValueError("a = -Tr A is not nilpotent")
 
-    M = [[lp_entry(i, j, -1) for j in range(k)] for i in range(k)]
+    M = [[eye[i][j] - lam_A[i][j] for j in range(k)] for i in range(k)]
+    M_inv = [[eye[i][j] + geom * lam_A[i][j] for j in range(k)] for i in range(k)]
 
-    lam_geom = {p + 1: e for p, e in geom.items()}
-    Minv = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            e: LamPoly = {0: one} if i == j else {}
-            e = _lp_add(e, _lp_mul(lam_geom, _lp_const(A.entries[i][j]), n_gen), n_gen)
-            row.append(e)
-        Minv.append(row)
-
-    # (ii) M @ Minv == I
-    witness = None
-    for i in range(k):
-        for j in range(k):
-            acc: LamPoly = {}
-            for l in range(k):
-                acc = _lp_add(acc, _lp_mul(M[i][l], Minv[l][j], n_gen), n_gen)
-            expected: LamPoly = {0: one} if i == j else {}
-            w = _lp_diff_witness(acc, expected, n_gen)
-            if w is not None:
-                witness = f"entry ({i},{j}): {w}"
-                break
-        if witness:
-            break
-    identities.append(IdentityCheck("inverse_formula", witness is None, witness))
+    # (ii) M @ M_inv == I
+    bad = _first_mismatch(_matmul(M, M_inv), eye)
+    witness_ii = None
+    if bad is not None:
+        witness_ii = f"entry ({bad[0]},{bad[1]}): {bad[2].witness()}"
 
     # (iii) det(I - lam*A) * (1 - lam*a) == 1
-    det: LamPoly = {}
-    for perm in itertools.permutations(range(k)):
-        term: LamPoly = {0: GrassmannElement.scalar(n_gen, _perm_sign(perm))}
-        for i in range(k):
-            term = _lp_mul(term, M[i][perm[i]], n_gen)
-        det = _lp_add(det, term, n_gen)
-    one_minus_lam_a = _lp_add({0: one}, {1: -a}, n_gen)
-    product = _lp_mul(det, one_minus_lam_a, n_gen)
-    w = _lp_diff_witness(product, {0: one}, n_gen)
-    identities.append(IdentityCheck("determinant_geometric", w is None, w))
+    witness_iii = (_leibniz(M, one) * (one - lam_a) - one).witness()
 
-    return RankOneReport(k=k, identities=identities)
+    return RankOneReport(
+        k=k,
+        identities=[
+            IdentityCheck(name, witness is None, witness)
+            for name, witness in (
+                ("A_squared_equals_aA", witness_i),
+                ("inverse_formula", witness_ii),
+                ("determinant_geometric", witness_iii),
+            )
+        ],
+    )
 
 
 @dataclass
@@ -452,13 +450,13 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     if a == 0:
         raise ValueError("a must be nonzero")
     # A @ A == a * A, exactly
-    for i in range(n):
-        for j in range(n):
-            s = sum(rows[i][l] * rows[l][j] for l in range(n))
-            if s != a * rows[i][j]:
-                raise NotIdempotentFamily(
-                    f"(A@A)[{i}][{j}] = {s} differs from a*A[{i}][{j}] = {a * rows[i][j]}"
-                )
+    squared = _matmul(rows, rows)
+    bad = _first_mismatch(squared, [[a * x for x in row] for row in rows])
+    if bad is not None:
+        i, j, _ = bad
+        raise NotIdempotentFamily(
+            f"(A@A)[{i}][{j}] = {squared[i][j]} differs from a*A[{i}][{j}] = {a * rows[i][j]}"
+        )
     trace = sum(rows[i][i] for i in range(n))
     rank = trace / a
     if rank.denominator != 1 or rank < 0:
@@ -467,34 +465,23 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
         )
     rank = int(rank)
 
-    # det(I - lam*A) as a polynomial in lam, by Leibniz
-    det = [Fraction(0)] * (n + 1)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        # each factor is (delta - lam * A[i][perm[i]])
-        poly = [Fraction(sign)]
-        for i in range(n):
-            const = Fraction(1) if perm[i] == i else Fraction(0)
-            lin = -rows[i][perm[i]]
-            new = [Fraction(0)] * (len(poly) + 1)
-            for d, c in enumerate(poly):
-                new[d] += c * const
-                new[d + 1] += c * lin
-            poly = new
-        for d, c in enumerate(poly):
-            det[d] += c
-    while len(det) > 1 and det[-1] == 0:
-        det.pop()
-
-    # (1 - lam*a)^rank
-    from math import comb
+    # det(I - lam*A) as a polynomial in lam: LamPolys without generators
+    one = LamPoly({(0, 0): 1})
+    det = _leibniz(
+        [
+            [LamPoly({(0, 0): int(i == j), (1, 0): -x}) for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ],
+        one,
+    )
+    degree = max(power for power, _ in det.terms)
 
     expected = [comb(rank, j) * (-a) ** j for j in range(rank + 1)]
     return ScalarProjectorReport(
         dim=n,
         a=a,
         rank=rank,
-        det_coeffs=tuple(det),
+        det_coeffs=tuple(Fraction(det.terms.get((p, 0), 0)) for p in range(degree + 1)),
         expected_coeffs=tuple(expected),
     )
 
@@ -678,15 +665,3 @@ class TruncatedPoly:
             f"{v}*t^{a}*w^{b}*h^{c}" for (a, b, c), v in sorted(self.terms.items())
         ]
         return "TruncatedPoly(" + " + ".join(parts) + ")"
-
-
-def ts_mul(x: TruncatedPoly, y: TruncatedPoly) -> TruncatedPoly:
-    return x * y
-
-
-def ts_inv(x: TruncatedPoly) -> TruncatedPoly:
-    return x.inv()
-
-
-def ts_pow(x: TruncatedPoly, e: int) -> TruncatedPoly:
-    return x ** e

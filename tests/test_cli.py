@@ -76,11 +76,30 @@ def test_futaki_cli(tmp_path, capsys):
     assert main(["futaki", "--n", "3", "--d", "2", "--q", "5"]) == EXIT_USAGE
 
 
-def test_grassmann_cli(capsys):
+def test_grassmann_cli(tmp_path, capsys):
     assert main(["grassmann", "--k", "2"]) == EXIT_OK
     text = capsys.readouterr().out
     assert text.count("PASS") == 3
     assert main(["grassmann", "--k", "9"]) == EXIT_USAGE
+    out = tmp_path / "g"
+    assert main(["grassmann", "--k", "9", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert main(["grassmann", "--k", "3", "--json", "--out", str(out)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    saved = json.loads((out / "report.json").read_text())
+    assert saved["payload_sha256"] == doc["payload_sha256"]
+    assert [i["pass"] for i in saved["outputs"]["identities"]] == [True] * 3
+
+
+def test_negative_exponent_values_are_values(capsys):
+    assert main(["scan", "--m", "1", "--c-min", "-1e1", "--c-max", "2", "--steps", "4"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["shoot", "--m", "1", "--c-min", "-1e2", "--json"]) == EXIT_OK
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["shoot", "--m", "1", "--c-min=-1e2", "--json"]) == EXIT_OK
+    joined = json.loads(capsys.readouterr().out)
+    assert spaced["parameters"]["c_min"] == -100.0
+    assert spaced["payload_sha256"] == joined["payload_sha256"]
 
 
 def test_scan_cli(tmp_path, capsys):

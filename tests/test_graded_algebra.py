@@ -8,12 +8,9 @@ from hext import (
     AlgebraMatrix,
     GrassmannElement,
     TruncatedPoly,
-    gr_mul,
     rank1_check,
+    rank1_identities,
     scalar_projector_check,
-    ts_inv,
-    ts_mul,
-    ts_pow,
 )
 from hext.errors import (
     GeneratorMismatch,
@@ -21,7 +18,7 @@ from hext.errors import (
     NotInvertible,
     TruncationMismatch,
 )
-from hext.graded_algebra import _lp_diff_witness
+from hext.graded_algebra import LamPoly
 
 
 def _gen(n, i):
@@ -31,12 +28,12 @@ def _gen(n, i):
 def test_anticommutation_and_nilpotency():
     n = 4
     e1, e2, e3, e4 = (_gen(n, i) for i in range(4))
-    assert gr_mul(e1, e2) == -(gr_mul(e2, e1))
-    assert gr_mul(e1, e1).is_zero()
+    assert e1 * e2 == -(e2 * e1)
+    assert (e1 * e1).is_zero()
     # even elements commute
-    a = gr_mul(e1, e2)
-    b = gr_mul(e3, e4)
-    assert gr_mul(a, b) == gr_mul(b, a)
+    a = e1 * e2
+    b = e3 * e4
+    assert a * b == b * a
 
 
 def _random_element(rng, n_gen, n_terms=4):
@@ -61,10 +58,10 @@ def test_associativity_distributivity_random():
 
 def test_generator_mismatch():
     with pytest.raises(GeneratorMismatch):
-        gr_mul(_gen(2, 0), _gen(4, 0))
+        _gen(2, 0) * _gen(4, 0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_rank1_identities(k):
     rep = rank1_check(k)
     assert rep.passed
@@ -84,21 +81,65 @@ def test_rank1_k1_det_is_single_pair():
     assert A.entries[0][0] == _gen(2, 0) * _gen(2, 1)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_rank1_identities_fail_on_a_corrupted_matrix(k):
+    A = AlgebraMatrix.rank_one(k)
+    A.entries[0][1] = A.entries[0][1] * 2  # no longer alpha_0 * beta_1
+    rep = rank1_identities(A)
+    assert not rep.passed
+    assert [i.passed for i in rep.identities] == [False, False, False]
+    assert [i.witness for i in rep.identities] == [
+        "entry (0,0) monomial e01*e02*e03*e04",
+        "entry (0,0): lambda^2 * e01*e02*e03*e04 (coefficient 1)",
+        "lambda^2 * e01*e02*e03*e04 (coefficient 1)",
+    ]
+    assert rep.first_failure().name == "A_squared_equals_aA"
+
+
 def test_rank1_rejects_out_of_range():
     with pytest.raises(ValueError):
         rank1_check(0)
     with pytest.raises(ValueError):
         rank1_check(7)
+    with pytest.raises(ValueError):  # a = -Tr A = -1 is not nilpotent
+        rank1_identities(AlgebraMatrix([[GrassmannElement.scalar(2, 1)]]))
 
 
 def test_witness_reporting():
     n = 2
-    one = GrassmannElement.scalar(n, 1)
-    x = {0: one}
-    y = {0: one, 1: _gen(n, 0) * _gen(n, 1)}
-    w = _lp_diff_witness(x, y, n)
+    one = LamPoly.lift(GrassmannElement.scalar(n, 1))
+    x = one
+    y = one + LamPoly.lift(_gen(n, 0) * _gen(n, 1), 1)
+    w = (x - y).witness()
     assert w is not None and "lambda^1" in w
-    assert _lp_diff_witness(x, {0: one}, n) is None
+    assert (x - one).witness() is None
+
+
+def test_lam_poly_coefficients_stay_exact():
+    rng = random.Random(77)
+
+    def random_poly():
+        terms = {}
+        for _ in range(4):
+            key = (rng.randrange(3), rng.randrange(1 << 6))
+            if rng.random() < 0.5:
+                terms[key] = F(rng.randint(-5, 5), rng.randint(1, 4))
+            else:
+                terms[key] = rng.randint(-3, 3)
+        return LamPoly(terms)
+
+    kinds = set()
+    for _ in range(30):
+        x, y = random_poly(), random_poly()
+        for poly in (x * y, (x * y) * y, x + y, x - y):
+            for c in poly.terms.values():
+                assert c != 0
+                assert type(c) is int or (type(c) is F and c.denominator != 1)
+                kinds.add(type(c))
+    assert kinds == {int, F}
+    assert type(LamPoly({(0, 0): F(6, 3)}).terms[0, 0]) is int
+    with pytest.raises(TypeError):
+        LamPoly({(0, 0): 0.5})
 
 
 def test_leibniz_vs_cofactor_random_even_matrices():
@@ -119,6 +160,28 @@ def test_leibniz_vs_cofactor_random_even_matrices():
             entries.append(row)
         mat = AlgebraMatrix(entries)
         assert mat.det_leibniz() == mat.det_cofactor()
+
+
+def test_leibniz_vs_cofactor_fractional_coefficients():
+    rng = random.Random(34)
+    n_gen = 6
+    gens = [_gen(n_gen, i) for i in range(n_gen)]
+    values = [F(1, 3), F(-5, 2), F(7, 6), F(-2, 9)]
+    for _ in range(10):
+        entries = []
+        for i in range(3):
+            row = []
+            for j in range(3):
+                e = GrassmannElement.scalar(n_gen, rng.choice(values))
+                for _ in range(2):
+                    ii, jj = rng.randrange(n_gen), rng.randrange(n_gen)
+                    e = e + (gens[ii] * gens[jj]) * rng.choice(values)
+                row.append(e)
+            entries.append(row)
+        mat = AlgebraMatrix(entries)
+        det = mat.det_leibniz()
+        assert det == mat.det_cofactor()
+        assert any(c.denominator != 1 for c in det.terms.values())
 
 
 def test_scalar_projector_instances():
@@ -148,7 +211,7 @@ def test_ts_geometric_series():
     w = TruncatedPoly.omega(n)
     e = TruncatedPoly.eta(n)
     u = t * (w * 2 + e)  # nilpotent under the truncation
-    inv = ts_inv(1 - u)
+    inv = (1 - u).inv()
     series = TruncatedPoly.const(n, 1)
     power = u
     while not power.is_zero():
@@ -177,14 +240,14 @@ def test_ts_geometric_series_randomized():
         while not power.is_zero():
             series = series + power
             power = power * u
-        assert ts_inv(1 - u) == series
+        assert (1 - u).inv() == series
 
 
 def test_ts_pow_binomials():
     n = 5
     t = TruncatedPoly.t(n)
     w = TruncatedPoly.omega(n)
-    p = ts_pow(1 + t * w, n + 1)
+    p = (1 + t * w) ** (n + 1)
     from math import comb
 
     for j in range(n):  # omega^j survives only below the truncation order
@@ -206,18 +269,18 @@ def test_ts_inv_roundtrip_random():
             terms[keys[rng.randrange(len(keys))]] = F(rng.randint(-6, 6), rng.randint(1, 3))
         terms[(0, 0, 0)] = F(rng.choice([1, -1, 2, 3]))  # unit constant term
         x = TruncatedPoly(n, terms)
-        assert ts_mul(ts_inv(x), x) == TruncatedPoly.const(n, 1)
+        assert x.inv() * x == TruncatedPoly.const(n, 1)
 
 
 def test_ts_inv_requires_unit():
     n = 3
     with pytest.raises(NotInvertible):
-        ts_inv(TruncatedPoly.t(n))
+        TruncatedPoly.t(n).inv()
 
 
 def test_mixed_orders_rejected():
     with pytest.raises(TruncationMismatch):
-        ts_mul(TruncatedPoly.t(3), TruncatedPoly.t(4))
+        TruncatedPoly.t(3) * TruncatedPoly.t(4)
     with pytest.raises(TruncationMismatch):
         TruncatedPoly.t(3) + TruncatedPoly.t(4)
 
