@@ -67,7 +67,6 @@ from .profile_ode import (
     hcsck_coeffs,
     hcsck_nonexistence,
     integrate_v,
-    lambda_at,
     reconstruct_curve,
     residual_check,
     shoot,

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import SeriesMismatch
 from .graded_algebra import TruncatedPoly
+from .ratpoly import _frac_str
 
 DEFAULT_MAX_N = 8
 
@@ -219,7 +220,7 @@ class FutakiValue:
             "n": self.n,
             "d": self.d,
             "q": self.q,
-            "value": f"{self.r.numerator}/{self.r.denominator}",
+            "value": _frac_str(self.r),
             "kappa_coefficient": True,
         }
         return json.dumps(obj, sort_keys=True) + "\n"

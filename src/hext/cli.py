@@ -1,11 +1,18 @@
 """Command-line front end.
 
-Every subcommand builds a RunReport: command, parameters, outputs (inline
-values or artifact file names), a pass/fail summary, and the wall time.
-Artifacts and report payloads are byte-identical across repeated runs with
-identical flags; the wall time lives outside the hashed payload.
+Each subcommand is one row of a table: its flags, a usage check and a body.
+One runner turns every row into a RunReport: command, parameters (the row's
+flags), outputs (inline values or artifact file names), a pass/fail summary,
+and the wall time.  Artifacts and report payloads are byte-identical across
+repeated runs with identical flags; the wall time lives outside the hashed
+payload.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
+A usage error is one line on stderr and comes before any work: a bad flag
+value, an --out that exists and is not a directory, or an HEXT_MAX_N that is
+not an integer.  A library error ends every subcommand in one report form:
+summary {"pass": false, "reason": "error"} (exit 1), or "no-bracket" (exit 2)
+when shoot finds no sign change, with the message in outputs.message.
 """
 from __future__ import annotations
 
@@ -20,27 +27,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .chern_futaki import (
-    alpha_closed,
-    alpha_recursive,
-    alpha_series,
-    futaki_closed,
-    table_size_cap,
-)
+from .chern_futaki import alpha_closed, alpha_recursive, alpha_series, futaki_closed, table_size_cap
 from .errors import CertificateFailure, HextError, NoBracket
 from .graded_algebra import rank1_check
 from .profile_ode import (
-    EPS_FLOOR,
-    admissible_C_max,
-    certify_m1,
-    defect_scan,
-    hcsck_nonexistence,
-    reconstruct_curve,
-    residual_check,
-    shoot,
+    EPS_FLOOR, admissible_C_max, certify_m1, defect_scan, hcsck_nonexistence, reconstruct_curve,
+    residual_check, shoot,
 )
+from .ratpoly import _frac_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,50 +54,32 @@ _ALPHA_METHODS = {
 class RunReport:
     command: str
     parameters: Dict
-    outputs: Dict = field(default_factory=dict)
-    summary: Dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
-
-    def payload(self) -> Dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "summary": self.summary,
-        }
-
-    def payload_sha256(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    outputs: Dict
+    summary: Dict
+    wall_time_s: float
 
     def to_json(self, include_wall_time: bool = True) -> str:
-        doc = self.payload()
-        doc["payload_sha256"] = self.payload_sha256()
+        """The payload (command, parameters, outputs, summary), its sha256,
+        and the wall time unless left out."""
+        doc = {"command": self.command, "parameters": self.parameters,
+               "outputs": self.outputs, "summary": self.summary}
+        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        doc["payload_sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
         if include_wall_time:
             doc["wall_time_s"] = self.wall_time_s
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+@dataclass
+class _Outcome:
+    """What a body hands the runner; the exit code follows summary["pass"].
+    Each artifact is (output key, file name, text thunk); the thunk runs
+    only under --out."""
 
-
-def _write_text(out_dir: Path, name: str, text: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return name
-
-
-def _emit(report: RunReport, args, human_lines) -> None:
-    if args.out:
-        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        for line in human_lines:
-            print(line)
+    outputs: Dict
+    human: List[str]
+    summary: Dict = field(default_factory=lambda: {"pass": True})
+    artifacts: List[Tuple[str, str, Callable[[], str]]] = field(default_factory=list)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,46 +109,30 @@ _finite_float = _checked(float, math.isfinite, "finite")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
 
 
-def _usage_error(msg: str) -> int:
-    sys.stderr.write(f"error: {msg}\n")
-    return EXIT_USAGE
+def _flag(name: str, type=None, **options) -> Tuple[str, Dict]:
+    """A table flag: required unless it has a default."""
+    return name, {"type": type, "required": "default" not in options, **options}
 
 
-def cmd_shoot(args) -> int:
-    c_top = float(admissible_C_max(args.m, EPS_FLOOR))
-    if args.c_max is not None:
-        c_top = min(c_top, args.c_max)
-    if not args.c_min < c_top:
-        return _usage_error(
-            f"--c-min {args.c_min:g} must lie below --c-max and the admissible maximum"
-            f" (here {c_top:.10g})"
-        )
-    started = time.perf_counter()
-    params = {
-        "m": args.m,
-        "tol": args.tol,
-        "c_min": args.c_min,
-        "c_max": args.c_max,
-    }
-    report = RunReport(command="shoot", parameters=params)
-    try:
-        result = shoot(args.m, defect_tol=args.tol, c_min=args.c_min, c_max=args.c_max)
-    except NoBracket as exc:
-        report.summary = {"pass": False, "reason": "no-bracket"}
-        report.outputs = {"message": str(exc)}
-        report.wall_time_s = time.perf_counter() - started
-        _emit(report, args, [f"no bracket: {exc}"])
-        return EXIT_NO_BRACKET
-    except HextError as exc:
-        report.summary = {"pass": False, "reason": "error"}
-        report.outputs = {"message": str(exc)}
-        report.wall_time_s = time.perf_counter() - started
-        _emit(report, args, [f"error: {exc}"])
-        return EXIT_FAIL
+_M = _flag("--m", _positive_int)
+_N = _flag("--n", int)
+_D = _flag("--d", int)
 
+
+def _check_shoot(a) -> Optional[str]:
+    c_top = float(admissible_C_max(a.m, EPS_FLOOR))
+    if a.c_max is not None:
+        c_top = min(c_top, a.c_max)
+    if not a.c_min < c_top:
+        return f"--c-min {a.c_min:g} must lie below --c-max and the admissible maximum (here {c_top:.10g})"
+    return None
+
+
+def _shoot(a) -> _Outcome:
+    result = shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
     residual = residual_check(result.trajectory)
     curve = reconstruct_curve(result.trajectory)
-    report.outputs = {
+    outputs = {
         "c_star": result.c_star,
         "defect": result.defect,
         "a_slope": result.a_slope,
@@ -181,79 +143,36 @@ def cmd_shoot(args) -> int:
         "residual": residual,
         "grid_points": int(result.trajectory.grid.size),
     }
-    if args.out:
-        out_dir = Path(args.out)
-        report.outputs["trajectory_csv"] = _write_text(
-            out_dir, "trajectory.csv", result.trajectory.to_csv()
-        )
-        report.outputs["profile_curve_csv"] = _write_text(
-            out_dir, "profile_curve.csv", curve.to_csv()
-        )
-    report.summary = {"pass": True}
-    report.wall_time_s = time.perf_counter() - started
-    _emit(
-        report,
-        args,
-        [
-            f"m={args.m}: C* = {result.c_star:.12g}  (bracket {result.bracket[0]:.6g} .. {result.bracket[1]:.6g})",
-            f"defect = {result.defect:.3e}, phi'(m+1) = {result.phi_prime_end:.10f}",
-            f"lambda slope A = {result.a_slope:.10g}  (hcscK excluded: {result.not_hcsck})",
-            f"ODE residual (4th-order differences of v) = {residual:.3e}",
-        ],
-    )
-    return EXIT_OK
+    human = [
+        f"m={a.m}: C* = {result.c_star:.12g}  (bracket {result.bracket[0]:.6g} .. {result.bracket[1]:.6g})",
+        f"defect = {result.defect:.3e}, phi'(m+1) = {result.phi_prime_end:.10f}",
+        f"lambda slope A = {result.a_slope:.10g}  (hcscK excluded: {result.not_hcsck})",
+        f"ODE residual (4th-order differences of v) = {residual:.3e}",
+    ]
+    artifacts = [("trajectory_csv", "trajectory.csv", result.trajectory.to_csv),
+                 ("profile_curve_csv", "profile_curve.csv", curve.to_csv)]
+    return _Outcome(outputs, human, artifacts=artifacts)
 
 
-def cmd_certify(args) -> int:
-    if args.m != 1:
-        return _usage_error("the certificate is only available for --m 1")
-    started = time.perf_counter()
-    report = RunReport(command="certify", parameters={"m": args.m})
+def _certify(a) -> _Outcome:
     try:
-        cert = certify_m1()
-        failed = None
+        cert, failed = certify_m1(), None
     except CertificateFailure as exc:
-        cert = exc.certificate
-        failed = exc.claim_id
-    rows = []
-    lines = []
-    if cert is not None:
-        for c in cert.claims:
-            rows.append(
-                {
-                    "id": c.id,
-                    "lhs": _frac_str(c.lhs),
-                    "cmp": c.cmp,
-                    "rhs": _frac_str(c.rhs),
-                    "pass": c.passed,
-                }
-            )
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"{status}  {c.id:22s} {_frac_str(c.lhs)} {c.cmp} {_frac_str(c.rhs)}")
-    report.outputs = {"claims": rows}
-    report.summary = {"pass": failed is None, "failed_claim": failed}
-    report.wall_time_s = time.perf_counter() - started
-    if args.out and cert is not None:
-        report.outputs["certificate_json"] = _write_text(
-            Path(args.out), "certificate.json", cert.to_json()
-        )
-    lines.append("all claims pass" if failed is None else f"FAILED claim: {failed}")
-    _emit(report, args, lines)
-    return EXIT_OK if failed is None else EXIT_FAIL
+        cert, failed = exc.certificate, exc.claim_id
+    rows = cert.rows() if cert is not None else []
+    human = [
+        f"{'PASS' if r['pass'] else 'FAIL'}  {r['id']:22s} {r['lhs']} {r['cmp']} {r['rhs']}"
+        for r in rows
+    ]
+    human.append("all claims pass" if failed is None else f"FAILED claim: {failed}")
+    summary = {"pass": failed is None, "failed_claim": failed}
+    artifacts = [("certificate_json", "certificate.json", cert.to_json)] if cert is not None else []
+    return _Outcome({"claims": rows}, human, summary, artifacts)
 
 
-def cmd_nonexist(args) -> int:
-    started = time.perf_counter()
-    report = RunReport(command="nonexist", parameters={"m": args.m})
-    try:
-        rep = hcsck_nonexistence(args.m)
-    except HextError as exc:
-        report.summary = {"pass": False}
-        report.outputs = {"message": str(exc)}
-        report.wall_time_s = time.perf_counter() - started
-        _emit(report, args, [f"error: {exc}"])
-        return EXIT_FAIL
-    report.outputs = {
+def _nonexist(a) -> _Outcome:
+    rep = hcsck_nonexistence(a.m)
+    outputs = {
         "A": "0/1",
         "B": _frac_str(rep.coeffs.B),
         "C": _frac_str(rep.coeffs.C),
@@ -265,206 +184,181 @@ def cmd_nonexist(args) -> int:
         "alt_integral": _frac_str(rep.alt_integral),
         "alt_satisfies_boundary": rep.alt_satisfies_boundary,
     }
-    report.summary = {"pass": rep.margin > 0}
-    report.wall_time_s = time.perf_counter() - started
-    _emit(
-        report,
-        args,
-        [
-            f"m={args.m}: A=0 forces B={_frac_str(rep.coeffs.B)}, C={_frac_str(rep.coeffs.C)}"
-            f" (alternative constants B={_frac_str(rep.alt_B)}, C={_frac_str(rep.alt_C)}"
-            f" fail p(1)=2: {not rep.alt_satisfies_boundary})",
-            f"exact integral of q = {_frac_str(rep.integral)}"
-            f" (alternative value {_frac_str(rep.alt_integral)})",
-            f"v(m+1) - 2(m+1)^2 = {rep.margin:.6f} > 0: constant-lambda closing impossible",
-        ],
-    )
-    return EXIT_OK
+    human = [
+        "m={m}: A=0 forces B={B}, C={C} (alternative constants B={alt_B}, C={alt_C}"
+        " fail p(1)=2: {fails})".format(m=a.m, fails=not rep.alt_satisfies_boundary, **outputs),
+        "exact integral of q = {integral_q} (alternative value {alt_integral})".format(**outputs),
+        f"v(m+1) - 2(m+1)^2 = {rep.margin:.6f} > 0: constant-lambda closing impossible",
+    ]
+    return _Outcome(outputs, human, {"pass": rep.margin > 0})
 
 
-def cmd_scan(args) -> int:
-    started = time.perf_counter()
-    params = {
-        "m": args.m,
-        "c_min": args.c_min,
-        "c_max": args.c_max,
-        "steps": args.steps,
-    }
-    report = RunReport(command="scan", parameters=params)
-    c_cap = float(admissible_C_max(args.m, EPS_FLOOR))
-    if args.c_max > c_cap + 1e-9:
-        return _usage_error(
-            f"--c-max {args.c_max:g} exceeds the admissible maximum {c_cap:.10g}"
-        )
-    if not args.c_min < args.c_max:
-        return _usage_error("--c-min must lie below --c-max")
-    try:
-        scan = defect_scan(args.m, args.c_min, args.c_max, args.steps)
-    except (HextError, ValueError) as exc:
-        report.summary = {"pass": False}
-        report.outputs = {"message": str(exc)}
-        report.wall_time_s = time.perf_counter() - started
-        _emit(report, args, [f"error: {exc}"])
-        return EXIT_FAIL
-    report.outputs = {
-        "points": [
-            {"C": p.c, "defect": p.defect, "error": p.error} for p in scan.points
-        ],
+def _check_scan(a) -> Optional[str]:
+    c_cap = float(admissible_C_max(a.m, EPS_FLOOR))
+    if a.c_max > c_cap + 1e-9:
+        return f"--c-max {a.c_max:g} exceeds the admissible maximum {c_cap:.10g}"
+    return None if a.c_min < a.c_max else "--c-min must lie below --c-max"
+
+
+def _scan_csv(points) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["C", "defect", "error"])
+    for p in points:
+        d = "" if p.defect is None else f"{p.defect:.17g}"
+        writer.writerow([f"{p.c:.17g}", d, p.error or ""])
+    return buf.getvalue()
+
+
+def _scan(a) -> _Outcome:
+    scan = defect_scan(a.m, a.c_min, a.c_max, a.steps)
+    outputs = {
+        "points": [{"C": p.c, "defect": p.defect, "error": p.error} for p in scan.points],
         "brackets": [list(b) for b in scan.brackets],
     }
-    report.summary = {"pass": True, "sign_changes": len(scan.brackets)}
-    report.wall_time_s = time.perf_counter() - started
-    if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["C", "defect", "error"])
-        for p in scan.points:
-            d = "" if p.defect is None else f"{p.defect:.17g}"
-            writer.writerow([f"{p.c:.17g}", d, p.error or ""])
-        report.outputs["scan_csv"] = _write_text(Path(args.out), "scan.csv", buf.getvalue())
     human = [
-        f"m={args.m}: scanned {args.steps} values of C in [{args.c_min:g}, {args.c_max:g}]",
+        f"m={a.m}: scanned {a.steps} values of C in [{a.c_min:g}, {a.c_max:g}]",
         f"defect sign changes: {len(scan.brackets)}",
     ] + [f"  bracket: C in ({lo:.8g}, {hi:.8g})" for lo, hi in scan.brackets]
-    _emit(report, args, human)
-    return EXIT_OK
+    summary = {"pass": True, "sign_changes": len(scan.brackets)}
+    return _Outcome(outputs, human, summary, [("scan_csv", "scan.csv", lambda: _scan_csv(scan.points))])
 
 
-def cmd_alpha(args) -> int:
-    started = time.perf_counter()
-    cap = table_size_cap()
-    if args.n > cap:
-        return _usage_error(f"--n {args.n} exceeds the cap {cap} (set HEXT_MAX_N to raise)")
-    if not 1 <= args.d <= args.n or args.n < 2:
-        return _usage_error("need n >= 2 and 1 <= d <= n")
-    report = RunReport(
-        command="alpha",
-        parameters={"n": args.n, "d": args.d, "method": args.method},
-    )
-    table = _ALPHA_METHODS[args.method](args.n, args.d, max_n=cap)
+def _check_table(a) -> Optional[str]:
+    try:
+        cap = table_size_cap()
+    except ValueError as exc:  # HEXT_MAX_N is not an integer
+        return str(exc)
+    if a.n > cap:
+        return f"--n {a.n} exceeds the cap {cap} (set HEXT_MAX_N to raise)"
+    return None if 1 <= a.d <= a.n and a.n >= 2 else "need n >= 2 and 1 <= d <= n"
+
+
+def _alpha(a) -> _Outcome:
+    table = _ALPHA_METHODS[a.method](a.n, a.d)
     csv_text = table.to_csv()
-    report.outputs = {
-        "rows": [
-            {"q": q, "k": k, "alpha": str(v.numerator)}
-            for q, row in enumerate(table.entries)
-            for k, v in enumerate(row)
-        ]
-    }
-    report.summary = {"pass": True}
-    report.wall_time_s = time.perf_counter() - started
-    if args.out:
-        report.outputs["alpha_csv"] = _write_text(Path(args.out), "alpha.csv", csv_text)
-    _emit(report, args, csv_text.rstrip("\n").split("\n"))
-    return EXIT_OK
+    rows = [
+        {"q": q, "k": k, "alpha": str(v.numerator)}
+        for q, row in enumerate(table.entries)
+        for k, v in enumerate(row)
+    ]
+    human = csv_text.rstrip("\n").split("\n")
+    return _Outcome({"rows": rows}, human, artifacts=[("alpha_csv", "alpha.csv", lambda: csv_text)])
 
 
-def cmd_futaki(args) -> int:
-    started = time.perf_counter()
-    cap = table_size_cap()
-    if args.n > cap:
-        return _usage_error(f"--n {args.n} exceeds the cap {cap} (set HEXT_MAX_N to raise)")
-    if not 1 <= args.d <= args.n or args.n < 2:
-        return _usage_error("need n >= 2 and 1 <= d <= n")
-    if not 1 <= args.q <= args.n - 1:
-        return _usage_error("need 1 <= q <= n-1")
-    report = RunReport(
-        command="futaki", parameters={"n": args.n, "d": args.d, "q": args.q}
-    )
-    value = futaki_closed(args.n, args.d, args.q)
-    report.outputs = {"value": _frac_str(value.r), "kappa_coefficient": True}
-    report.summary = {"pass": True}
-    report.wall_time_s = time.perf_counter() - started
-    if args.out:
-        report.outputs["futaki_json"] = _write_text(
-            Path(args.out), "futaki.json", value.to_json()
-        )
-    _emit(
-        report,
-        args,
-        [f"F_{args.q}(n={args.n}, d={args.d}) = ({_frac_str(value.r)}) * kappa"],
-    )
-    return EXIT_OK
+def _futaki(a) -> _Outcome:
+    value = futaki_closed(a.n, a.d, a.q)
+    r = _frac_str(value.r)
+    human = [f"F_{a.q}(n={a.n}, d={a.d}) = ({r}) * kappa"]
+    artifacts = [("futaki_json", "futaki.json", value.to_json)]
+    return _Outcome({"value": r, "kappa_coefficient": True}, human, artifacts=artifacts)
 
 
-def cmd_grassmann(args) -> int:
-    if not 1 <= args.k <= 6:
-        return _usage_error("need 1 <= k <= 6")
-    started = time.perf_counter()
-    report = RunReport(command="grassmann", parameters={"k": args.k})
-    rep = rank1_check(args.k)
-    report.outputs = {
-        "identities": [
-            {"name": i.name, "pass": i.passed, "witness": i.witness}
-            for i in rep.identities
-        ]
-    }
-    report.summary = {"pass": rep.passed}
-    report.wall_time_s = time.perf_counter() - started
-    lines = [
-        f"{'PASS' if i.passed else 'FAIL'}  {i.name}"
-        + (f"  witness: {i.witness}" if i.witness else "")
+def _grassmann(a) -> _Outcome:
+    rep = rank1_check(a.k)
+    identities = [{"name": i.name, "pass": i.passed, "witness": i.witness} for i in rep.identities]
+    human = [
+        f"{'PASS' if i.passed else 'FAIL'}  {i.name}" + (f"  witness: {i.witness}" if i.witness else "")
         for i in rep.identities
     ]
-    _emit(report, args, lines)
-    return EXIT_OK if rep.passed else EXIT_FAIL
+    return _Outcome({"identities": identities}, human, {"pass": rep.passed})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hext", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# name: (help, flags, usage check, body).  A flag is (flag, add_argument
+# keywords) and its dest is a report parameter.  The check returns a one-line
+# usage-error message or None.  A body reaches the library through this
+# module's globals, where perfbench's tracer finds and wraps it.
+_COMMANDS = {
+    "shoot": (
+        "solve the boundary value problem by shooting on C",
+        (
+            _M,
+            _flag("--tol", _positive_float, default=1e-8, help="defect tolerance"),
+            _flag("--c-min", _finite_float, default=-50.0, help="lower end of the bracket scan"),
+            _flag("--c-max", _finite_float, default=None,
+                  help="upper end of the bracket scan (default: admissible maximum)"),
+        ),
+        _check_shoot,
+        _shoot,
+    ),
+    "certify": (
+        "run the exact m=1 certificate",
+        (_flag("--m", _positive_int, default=1),),
+        lambda a: None if a.m == 1 else "the certificate is only available for --m 1",
+        _certify,
+    ),
+    "nonexist": ("constant-lambda (A=0) contradiction check", (_M,), lambda a: None, _nonexist),
+    "scan": (
+        "defect over a grid of C values",
+        (_M, _flag("--c-min", _finite_float), _flag("--c-max", _finite_float),
+         _flag("--steps", _scan_steps, default=64)),
+        _check_scan,
+        _scan,
+    ),
+    "alpha": (
+        "Chern coefficient table for a hypersurface",
+        (_N, _D, _flag("--method", choices=sorted(_ALPHA_METHODS), default="recursion")),
+        _check_table,
+        _alpha,
+    ),
+    "futaki": (
+        "closed-formula Bando-Futaki invariant",
+        (_N, _D, _flag("--q", int)),
+        lambda a: _check_table(a) or (None if 1 <= a.q <= a.n - 1 else "need 1 <= q <= n-1"),
+        _futaki,
+    ),
+    "grassmann": (
+        "rank-one determinant identities",
+        (_flag("--k", int),),
+        lambda a: None if 1 <= a.k <= 6 else "need 1 <= k <= 6",
+        _grassmann,
+    ),
+}
 
-    def common(p):
-        p.add_argument("--json", action="store_true", help="print the run report as JSON only")
-        p.add_argument("--out", default=None, help="directory for file artifacts")
 
-    p = sub.add_parser("shoot", help="solve the boundary value problem by shooting on C")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-8, help="defect tolerance")
-    p.add_argument("--c-min", type=_finite_float, default=-50.0, help="lower end of the bracket scan")
-    p.add_argument("--c-max", type=_finite_float, default=None, help="upper end of the bracket scan (default: admissible maximum)")
-    common(p)
-    p.set_defaults(func=cmd_shoot)
+def _write_text(out_dir: Path, name: str, text: str) -> str:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return name
 
-    p = sub.add_parser("certify", help="run the exact m=1 certificate")
-    p.add_argument("--m", type=_positive_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("nonexist", help="constant-lambda (A=0) contradiction check")
-    p.add_argument("--m", type=_positive_int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_nonexist)
+def _emit(report: RunReport, args, human_lines) -> None:
+    if args.out:
+        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
+    if args.json:
+        sys.stdout.write(report.to_json())
+    else:
+        for line in human_lines:
+            print(line)
 
-    p = sub.add_parser("scan", help="defect over a grid of C values")
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--c-min", type=_finite_float, required=True)
-    p.add_argument("--c-max", type=_finite_float, required=True)
-    p.add_argument("--steps", type=_scan_steps, default=64)
-    common(p)
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("alpha", help="Chern coefficient table for a hypersurface")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument(
-        "--method", choices=sorted(_ALPHA_METHODS), default="recursion"
-    )
-    common(p)
-    p.set_defaults(func=cmd_alpha)
-
-    p = sub.add_parser("futaki", help="closed-formula Bando-Futaki invariant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_futaki)
-
-    p = sub.add_parser("grassmann", help="rank-one determinant identities")
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_grassmann)
-
-    return parser
+def _run(args) -> int:
+    _, flags, check, body = _COMMANDS[args.command]
+    message = check(args)
+    if args.out and not message:  # --out must be a directory, or a path mkdir can create
+        existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+        message = None if existing.is_dir() else f"--out {args.out}: {existing} is not a directory"
+    if message:
+        sys.stderr.write(f"error: {message}\n")
+        return EXIT_USAGE
+    started = time.perf_counter()
+    try:
+        done = body(args)
+        code = EXIT_OK if done.summary["pass"] else EXIT_FAIL
+    except HextError as exc:
+        no_bracket = isinstance(exc, NoBracket)
+        reason, code = ("no-bracket", EXIT_NO_BRACKET) if no_bracket else ("error", EXIT_FAIL)
+        human = [f"{'no bracket' if no_bracket else 'error'}: {exc}"]
+        done = _Outcome({"message": str(exc)}, human, {"pass": False, "reason": reason})
+    if args.out:
+        for key, name, text in done.artifacts:
+            done.outputs[key] = _write_text(Path(args.out), name, text())
+    dests = [flag[2:].replace("-", "_") for flag, _ in flags]
+    parameters = {d: getattr(args, d) for d in dests}
+    report = RunReport(args.command, parameters, done.outputs, done.summary, time.perf_counter() - started)
+    _emit(report, args, done.human)
+    return code
 
 
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
@@ -484,17 +378,19 @@ def _attach_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = _Parser(prog="hext", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--json", action="store_true", help="print the run report as JSON only")
+        p.add_argument("--out", default=None, help="directory for file artifacts")
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return args.func(args)
-    except HextError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_FAIL
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -28,8 +28,16 @@ from .errors import (
     NotInvertible,
     TruncationMismatch,
 )
+from .ratpoly import _frac_str
 
 Scalar = Union[int, Fraction]
+
+
+def _exact(c: Scalar) -> Fraction:
+    """c as a Fraction; a float or any other inexact type raises TypeError."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+    return Fraction(c)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -69,7 +77,7 @@ class GrassmannElement:
         for mask, c in (terms or {}).items():
             if mask < 0 or mask >> n_gen:
                 raise ValueError(f"bitmask {mask:#x} outside {n_gen} generators")
-            c = Fraction(c)
+            c = _exact(c)
             if c != 0:
                 clean[mask] = c
         self.terms = clean
@@ -80,7 +88,7 @@ class GrassmannElement:
 
     @classmethod
     def scalar(cls, n_gen: int, value: Scalar) -> "GrassmannElement":
-        return cls(n_gen, {0: Fraction(value)})
+        return cls(n_gen, {0: value})
 
     @classmethod
     def generator(cls, n_gen: int, i: int) -> "GrassmannElement":
@@ -139,8 +147,7 @@ class GrassmannElement:
         obj = {
             "generators": self.n_gen,
             "terms": {
-                _label(m): f"{c.numerator}/{c.denominator}"
-                for m, c in self.terms.items()
+                _label(m): _frac_str(c) for m, c in self.terms.items()
             },
         }
         return json.dumps(obj, sort_keys=True)
@@ -280,8 +287,7 @@ class LamPoly:
         self.terms = {}
         for key, c in (terms or {}).items():
             if type(c) is not int:
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
+                c = _exact(c)
                 if c.denominator == 1:
                     c = c.numerator
             if c:
@@ -510,7 +516,7 @@ class TruncatedPoly:
                 raise ValueError("negative exponent")
             if ob + ec >= order or ta > order:
                 continue
-            c = Fraction(c)
+            c = _exact(c)
             if c != 0:
                 clean[(ta, ob, ec)] = c
         self.terms = clean
@@ -521,7 +527,7 @@ class TruncatedPoly:
 
     @classmethod
     def const(cls, order: int, value: Scalar) -> "TruncatedPoly":
-        return cls(order, {(0, 0, 0): Fraction(value)})
+        return cls(order, {(0, 0, 0): value})
 
     @classmethod
     def t(cls, order: int) -> "TruncatedPoly":
@@ -652,7 +658,7 @@ class TruncatedPoly:
         obj = {
             "order": self.order,
             "terms": {
-                f"t^{a}*omega^{b}*eta^{c}": f"{v.numerator}/{v.denominator}"
+                f"t^{a}*omega^{b}*eta^{c}": _frac_str(v)
                 for (a, b, c), v in self.terms.items()
             },
         }

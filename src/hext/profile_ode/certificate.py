@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 from .. import ratpoly
 from ..errors import CertificateFailure
+from ..ratpoly import _frac_str
 from .coeffs import coeffs_from_C, compute_LN
 
 _CMP = {
@@ -51,10 +52,6 @@ class Claim:
 
 def _claim(cid: str, lhs: Fraction, cmp: str, rhs: Fraction) -> Claim:
     return Claim(id=cid, lhs=lhs, cmp=cmp, rhs=rhs, passed=_CMP[cmp](lhs, rhs))
-
-
-def _fmt(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass
@@ -80,18 +77,16 @@ class CertificateM1:
                 return c
         raise KeyError(cid)
 
-    def to_json(self) -> str:
-        rows = [
-            {
-                "id": c.id,
-                "lhs": _fmt(c.lhs),
-                "cmp": c.cmp,
-                "rhs": _fmt(c.rhs),
-                "pass": c.passed,
-            }
+    def rows(self) -> List[Dict]:
+        """The claims as JSON rows: id, lhs, cmp, rhs (rational text), pass."""
+        return [
+            {"id": c.id, "lhs": _frac_str(c.lhs), "cmp": c.cmp, "rhs": _frac_str(c.rhs),
+             "pass": c.passed}
             for c in self.claims
         ]
-        return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.rows(), indent=2, sort_keys=True) + "\n"
 
 
 def _step_upper(v_a: Fraction, delta_P: Fraction, h: Fraction) -> Fraction:

@@ -199,8 +199,3 @@ def admissible_C_max(m: int, eps: Rational) -> Fraction:
         raise ValueError("need 0 <= eps < 2")
     ln = compute_LN(m)
     return (-2 + eps - ln.N) / ln.L
-
-
-def lambda_at(cs: CoeffSet, gamma):
-    """Evaluate lambda(gamma) = A*gamma + B for the given coefficient set."""
-    return cs.lambda_at(gamma)

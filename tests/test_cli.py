@@ -2,12 +2,17 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hext import cli
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
+from hext.errors import NoBracket, StepFailure
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _payload(report_text):
@@ -248,3 +253,83 @@ def test_fuzzed_argv_never_tracebacks(argv):
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert len(err.getvalue().splitlines()) == 1, argv
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+# (argv, the library call in hext.cli that the subcommand makes)
+_LIBRARY_CALLS = [
+    (["shoot", "--m", "1"], "shoot"),
+    (["certify"], "certify_m1"),
+    (["nonexist", "--m", "1"], "hcsck_nonexistence"),
+    (["scan", "--m", "1", "--c-min", "2", "--c-max", "5", "--steps", "4"], "defect_scan"),
+    (["alpha", "--n", "3", "--d", "2"], None),  # through the method table
+    (["futaki", "--n", "3", "--d", "2", "--q", "1"], "futaki_closed"),
+    (["grassmann", "--k", "2"], "rank1_check"),
+]
+
+
+@pytest.mark.parametrize("argv,call", _LIBRARY_CALLS, ids=[argv[0] for argv, _ in _LIBRARY_CALLS])
+def test_library_errors_give_one_report_form(argv, call, monkeypatch, tmp_path, capsys):
+    fail = _raise(StepFailure("no progress"))
+    if call is None:
+        monkeypatch.setitem(cli._ALPHA_METHODS, "recursion", fail)
+    else:
+        monkeypatch.setattr(cli, call, fail)
+    out = tmp_path / "out"
+    assert main(argv + ["--json", "--out", str(out)]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False, "reason": "error"}
+    assert doc["outputs"] == {"message": "no progress"}
+    assert json.loads((out / "report.json").read_text())["payload_sha256"] == doc["payload_sha256"]
+    assert main(argv) == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.out == "error: no progress\n" and captured.err == ""
+
+
+def test_shoot_no_bracket_report(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "shoot", _raise(NoBracket("no sign change")))
+    assert main(["shoot", "--m", "1", "--json"]) == EXIT_NO_BRACKET
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False, "reason": "no-bracket"}
+    assert doc["outputs"] == {"message": "no sign change"}
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "sub"):
+        assert main(["futaki", "--n", "3", "--d", "2", "--q", "1", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err and "is not a directory" in captured.err
+    assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("argv", [["alpha", "--n", "3", "--d", "1"], ["futaki", "--n", "3", "--d", "2", "--q", "1"]])
+def test_bad_hext_max_n_is_usage_error(argv, monkeypatch, capsys):
+    monkeypatch.setenv("HEXT_MAX_N", "x")
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: HEXT_MAX_N must be an integer, got 'x'\n"
+
+
+def test_report_hashes_match_the_golden_table(tmp_path, capsys):
+    # the benchmark's golden payload hashes, recorded with --json --out DIR:
+    # the outputs then name their artifact files
+    golden = json.loads(REFERENCE.read_text(encoding="utf-8"))["golden_sha256"]
+    assert len(golden) == 280
+    out = tmp_path / "out"
+    wrong = []
+    for key, want in sorted(golden.items()):
+        code = main(key.split() + ["--json", "--out", str(out)])
+        got = json.loads(capsys.readouterr().out)["payload_sha256"]
+        if code != EXIT_OK or got != want:
+            wrong.append((key, code, got))
+    assert wrong == []

@@ -11,7 +11,6 @@ from hext import (
     coeffs_from_C,
     compute_LN,
     hcsck_coeffs,
-    lambda_at,
 )
 from hext import ratpoly as rp
 
@@ -169,13 +168,13 @@ def test_hcsck_coeffs():
 
 def test_lambda_at():
     cs = coeffs_from_C(1, F(22, 3))
-    assert lambda_at(cs, 1) == F(-23, 3)
+    assert cs.lambda_at(1) == F(-23, 3)
     zero_slope = hcsck_coeffs(1)
     for g in (F(1), F(3, 2), F(2)):
-        assert lambda_at(zero_slope, g) == zero_slope.B
+        assert zero_slope.lambda_at(g) == zero_slope.B
     # affineness
     g1, g2 = F(5, 4), F(9, 5)
-    assert lambda_at(cs, (g1 + g2) / 2) == (lambda_at(cs, g1) + lambda_at(cs, g2)) / 2
+    assert cs.lambda_at((g1 + g2) / 2) == (cs.lambda_at(g1) + cs.lambda_at(g2)) / 2
 
 
 def test_root_uniqueness_by_sturm():

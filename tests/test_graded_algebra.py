@@ -142,6 +142,22 @@ def test_lam_poly_coefficients_stay_exact():
         LamPoly({(0, 0): 0.5})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GrassmannElement.scalar(2, 0.1),
+        lambda: GrassmannElement(2, {0b11: 0.5}),
+        lambda: TruncatedPoly(2, {(0, 0, 0): 0.1}),
+        lambda: TruncatedPoly.const(2, 0.5),
+    ],
+)
+def test_floats_do_not_enter_the_exact_layer(build):
+    with pytest.raises(TypeError):
+        build()
+    assert GrassmannElement.scalar(2, F(1, 10)).terms == {0: F(1, 10)}
+    assert TruncatedPoly(2, {(0, 0, 0): 3}).terms == {(0, 0, 0): F(3)}
+
+
 def test_leibniz_vs_cofactor_random_even_matrices():
     rng = random.Random(33)
     n_gen = 6
