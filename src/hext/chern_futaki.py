@@ -46,12 +46,10 @@ def table_size_cap() -> int:
 
 @dataclass(frozen=True)
 class HypersurfaceParams:
-    """Degree-d hypersurface in CP^n with d <= n; kappa is the exact rational
-    eigenvalue Y(F) = kappa * F of the defining polynomial."""
+    """Degree-d hypersurface in CP^n with d <= n."""
 
     n: int
     d: int
-    kappa: Fraction = Fraction(1)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
@@ -60,8 +58,8 @@ class HypersurfaceParams:
             raise ValueError("degree d must satisfy 1 <= d <= n")
 
 
-def _check_cap(n: int, max_n: Optional[int]) -> None:
-    cap = max_n if max_n is not None else table_size_cap()
+def _check_cap(n: int) -> None:
+    cap = table_size_cap()
     if n > cap:
         raise ValueError(f"n={n} exceeds the configured cap {cap}")
 
@@ -114,7 +112,7 @@ class AlphaTable:
         return "\n".join(lines) + "\n"
 
 
-def alpha_recursive(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
+def alpha_recursive(n: int, d: int) -> AlphaTable:
     """Table from the triangular recurrences
 
         alpha_{00} = 1,
@@ -123,7 +121,7 @@ def alpha_recursive(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
         alpha_{q0} = (-1)^q.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n, max_n)
+    _check_cap(n)
     rows: List[List[Fraction]] = [[Fraction(1)]]
     for q in range(1, n):
         prev = rows[q - 1]
@@ -138,7 +136,7 @@ def alpha_recursive(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
     )
 
 
-def alpha_closed(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
+def alpha_closed(n: int, d: int) -> AlphaTable:
     """Table from the per-entry double sum
 
         alpha_{a,k} = sum_{b=0}^{k} binom(n+1, b) d^(k-b) (-1)^(a-b) binom(a-b, k-b).
@@ -146,7 +144,7 @@ def alpha_closed(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
     Independent code path from the recursion on purpose.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n, max_n)
+    _check_cap(n)
     rows = []
     for a in range(n):
         row = []
@@ -179,7 +177,7 @@ def _table_from_series(series: TruncatedPoly, n: int, d: int) -> AlphaTable:
     return AlphaTable(n=n, d=d, entries=tuple(rows), provenance="series")
 
 
-def alpha_series(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
+def alpha_series(n: int, d: int) -> AlphaTable:
     """Table read off the generating series
 
         (1 + t*omega)^(n+1) / (1 + t*(d*omega + eta))
@@ -189,7 +187,7 @@ def alpha_series(n: int, d: int, max_n: Optional[int] = None) -> AlphaTable:
     otherwise.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n, max_n)
+    _check_cap(n)
     t = TruncatedPoly.t(n)
     w = TruncatedPoly.omega(n)
     e = TruncatedPoly.eta(n)
@@ -211,9 +209,6 @@ class FutakiValue:
     def __post_init__(self):
         if self.d == 1 and self.r != 0:
             raise ValueError("hyperplanes must have vanishing invariant")
-
-    def scaled(self, kappa) -> Fraction:
-        return self.r * Fraction(kappa)
 
     def to_json(self) -> str:
         obj = {
@@ -300,13 +295,11 @@ def _diag_value(n: int, d: int, q: int) -> Fraction:
     ) * d
 
 
-def futaki_series_diag(
-    n: int, d: int, q: int, kappa: Fraction = Fraction(1), max_n: Optional[int] = None
-) -> DiagnosticOracle:
+def futaki_series_diag(n: int, d: int, q: int, kappa: Fraction = Fraction(1)) -> DiagnosticOracle:
     """Diagnostic series value at (n, d, q) with the ratio report over
     d' in {2, ..., n} for the same (n, q).  Linear in kappa by construction."""
     HypersurfaceParams(n, d)
-    _check_cap(n, max_n)
+    _check_cap(n)
     if not 1 <= q <= n - 1:
         raise ValueError("need 1 <= q <= n-1")
     kappa = Fraction(kappa)

@@ -9,10 +9,11 @@ payload.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
 A usage error is one line on stderr and comes before any work: a bad flag
-value, an --out that exists and is not a directory, or an HEXT_MAX_N that is
-not an integer.  A library error ends every subcommand in one report form:
-summary {"pass": false, "reason": "error"} (exit 1), or "no-bracket" (exit 2)
-when shoot finds no sign change, with the message in outputs.message.
+value (among them a --tol that is not in (0, 1e-3]), an --out that exists
+and is not a directory, or an HEXT_MAX_N that is not an integer.  A library
+error ends every subcommand in one report form: summary {"pass": false,
+"reason": "error"} (exit 1), or "no-bracket" (exit 2) when shoot finds no
+sign change, with the message in outputs.message.
 """
 from __future__ import annotations
 
@@ -107,6 +108,9 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _scan_steps = _checked(int, lambda v: v >= 2, "at least 2")
 _finite_float = _checked(float, math.isfinite, "finite")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
+# every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects at
+# the bracket edges a tolerance would accept an edge as the root
+_defect_tol = _checked(_positive_float, lambda v: v <= 1e-3, "at most 1e-3")
 
 
 def _flag(name: str, type=None, **options) -> Tuple[str, Dict]:
@@ -273,7 +277,7 @@ _COMMANDS = {
         "solve the boundary value problem by shooting on C",
         (
             _M,
-            _flag("--tol", _positive_float, default=1e-8, help="defect tolerance"),
+            _flag("--tol", _defect_tol, default=1e-8, help="defect tolerance, at most 1e-3"),
             _flag("--c-min", _finite_float, default=-50.0, help="lower end of the bracket scan"),
             _flag("--c-max", _finite_float, default=None,
                   help="upper end of the bracket scan (default: admissible maximum)"),

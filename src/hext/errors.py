@@ -6,7 +6,7 @@ class HextError(Exception):
 
 
 class PositivityLost(HextError):
-    """The integrated quantity v dropped below the configured floor.
+    """The integrated quantity v reached the positivity floor at an accepted step.
 
     This signals an inadmissible shooting parameter: below the floor the
     square-root term is no longer Lipschitz and the run is meaningless.

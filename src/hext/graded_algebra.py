@@ -103,6 +103,8 @@ class GrassmannElement:
             )
 
     def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for mask, c in other.terms.items():
@@ -110,6 +112,8 @@ class GrassmannElement:
         return GrassmannElement(self.n_gen, out)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "GrassmannElement":
@@ -120,6 +124,8 @@ class GrassmannElement:
             return GrassmannElement(
                 self.n_gen, {m: c * other for m, c in self.terms.items()}
             )
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
         self._check(other)
         product = LamPoly.lift(self) * LamPoly.lift(other)
         return GrassmannElement(self.n_gen, {mask: c for (_, mask), c in product.terms.items()})
@@ -138,9 +144,6 @@ class GrassmannElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_even(self) -> bool:
-        return all(bin(m).count("1") % 2 == 0 for m in self.terms)
 
     def to_json(self) -> str:
         """Canonical form: sorted monomial labels, rational strings."""
@@ -299,6 +302,8 @@ class LamPoly:
         return cls({(power, mask): c for mask, c in e.terms.items()})
 
     def _plus(self, other: "LamPoly", sign: int) -> "LamPoly":
+        if not isinstance(other, LamPoly):
+            return NotImplemented
         out = LamPoly()
         out.terms = dict(self.terms)  # already exact; only touched keys change
         for key, c in other.terms.items():
@@ -314,6 +319,8 @@ class LamPoly:
         return self._plus(other, -1)
 
     def __mul__(self, other: "LamPoly") -> "LamPoly":
+        if not isinstance(other, LamPoly):
+            return NotImplemented
         out: Dict[Tuple[int, int], Scalar] = {}
         for (pa, ma), ca in self.terms.items():
             for (pb, mb), cb in other.terms.items():
@@ -550,6 +557,8 @@ class TruncatedPoly:
     def __add__(self, other) -> "TruncatedPoly":
         if isinstance(other, (int, Fraction)):
             other = TruncatedPoly.const(self.order, other)
+        elif not isinstance(other, TruncatedPoly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
@@ -566,11 +575,13 @@ class TruncatedPoly:
         return TruncatedPoly(self.order, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> "TruncatedPoly":
-        if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.const(self.order, other)
+        if not isinstance(other, (int, Fraction, TruncatedPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "TruncatedPoly":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedPoly":
@@ -578,6 +589,8 @@ class TruncatedPoly:
             return TruncatedPoly(
                 self.order, {k: c * other for k, c in self.terms.items()}
             )
+        if not isinstance(other, TruncatedPoly):
+            return NotImplemented
         self._check(other)
         out: Dict[Tuple[int, int, int], Fraction] = {}
         n = self.order

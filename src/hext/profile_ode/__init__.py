@@ -29,32 +29,3 @@ from .integrate import (
     residual_check,
     shoot,
 )
-
-__all__ = [
-    "CertificateM1",
-    "Claim",
-    "CoeffSet",
-    "DEFAULT_CONFIG",
-    "EPS_FLOOR",
-    "IntegratorConfig",
-    "KahlerClassIndex",
-    "LNConstants",
-    "NonexistenceReport",
-    "ProfileCurve",
-    "ProfilePoly",
-    "ScanPoint",
-    "ScanResult",
-    "ShootResult",
-    "Trajectory",
-    "admissible_C_max",
-    "certify_m1",
-    "coeffs_from_C",
-    "compute_LN",
-    "defect_scan",
-    "hcsck_coeffs",
-    "hcsck_nonexistence",
-    "integrate_v",
-    "reconstruct_curve",
-    "residual_check",
-    "shoot",
-]

@@ -25,12 +25,6 @@ Rational = Union[int, float, Fraction]
 EPS_FLOOR = Fraction(1, 100)
 
 
-def _frac(x: Rational) -> Fraction:
-    # Fraction(float) is the exact binary value, which is what the shooting
-    # loop wants when it feeds a float C back into the exact layer.
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class KahlerClassIndex:
     """Index m of the polarisation; fixes the fibre range gamma in [1, m+1].
@@ -43,10 +37,6 @@ class KahlerClassIndex:
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-
-    @property
-    def gamma_max(self) -> int:
-        return self.m + 1
 
 
 @dataclass(frozen=True)
@@ -142,7 +132,7 @@ class LNConstants:
             raise ValueError("expected 2L + N > 2/5")
 
     def lc_plus_n(self, C: Rational) -> Fraction:
-        return self.L * _frac(C) + self.N
+        return self.L * Fraction(C) + self.N
 
 
 def _linear_maps(m: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -159,7 +149,9 @@ def _linear_maps(m: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
 def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
     """Resolve the boundary constraints p(1) = 2, p(m+1) = -2 for given C."""
     KahlerClassIndex(m)
-    C = _frac(C)
+    # Fraction(float) is the exact binary value, which is what the shooting
+    # loop wants when it feeds a float C back into the exact layer.
+    C = Fraction(C)
     a1, a0, b1, b0 = _linear_maps(m)
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
 
@@ -194,7 +186,7 @@ def admissible_C_max(m: int, eps: Rational) -> Fraction:
 
     eps = 0 gives the closure of the admissible window and is accepted.
     """
-    eps = _frac(eps)
+    eps = Fraction(eps)
     if eps < 0 or eps >= 2:
         raise ValueError("need 0 <= eps < 2")
     ln = compute_LN(m)

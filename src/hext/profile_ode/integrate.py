@@ -43,33 +43,24 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Adaptive-step configuration for the v-integration.
+    """Tolerances and step cap of the DOP853 v-integration.
 
-    max_step defaults to m/max_step_divisor when left unset; halved()
-    doubles the divisor.  The cap keeps the defect refinement-stable.  Left
-    to the tolerance alone, DOP853 takes 7-13 steps and the defect is off by
-    more than 10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
+    The step is capped at m/max_step_divisor; halved() doubles the divisor.
+    The cap keeps the defect refinement-stable.  Left to the tolerance
+    alone, DOP853 takes 7-13 steps and the defect is off by more than
+    10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
     rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect
     at the tested points (m, C) = (1, 22/3), (1, 2), (5, 2), (7, 2),
     (10, -20) is within 8.8e-11 of a 30-digit mpmath solve and within
-    8.7e-11 of its halved-cap value, at a few ms a solve.  v_floor is the
-    positivity floor below which a run is aborted with PositivityLost;
-    admissible C (L*C + N >= -2 + EPS_FLOOR) keeps v well above it.
+    8.7e-11 of its halved-cap value, at a few ms a solve.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: Optional[float] = None
-    v_floor: float = 1e-9
-    method: str = "DOP853"
     max_step_divisor: int = 32
 
-    def resolved_max_step(self, m: int) -> float:
-        return self.max_step if self.max_step is not None else m / self.max_step_divisor
-
     def halved(self) -> "IntegratorConfig":
-        half = None if self.max_step is None else self.max_step / 2.0
-        return replace(self, max_step=half, max_step_divisor=self.max_step_divisor * 2)
+        return replace(self, max_step_divisor=self.max_step_divisor * 2)
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -78,6 +69,10 @@ DEFAULT_CONFIG = IntegratorConfig()
 SCAN_CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step_divisor=64)
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
+
+# a solve whose v reaches this floor at an accepted step raises PositivityLost;
+# admissible C (L*C + N >= -2 + EPS_FLOOR) keeps v well above it
+V_FLOOR = 1e-9
 
 
 class Trajectory:
@@ -146,10 +141,19 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _solve(rhs, m: int, v0, cfg: IntegratorConfig, **options):
-    """solve_ivp from gamma = 1 to m+1 under the tolerances and cap of cfg."""
-    return solve_ivp(rhs, (1.0, float(m + 1)), v0, method=cfg.method, rtol=cfg.rel_tol,
-                     atol=cfg.abs_tol, max_step=cfg.resolved_max_step(m), **options)
+def _solve(rhs, m: int, v0, cfg: IntegratorConfig, dense_output: bool = False):
+    """DOP853 from gamma = 1 to m+1 under the tolerances and step cap of cfg."""
+    return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", rtol=cfg.rel_tol,
+                     atol=cfg.abs_tol, max_step=m / cfg.max_step_divisor, dense_output=dense_output)
+
+
+def _lost(sol, i: int, c: float) -> None:
+    """Raise PositivityLost at the first accepted step where component i of
+    sol is at or below V_FLOOR.  A floor event would catch no more: scipy
+    finds events only from the signs at consecutive accepted steps."""
+    lost = sol.y[i] <= V_FLOOR
+    if lost.any():
+        raise PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(c), floor=V_FLOOR)
 
 
 def integrate_v(
@@ -159,8 +163,8 @@ def integrate_v(
 
     v is sampled from the dense output on GRID_POINTS uniform points, except
     v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
-    reaches the configured floor (the signature of an inadmissible C) and
-    StepFailure if the solver gives up.
+    reaches V_FLOOR (the signature of an inadmissible C), even when the
+    solver gave up later, and StepFailure if the solver gives up before.
     """
     cfg = config or DEFAULT_CONFIG
     cs = coeffs_from_C(m, C)  # validates m
@@ -171,18 +175,10 @@ def integrate_v(
         root = math.sqrt(v) if v > 0.0 else 0.0
         return (TWO_SQRT2 * root + ((a / 3.0 * t + b / 2.0) * t * t + c) * t,)
 
-    def floor_event(t, y):
-        return y[0] - cfg.v_floor
-
-    floor_event.terminal = True
-    floor_event.direction = -1.0
-
-    sol = _solve(rhs, m, [2.0], cfg, events=[floor_event], dense_output=True)
+    sol = _solve(rhs, m, [2.0], cfg, dense_output=True)
+    _lost(sol, 0, c)
     if sol.status < 0:
         raise StepFailure(f"integration failed: {sol.message}")
-    if sol.status == 1:
-        gamma_stop = float(sol.t_events[0][0]) if len(sol.t_events[0]) else float(sol.t[-1])
-        raise PositivityLost(gamma=gamma_stop, c=c, floor=cfg.v_floor)
     grid = np.linspace(1.0, float(m + 1), GRID_POINTS)
     v = sol.sol(grid)[0]
     v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
@@ -233,11 +229,10 @@ class ScanResult:
 def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanPoint, ...]:
     """Defects at every C in `cs` from one solve_ivp call holding one v per C.
 
-    A terminal event would stop every component at once, so positivity is
-    checked per component instead: a C whose v reaches v_floor at a step is
-    reported as that point's error.  Below zero the square root is taken of
-    0, so such a v stays smooth and does not shrink the shared step.  A
-    failed solve is split in halves until the failure is down to single C.
+    Positivity is checked per component by _lost: a C whose v reaches
+    V_FLOOR is reported as that point's error.  Below zero the square root
+    is taken of 0, so such a v stays smooth and does not shrink the shared
+    step.  A failed solve is split in halves until it is down to single C.
     """
     # the exact affine maps C -> A, B of coeffs_from_C, rounded once per C
     a1, a0, b1, b0 = _linear_maps(m)
@@ -245,7 +240,6 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
     a3 = np.array([float(a1 * x + a0) for x in exact]) / 3.0
     b2 = np.array([float(b1 * x + b0) for x in exact]) / 2.0
     c = np.array([float(x) for x in exact])
-    floor = cfg.v_floor
 
     def rhs(t, v):
         q = ((a3 * t + b2) * t * t + c) * t
@@ -259,27 +253,20 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
         error = f"integration failed: {sol.message}"
         return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
     points = []
-    for x, v in zip(cs, sol.y):
-        lost = v <= floor
-        if lost.any():
-            exc = PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(x), floor=floor)
+    for i, x in enumerate(cs):
+        try:
+            _lost(sol, i, x)
+        except PositivityLost as exc:
             points.append(ScanPoint(c=float(x), defect=None, error=str(exc)))
         else:
-            points.append(ScanPoint(c=float(x), defect=float(v[-1] - 2.0 * (m + 1) ** 2)))
+            points.append(ScanPoint(c=float(x), defect=float(sol.y[i, -1] - 2.0 * (m + 1) ** 2)))
     return tuple(points)
 
 
-def defect_scan(
-    m: int,
-    C_lo: float,
-    C_hi: float,
-    steps: int,
-    config: Optional[IntegratorConfig] = None,
-) -> ScanResult:
-    """Defect over a monotone C grid, solved as one batch.  Integrator
-    errors are recorded per point, not raised.  Requires C_hi inside the
-    admissible window."""
-    cfg = config or SCAN_CONFIG
+def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
+    """Defect over a monotone C grid, solved as one batch at SCAN_CONFIG.
+    Integrator errors are recorded per point, not raised.  Requires C_hi
+    inside the admissible window."""
     if steps < 2:
         raise ValueError("need at least two scan points")
     c_max = float(admissible_C_max(m, EPS_FLOOR))
@@ -287,18 +274,18 @@ def defect_scan(
         raise ValueError(f"C_hi={C_hi:g} exceeds admissible maximum {c_max:.12g}")
     if not C_lo < C_hi:
         raise ValueError("need C_lo < C_hi")
-    return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), cfg))
+    return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), SCAN_CONFIG))
 
 
-def _extend_scan_upward(m: int, scan: ScanResult, max_steps: int = 256) -> ScanResult:
-    """Continue a bracketless scan past its top edge in steps of 1/64 up to
-    the first defect that is not positive, eight C per solve (the roots for
-    m = 3..8 lie 4-7 steps past the edge)."""
+def _extend_scan_upward(m: int, scan: ScanResult) -> ScanResult:
+    """Continue a bracketless scan past its top edge in steps of 1/64, at
+    most 256 of them, up to the first defect that is not positive, eight C
+    per solve (the roots for m = 3..8 lie 4-7 steps past the edge)."""
     points = list(scan.points)
     last = points[-1]
     if last.defect is None or last.defect <= 0.0:
         return scan
-    for k in range(1, max_steps + 1, 8):
+    for k in range(1, 257, 8):
         for point in _solve_defects(m, last.c + np.arange(k, k + 8) * 2.0 ** -6, SCAN_CONFIG):
             points.append(point)
             if point.defect is None or point.defect <= 0.0:
@@ -321,29 +308,22 @@ class ShootResult:
 
 
 def shoot(
-    m: int,
-    config: Optional[IntegratorConfig] = None,
-    defect_tol: float = 1e-8,
-    c_tol: float = 1e-10,
-    max_iter: int = 60,
-    scan_steps: int = 64,
-    c_min: float = -50.0,
-    c_max: Optional[float] = None,
+    m: int, defect_tol: float = 1e-8, c_min: float = -50.0, c_max: Optional[float] = None
 ) -> ShootResult:
     """Find the C with v(m+1) = 2*(m+1)^2 by Brent's method on the defect.
 
-    The bracket is discovered by scanning C upward from c_min to the
-    admissible maximum; at very negative C the defect is provably positive,
+    The bracket is discovered by a 64-point scan of C upward from c_min to
+    the admissible maximum; at very negative C the defect is provably positive,
     so the scan only has to find the negative side.  Raises NoBracket (with
     the scan attached) when no sign change exists in the window, which for
     large m is a legitimate outcome rather than a failure of the method.
     Brent's method stops once |defect| < defect_tol or the bracket is
-    narrower than c_tol; `iterations` counts its solves past the two edges.
+    narrower than 1e-10, and fails after 60 iterations; `iterations` counts
+    its solves past the two edges, all at DEFAULT_CONFIG.
     """
-    cfg = config or DEFAULT_CONFIG
     c_adm = float(admissible_C_max(m, EPS_FLOOR))
     c_hi = c_adm if c_max is None else min(c_adm, c_max)
-    scan = defect_scan(m, c_min, c_hi, scan_steps)
+    scan = defect_scan(m, c_min, c_hi, 64)
     if not scan.brackets and c_max is None:
         # The eps-floor window is a sufficient condition for positivity, not
         # a necessary one; when the defect is still positive at the window
@@ -360,7 +340,7 @@ def shoot(
     best = {}
 
     def defect_at(c: float) -> float:
-        traj = integrate_v(m, c, cfg)
+        traj = integrate_v(m, c, DEFAULT_CONFIG)
         if not best or abs(traj.defect) < abs(best["traj"].defect):
             best.update(c=c, traj=traj)
         # brentq returns at once on an exact zero: that is how defect_tol
@@ -375,11 +355,11 @@ def shoot(
             scan=scan,
         )
     _, info = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
-                     xtol=c_tol, maxiter=max_iter, full_output=True, disp=False)
+                     xtol=1e-10, maxiter=60, full_output=True, disp=False)
     traj = best["traj"]
     if not info.converged:
         raise StepFailure(
-            f"Brent's method did not converge in {max_iter} iterations "
+            "Brent's method did not converge in 60 iterations "
             f"(|defect|={abs(traj.defect):g})"
         )
     if not traj.interior_positive():
@@ -421,9 +401,7 @@ class NonexistenceReport:
     alt_satisfies_boundary: bool
 
 
-def hcsck_nonexistence(
-    m: int, config: Optional[IntegratorConfig] = None
-) -> NonexistenceReport:
+def hcsck_nonexistence(m: int) -> NonexistenceReport:
     """Run the A = 0 initial value problem and report the endpoint excess.
 
     A constant-lambda solution that closes up would need v(m+1) = 2*(m+1)^2,
@@ -433,7 +411,7 @@ def hcsck_nonexistence(
     cs = hcsck_coeffs(m)
     ln = compute_LN(m)
     integral = ln.lc_plus_n(cs.C)
-    traj = integrate_v(m, cs.C, config)
+    traj = integrate_v(m, cs.C)
     target = 2.0 * (m + 1) ** 2
     margin = traj.v[-1] - target
 
@@ -476,12 +454,8 @@ class ProfileCurve:
 
     @property
     def tau(self) -> np.ndarray:
-        return self.gamma - 1.0
-
-    @property
-    def f_prime(self) -> np.ndarray:
         # the Legendre variable itself: f'(s) = tau
-        return self.tau
+        return self.gamma - 1.0
 
     @property
     def ds_dgamma(self) -> np.ndarray:

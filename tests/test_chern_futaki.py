@@ -98,8 +98,9 @@ def test_series_mismatch_detected():
 
 
 def test_table_cap(monkeypatch):
+    monkeypatch.setenv("HEXT_MAX_N", "8")
     with pytest.raises(ValueError):
-        alpha_recursive(9, 1, max_n=8)
+        alpha_recursive(9, 1)
     monkeypatch.setenv("HEXT_MAX_N", "12")
     assert table_size_cap() == 12
     t = alpha_recursive(10, 1)

@@ -197,6 +197,8 @@ def test_json_payload_deterministic(capsys):
         ["scan", "--m", "1", "--c-min", "3", "--c-max", "2"],
         ["scan", "--m", "1", "--c-min", "0", "--c-max", "1", "--steps", "1"],
         ["scan", "--m", "1", "--c-min", "x", "--c-max", "1"],
+        ["shoot", "--m", "1", "--tol", "1e300"],
+        ["shoot", "--m", "1", "--tol", "0.5"],
     ],
 )
 def test_invalid_input_is_one_line_usage_error(argv, capsys):

@@ -11,7 +11,6 @@ def test_curve_monotone_and_anchored(shot_m1):
     assert np.all(np.diff(curve.s) > 0)
     assert abs(curve.s_at(1.5)) < 1e-9  # anchor at gamma_mid = 1 + m/2
     assert np.all(curve.tau == curve.gamma - 1.0)
-    assert np.all(curve.f_prime == curve.tau)
 
 
 def test_curve_derivative_matches_reciprocal_phi(shot_m1):

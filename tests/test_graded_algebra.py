@@ -1,4 +1,5 @@
 """Exterior algebra, rank-one determinant identities, truncated series ring."""
+import operator
 import random
 from fractions import Fraction as F
 
@@ -156,6 +157,18 @@ def test_floats_do_not_enter_the_exact_layer(build):
         build()
     assert GrassmannElement.scalar(2, F(1, 10)).terms == {0: F(1, 10)}
     assert TruncatedPoly(2, {(0, 0, 0): 3}).terms == {(0, 0, 0): F(3)}
+
+
+@pytest.mark.parametrize("element", [
+    GrassmannElement.scalar(2, 1), TruncatedPoly.const(2, 1), LamPoly({(0, 0): 1}),
+], ids=["grassmann", "truncpoly", "lampoly"])
+@pytest.mark.parametrize("operand", [0.5, "x"])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_foreign_operands_raise_type_error(element, operand, op):
+    with pytest.raises(TypeError):
+        op(element, operand)
+    with pytest.raises(TypeError):
+        op(operand, element)
 
 
 def test_leibniz_vs_cofactor_random_even_matrices():

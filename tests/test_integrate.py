@@ -19,7 +19,7 @@ from hext import (
     residual_check,
 )
 from hext.errors import PositivityLost
-from hext.profile_ode.integrate import SCAN_CONFIG, _solve_defects
+from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _solve_defects
 
 
 def test_initial_condition_exact():
@@ -216,6 +216,12 @@ def test_batch_positivity_is_per_point():
     for p in (points[0], points[2]):
         assert p.error is None
         assert abs(p.defect - integrate_v(1, p.c, SCAN_CONFIG).defect) < 1e-7
+    # one positivity rule for both solve paths: the same step, the same text
+    for m, c in [(1, 20.0), (2, 30.0), (3, 12.5)]:
+        for cfg in (DEFAULT_CONFIG, SCAN_CONFIG):
+            with pytest.raises(PositivityLost) as info:
+                integrate_v(m, c, cfg)
+            assert str(info.value) == _solve_defects(m, np.array([c]), cfg)[0].error
 
 
 def test_batch_solver_failure_is_per_point():
