@@ -12,19 +12,19 @@ Three pillars:
                      identities;
   * chern_futaki   - Chern coefficient tables of degree-d hypersurfaces in
                      CP^n by three independent methods, plus the closed
-                     Bando-Futaki formula and its series-pipeline diagnostic.
+                     Bando-Futaki formula and its check by equivariant
+                     localization.
 """
 
 from .chern_futaki import (
     AlphaTable,
-    DiagnosticOracle,
     FutakiValue,
     HypersurfaceParams,
     alpha_closed,
     alpha_recursive,
     alpha_series,
     futaki_closed,
-    futaki_series_diag,
+    futaki_localized,
 )
 from .errors import (
     CertificateFailure,

@@ -12,22 +12,21 @@ must agree entrywise:
 
 futaki_closed evaluates the closed formula for the q-th Bando-Futaki
 invariant as an exact rational multiple of the eigenvalue kappa of the
-defining polynomial under the vector field.  futaki_series_diag is a
-diagnostic re-derivation through the generating-series pipeline whose
-absolute normalization is deliberately left free; it reports the ratio to
-the closed formula across degrees rather than asserting equality.
+defining polynomial under the vector field.  futaki_localized computes the
+same invariants independently, by equivariant localization on CP^n at
+chosen torus weights, and must equal the closed values times kappa.
 """
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Dict, List, Optional, Tuple
+from math import comb, prod
+from typing import List, Tuple
 
 from .errors import SeriesMismatch
-from .graded_algebra import TruncatedPoly
+from .graded_algebra import TruncatedPoly, _exact
 from .ratpoly import _frac_str
 
 DEFAULT_MAX_N = 8
@@ -243,72 +242,40 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
 
-@dataclass
-class DiagnosticOracle:
-    """Series-pipeline value with its d-ratio report for fixed (n, q).
-
-    The pipeline drops the overall normalization (powers of 2*pi and the
-    substitution t -> sqrt(-1)/(2*pi) compress several conventions), so the
-    informative output is the ratio to the closed formula across degrees; a
-    ratio varying with d is reported, never raised.
-    """
-
-    n: int
-    d: int
-    q: int
-    kappa: Fraction
-    value: Fraction
-    ratios: Dict[int, Optional[Fraction]] = field(default_factory=dict)
-
-    @property
-    def ratio_constant_in_d(self) -> Optional[bool]:
-        vals = [r for r in self.ratios.values() if r is not None]
-        if not vals:
-            return None
-        return all(v == vals[0] for v in vals)
-
-
-def _diag_value(n: int, d: int, q: int) -> Fraction:
-    """t^q coefficient of the series pipeline, as a multiple of kappa.
-
-    The integrand -(theta-term + kappa-term) is wedged with sum_j omega^j and
-    integrated via the substitution rules theta*omega^(n-1) -> kappa/n and
-    omega^(n-1) -> d (all other monomials integrate to zero).  theta is a
-    commuting degree-0 bookkeeping symbol appearing at most linearly, so the
-    two parts are tracked as separate (t, omega)-series with theta and kappa
-    factored out.
-    """
-    t = TruncatedPoly.t(n)
-    w = TruncatedPoly.omega(n)
-    inv_sq = ((1 + t * w * d) ** 2).inv()
-    # theta part: t*(1+t*omega)^n * (d - (n+1) - n*t*omega*d) / (1+t*omega*d)^2
-    theta_core = t * (1 + t * w) ** n * ((d - (n + 1)) + t * w * (-n * d)) * inv_sq
-    # kappa (harmonic) part: t^2*(1+t*omega)^(n+1) / (1+t*omega*d)^2
-    kappa_core = t * t * (1 + t * w) ** (n + 1) * inv_sq
-    wedge = TruncatedPoly.zero(n)
-    for j in range(n):
-        wedge = wedge + w ** j
-    theta_total = -theta_core * wedge
-    kappa_total = -kappa_core * wedge
-    return theta_total.coefficient(q, n - 1, 0) * Fraction(1, n) + kappa_total.coefficient(
-        q, n - 1, 0
-    ) * d
-
-
-def futaki_series_diag(n: int, d: int, q: int, kappa: Fraction = Fraction(1)) -> DiagnosticOracle:
-    """Diagnostic series value at (n, d, q) with the ratio report over
-    d' in {2, ..., n} for the same (n, q).  Linear in kappa by construction."""
+def _fixed_points(n: int, d: int, weights) -> List[Tuple[List[Fraction], Fraction]]:
+    """(c, e_i/D_i) at each fixed point p_i, i >= 1, of X = {x_0^d = 0} in CP^n
+    under the torus with distinct rational weights w_0..w_n: c[q] is the t^q
+    coefficient of prod_{j!=i}(1 + t(w_j - w_i)) / (1 + t e_i), e_i = d(w_0 - w_i)
+    and D_i = prod_{j!=i}(w_j - w_i).  p_0 is not on X (e_0 = 0)."""
     HypersurfaceParams(n, d)
-    _check_cap(n)
-    if not 1 <= q <= n - 1:
-        raise ValueError("need 1 <= q <= n-1")
-    kappa = Fraction(kappa)
-    value = _diag_value(n, d, q) * kappa
-    ratios: Dict[int, Optional[Fraction]] = {}
-    for dd in range(2, n + 1):
-        closed = _futaki_formula(n, dd, q)
-        if closed == 0:
-            ratios[dd] = None
-        else:
-            ratios[dd] = _diag_value(n, dd, q) / closed
-    return DiagnosticOracle(n=n, d=d, q=q, kappa=kappa, value=value, ratios=ratios)
+    w = [_exact(x) for x in weights]
+    if len(w) != n + 1 or len(set(w)) != n + 1:
+        raise ValueError(f"need {n + 1} distinct weights, one per coordinate of CP^{n}")
+    points = []
+    for i in range(1, n + 1):
+        e = d * (w[0] - w[i])
+        tangent = [w[j] - w[i] for j in range(n + 1) if j != i]
+        c = [Fraction(1)] + [Fraction(0)] * (n - 1)
+        for x in tangent:
+            for k in range(n - 1, 0, -1):
+                c[k] += x * c[k - 1]
+        for k in range(1, n):  # divide by 1 + t e
+            c[k] -= e * c[k - 1]
+        points.append((c, e / prod(tangent)))
+    return points
+
+
+def futaki_localized(n: int, d: int, weights) -> Tuple[Fraction, ...]:
+    """(F_1, ..., F_{n-1}) of X = {x_0^d = 0} by Atiyah-Bott localization.
+
+    With the moment normalisation omega = c_1 - s, s = int c_1^n / (n V),
+    V = int c_1^(n-1), int omega^n vanishes and so does the harmonic term:
+    F_q = int c_q omega^(n-q).  Equals futaki_closed(n, d, q).r * kappa with
+    kappa = d(w_0 - mean w); shares no code with the closed formula.
+    """
+    points = _fixed_points(n, d, weights)
+    vol = sum(c[1] ** (n - 1) * u for c, u in points)
+    s = sum(c[1] ** n * u for c, u in points) / (n * vol)
+    return tuple(
+        sum(c[q] * (c[1] - s) ** (n - q) * u for c, u in points) for q in range(1, n)
+    )

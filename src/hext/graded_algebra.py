@@ -529,10 +529,6 @@ class TruncatedPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedPoly":
-        return cls(order, {})
-
-    @classmethod
     def const(cls, order: int, value: Scalar) -> "TruncatedPoly":
         return cls(order, {(0, 0, 0): value})
 

@@ -142,9 +142,12 @@ class Trajectory:
 
 
 def _solve(rhs, m: int, v0, cfg: IntegratorConfig, dense_output: bool = False):
-    """DOP853 from gamma = 1 to m+1 under the tolerances and step cap of cfg."""
-    return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", rtol=cfg.rel_tol,
-                     atol=cfg.abs_tol, max_step=m / cfg.max_step_divisor, dense_output=dense_output)
+    """DOP853 from gamma = 1 to m+1 under the tolerances and step cap of cfg.
+    An overflowing C fails its solve, which is reported: numpy need not warn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", rtol=cfg.rel_tol,
+                         atol=cfg.abs_tol, max_step=m / cfg.max_step_divisor,
+                         dense_output=dense_output)
 
 
 def _lost(sol, i: int, c: float) -> None:

@@ -1,9 +1,9 @@
 """Acceptance suite.
 
 Each test implements one exit criterion at its stated tolerance and prints a
-single pass/fail line (visible with `pytest -s`).  Criterion 8 is diagnostic:
-the series oracle's ratio report must be produced without error and be exactly
-linear in kappa, but its values gate nothing.
+single pass/fail line (visible with `pytest -s`).  Criterion 8 compares the
+closed Bando-Futaki formula with its equivariant localization exactly; a
+companion test corrupts one closed value and checks that criterion 8 names it.
 """
 import contextlib
 import random
@@ -24,7 +24,7 @@ from hext import (
     coeffs_from_C,
     compute_LN,
     futaki_closed,
-    futaki_series_diag,
+    futaki_localized,
     hcsck_nonexistence,
     integrate_v,
     rank1_check,
@@ -150,12 +150,38 @@ def test_criterion_7_grassmann_lemma():
         assert scalar_projector_check([[0, 0], [0, 0]], 1).passed
 
 
-def test_criterion_8_series_diagnostic():
-    with _criterion("8 (series diagnostic, non-gating)"):
-        for n in range(2, 7):
-            for q in range(1, n):
-                oracle = futaki_series_diag(n, 2, q)
-                assert set(oracle.ratios) == set(range(2, n + 1))
-        base = futaki_series_diag(4, 3, 2, kappa=F(1))
-        scaled = futaki_series_diag(4, 3, 2, kappa=F(19, 5))
-        assert scaled.value == F(19, 5) * base.value
+LOCALIZATION_WEIGHTS = ((0, 1, 3, 7, 12, 20, 31, 45, 60), (5, -2, 9, 4, 11, -7, 1, 2, 13))
+
+
+def _localization_mismatches(weights):
+    """(n, d, q), 2 <= n <= 8, where futaki_localized at the first n+1 weights
+    differs from futaki_closed(n, d, q).r * kappa."""
+    bad = []
+    for n in range(2, 9):
+        w = weights[: n + 1]
+        for d in range(1, n + 1):
+            kappa = d * (w[0] - F(sum(w), n + 1))
+            assert kappa != 0
+            local = futaki_localized(n, d, w)
+            closed = [futaki_closed(n, d, q).r * kappa for q in range(1, n)]
+            bad += [(n, d, q) for q in range(1, n) if local[q - 1] != closed[q - 1]]
+    return bad
+
+
+def test_criterion_8_futaki_localization():
+    with _criterion("8 (Futaki closed formula = localization, exact)"):
+        for weights in LOCALIZATION_WEIGHTS:
+            assert _localization_mismatches(weights) == []
+
+
+def test_criterion_8_catches_a_corrupted_closed_value(monkeypatch):
+    import hext.chern_futaki as cf
+
+    formula = cf._futaki_formula
+
+    def corrupted(n, d, q):
+        return formula(n, d, q) + (F(1, 1000) if (n, d, q) == (5, 3, 2) else 0)
+
+    monkeypatch.setattr(cf, "_futaki_formula", corrupted)
+    for weights in LOCALIZATION_WEIGHTS:
+        assert _localization_mismatches(weights) == [(5, 3, 2)]

@@ -1,5 +1,5 @@
 """Coefficient tables by three methods, the closed invariant formula, and
-the series diagnostic."""
+its localization check."""
 import json
 from fractions import Fraction as F
 from math import comb
@@ -12,9 +12,9 @@ from hext import (
     alpha_recursive,
     alpha_series,
     futaki_closed,
-    futaki_series_diag,
+    futaki_localized,
 )
-from hext.chern_futaki import _futaki_formula, _table_from_series, table_size_cap
+from hext.chern_futaki import _fixed_points, _futaki_formula, _table_from_series, table_size_cap
 from hext.errors import SeriesMismatch
 from hext.graded_algebra import TruncatedPoly
 
@@ -164,32 +164,22 @@ def test_futaki_polynomial_structure():
             assert _finite_difference_degree_at_most(samples, q)
 
 
-def test_diag_oracle_values_and_ratios():
-    d = futaki_series_diag(2, 2, 1)
-    assert d.value == F(1, 2)
-    assert d.ratios == {2: F(-1, 3)}
-
-    d = futaki_series_diag(3, 2, 1)
-    assert d.value == F(2, 3)
-    assert d.ratios == {2: F(-1, 8), 3: F(-1, 8)}
-    assert d.ratio_constant_in_d is True
-
-
-def test_diag_oracle_kappa_linearity():
-    base = futaki_series_diag(3, 2, 1, kappa=F(1))
-    doubled = futaki_series_diag(3, 2, 1, kappa=F(2))
-    assert doubled.value == 2 * base.value
-    tripled = futaki_series_diag(3, 2, 1, kappa=F(3, 7))
-    assert tripled.value == F(3, 7) * base.value
+def test_localized_rejects_bad_weights():
+    with pytest.raises(ValueError):
+        futaki_localized(3, 2, (0, 1, 1, 2))
+    with pytest.raises(ValueError):
+        futaki_localized(3, 2, (0, 1, 2))
+    with pytest.raises(ValueError):
+        futaki_localized(3, 2, (0, 1, 2, 3, 4))
+    with pytest.raises(TypeError):
+        futaki_localized(3, 2, (0, 1, 2, 0.5))
 
 
-def test_diag_oracle_reports_for_all_small_n():
-    for n in range(2, 7):
-        for q in range(1, n):
+def test_localized_volume():
+    """V = int_X c_1^(n-1) = d (n+1-d)^(n-1), independent of the weights."""
+    for weights in ((0, 1, 3, 7, 12, 20, 31, 45, 60), (5, -2, 9, 4, 11, -7, 1, 2, 13)):
+        for n in range(2, 9):
             for d in range(1, n + 1):
-                oracle = futaki_series_diag(n, d, q)
-                assert isinstance(oracle.value, F)
-                assert set(oracle.ratios) == set(range(2, n + 1))
-    # the d=1 value is recorded for diagnosis, never asserted against zero
-    rec = futaki_series_diag(4, 1, 2)
-    assert isinstance(rec.value, F)
+                points = _fixed_points(n, d, weights[: n + 1])
+                vol = sum(c[1] ** (n - 1) * u for c, u in points)
+                assert vol == d * (n + 1 - d) ** (n - 1)

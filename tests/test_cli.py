@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -216,7 +217,7 @@ def _mostly(valid, invalid):
 _JUNK = st.sampled_from(["x", "", "1.5", "nan", "inf", "1e400", "-0", "-2", "0"])
 _M = _mostly(st.integers(1, 3).map(str), _JUNK)
 _INT = _mostly(st.integers(1, 9).map(str), _JUNK)
-_FLOAT = _mostly(st.floats(-60.0, 10.0).map(repr), _JUNK)
+_FLOAT = _mostly(st.floats(-60.0, 10.0).map(repr) | st.sampled_from(["-1e300", "1e300"]), _JUNK)
 _TOL = _mostly(st.sampled_from(["1e-8", "1e-3", "1e-12"]), _JUNK)
 # (flag, values, always given); m stays <= 3 so that every run is quick
 _FLAGS = {
@@ -255,6 +256,24 @@ def test_fuzzed_argv_never_tracebacks(argv):
     assert "Traceback" not in err.getvalue()
     if code == EXIT_USAGE:
         assert len(err.getvalue().splitlines()) == 1, argv
+    else:
+        assert err.getvalue() == "", argv
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code",
+    [(["scan", "--m", "1", "--c-min", "-1e300", "--c-max", "1", "--steps", "8"], EXIT_OK),
+     (["shoot", "--m", "1", "--c-min", "-1e300"], EXIT_NO_BRACKET)],
+    ids=["scan", "shoot"],
+)
+def test_overflowing_c_prints_nothing_on_stderr(argv, exit_code):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == exit_code
+    assert [str(w.message) for w in caught] == []
+    assert err.getvalue() == ""
 
 
 def _raise(exc):
