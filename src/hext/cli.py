@@ -327,16 +327,6 @@ def _write_text(out_dir: Path, name: str, text: str) -> str:
     return name
 
 
-def _emit(report: RunReport, args, human_lines) -> None:
-    if args.out:
-        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _run(args) -> int:
     _, flags, check, body = _COMMANDS[args.command]
     message = check(args)
@@ -361,7 +351,13 @@ def _run(args) -> int:
     dests = [flag[2:].replace("-", "_") for flag, _ in flags]
     parameters = {d: getattr(args, d) for d in dests}
     report = RunReport(args.command, parameters, done.outputs, done.summary, time.perf_counter() - started)
-    _emit(report, args, done.human)
+    if args.out:
+        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
+    if args.json:
+        sys.stdout.write(report.to_json())
+    else:
+        for line in done.human:
+            print(line)
     return code
 
 
@@ -381,7 +377,7 @@ def _attach_negative_values(argv):
     return out
 
 
-def main(argv=None) -> int:
+def _parser() -> _Parser:
     parser = _Parser(prog="hext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _, _) in _COMMANDS.items():
@@ -390,8 +386,15 @@ def main(argv=None) -> int:
             p.add_argument(flag, **options)
         p.add_argument("--json", action="store_true", help="print the run report as JSON only")
         p.add_argument("--out", default=None, help="directory for file artifacts")
+    return parser
+
+
+_PARSER = _parser()  # built once: building takes longer than most parses
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     return _run(args)

@@ -46,13 +46,13 @@ class IntegratorConfig:
     """Tolerances and step cap of the DOP853 v-integration.
 
     The step is capped at m/max_step_divisor; halved() doubles the divisor.
-    The cap keeps the defect refinement-stable.  Left to the tolerance
-    alone, DOP853 takes 7-13 steps and the defect is off by more than
-    10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
-    rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect
-    at the tested points (m, C) = (1, 22/3), (1, 2), (5, 2), (7, 2),
-    (10, -20) is within 8.8e-11 of a 30-digit mpmath solve and within
-    8.7e-11 of its halved-cap value, at a few ms a solve.
+    The cap keeps the defect refinement-stable; SCAN_CONFIG shares it and
+    only loosens the tolerances.  Left to the tolerance alone, DOP853 takes
+    7-13 steps and the defect is off by more than 10*rel_tol (1.2e-9 at m=7,
+    C=2; 9.3e-9 at m=10, C=-20 even at rel_tol=1e-13, against a solve capped
+    at m/128).  With m/32 the defect at the tested points (m, C) = (1, 22/3),
+    (1, 2), (5, 2), (7, 2), (10, -20) is within 8.8e-11 of a 30-digit mpmath
+    solve and within 8.7e-11 of its halved-cap value, at a few ms a solve.
     """
 
     rel_tol: float = 1e-10
@@ -65,8 +65,8 @@ class IntegratorConfig:
 
 DEFAULT_CONFIG = IntegratorConfig()
 
-# coarser settings are enough to read off defect signs during a scan
-SCAN_CONFIG = IntegratorConfig(rel_tol=1e-8, abs_tol=1e-10, max_step_divisor=64)
+# the same step cap with looser tolerances is enough to read off defect signs
+SCAN_CONFIG = replace(DEFAULT_CONFIG, rel_tol=1e-8, abs_tol=1e-10)
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
 
@@ -134,11 +134,14 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV with header gamma,v,phi,phi_prime,lambda; 17 significant digits."""
-        cols = (self.grid, self.v, self.phi, self.phi_prime, self.lambda_values)
-        lines = ["gamma,v,phi,phi_prime,lambda"]
-        for row in zip(*cols):
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
+        return _csv("gamma,v,phi,phi_prime,lambda",
+                    (self.grid, self.v, self.phi, self.phi_prime, self.lambda_values))
+
+
+def _csv(header: str, cols) -> str:
+    """The header, then one line of %.17g values per row of cols, LF-terminated."""
+    row = ",".join(["%.17g"] * len(cols)).__mod__
+    return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
 def _solve(rhs, m: int, v0, cfg: IntegratorConfig, dense_output: bool = False):
@@ -159,17 +162,8 @@ def _lost(sol, i: int, c: float) -> None:
         raise PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(c), floor=V_FLOOR)
 
 
-def integrate_v(
-    m: int, C: Rational, config: Optional[IntegratorConfig] = None
-) -> Trajectory:
-    """Integrate v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 to gamma = m+1.
-
-    v is sampled from the dense output on GRID_POINTS uniform points, except
-    v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
-    reaches V_FLOOR (the signature of an inadmissible C), even when the
-    solver gave up later, and StepFailure if the solver gives up before.
-    """
-    cfg = config or DEFAULT_CONFIG
+def _integrate(m: int, C: Rational, cfg: IntegratorConfig, dense_output: bool):
+    """integrate_v's coefficients and checked solve; dense output leaves the steps as they are."""
     cs = coeffs_from_C(m, C)  # validates m
     a, b, c = cs.float_abc()
 
@@ -178,10 +172,22 @@ def integrate_v(
         root = math.sqrt(v) if v > 0.0 else 0.0
         return (TWO_SQRT2 * root + ((a / 3.0 * t + b / 2.0) * t * t + c) * t,)
 
-    sol = _solve(rhs, m, [2.0], cfg, dense_output=True)
+    sol = _solve(rhs, m, [2.0], cfg, dense_output)
     _lost(sol, 0, c)
     if sol.status < 0:
         raise StepFailure(f"integration failed: {sol.message}")
+    return cs, sol
+
+
+def integrate_v(m: int, C: Rational, config: Optional[IntegratorConfig] = None) -> Trajectory:
+    """Integrate v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 to gamma = m+1.
+
+    v is sampled from the dense output on GRID_POINTS uniform points, except
+    v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
+    reaches V_FLOOR (the signature of an inadmissible C), even when the
+    solver gave up later, and StepFailure if the solver gives up before.
+    """
+    cs, sol = _integrate(m, C, config or DEFAULT_CONFIG, dense_output=True)
     grid = np.linspace(1.0, float(m + 1), GRID_POINTS)
     v = sol.sol(grid)[0]
     v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
@@ -343,12 +349,13 @@ def shoot(
     best = {}
 
     def defect_at(c: float) -> float:
-        traj = integrate_v(m, c, DEFAULT_CONFIG)
-        if not best or abs(traj.defect) < abs(best["traj"].defect):
-            best.update(c=c, traj=traj)
+        _, sol = _integrate(m, c, DEFAULT_CONFIG, dense_output=False)
+        d = float(sol.y[0, -1] - 2.0 * (m + 1) ** 2)  # as Trajectory.defect
+        if not best or abs(d) < abs(best["d"]):
+            best.update(c=c, d=d)
         # brentq returns at once on an exact zero: that is how defect_tol
         # ends the search
-        return 0.0 if abs(traj.defect) < defect_tol else traj.defect
+        return 0.0 if abs(d) < defect_tol else d
 
     # the scan used coarser tolerances, so the edges are solved again
     edges = {lo: defect_at(lo), hi: defect_at(hi)}
@@ -359,12 +366,12 @@ def shoot(
         )
     _, info = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
                      xtol=1e-10, maxiter=60, full_output=True, disp=False)
-    traj = best["traj"]
     if not info.converged:
         raise StepFailure(
             "Brent's method did not converge in 60 iterations "
-            f"(|defect|={abs(traj.defect):g})"
+            f"(|defect|={abs(best['d']):g})"
         )
+    traj = integrate_v(m, best["c"])
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
     a_slope = float(traj.meta.A)
@@ -397,7 +404,6 @@ class NonexistenceReport:
     integral: Fraction
     margin: float
     target: float
-    trajectory: Trajectory
     alt_B: Fraction
     alt_C: Fraction
     alt_integral: Fraction
@@ -414,9 +420,9 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     cs = hcsck_coeffs(m)
     ln = compute_LN(m)
     integral = ln.lc_plus_n(cs.C)
-    traj = integrate_v(m, cs.C)
+    _, sol = _integrate(m, cs.C, DEFAULT_CONFIG, dense_output=False)
     target = 2.0 * (m + 1) ** 2
-    margin = traj.v[-1] - target
+    margin = sol.y[0, -1] - target
 
     s1 = Fraction((m + 1) ** 2 - 1)
     alt_B = -12 / s1
@@ -431,7 +437,6 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
         integral=integral,
         margin=float(margin),
         target=target,
-        trajectory=traj,
         alt_B=alt_B,
         alt_C=alt_C,
         alt_integral=Fraction(2),
@@ -477,10 +482,7 @@ class ProfileCurve:
         return float(np.interp(gamma, self.gamma, self.s))
 
     def to_csv(self) -> str:
-        lines = ["gamma,tau,s,phi"]
-        for row in zip(self.gamma, self.tau, self.s, self.phi):
-            lines.append(",".join(f"{x:.17g}" for x in row))
-        return "\n".join(lines) + "\n"
+        return _csv("gamma,tau,s,phi", (self.gamma, self.tau, self.s, self.phi))
 
 
 def reconstruct_curve(t: Trajectory, margin: float = 1e-3) -> ProfileCurve:

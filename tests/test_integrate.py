@@ -204,6 +204,18 @@ def test_batched_scan_matches_per_point_solves(m):
         assert abs(p.defect - d) < 1e-7
 
 
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_scan_defects_carry_the_full_solve_signs(m):
+    # the scan loosens only the tolerances, never the step cap; measured worst
+    # case 2.5e-9 from the halved-cap full solve (m = 1..8)
+    assert SCAN_CONFIG.max_step_divisor <= DEFAULT_CONFIG.max_step_divisor
+    scan = defect_scan(m, -50.0, float(admissible_C_max(m, F(1, 100))), 16)
+    for p in scan.points:
+        d = integrate_v(m, p.c, DEFAULT_CONFIG.halved()).defect
+        assert abs(p.defect - d) < 1e-8
+        assert (p.defect > 0) == (d > 0)
+
+
 def test_batch_positivity_is_per_point():
     # C = 20 is inadmissible for m = 1; its neighbours are not
     cs = np.array([4.0, 20.0, 5.0])

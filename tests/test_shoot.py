@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hext import coeffs_from_C, integrate_v, residual_check, shoot
+from hext import coeffs_from_C, integrate_v, reconstruct_curve, residual_check, shoot
 from hext.errors import NoBracket
-from hext.profile_ode.integrate import SCAN_CONFIG
+from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _csv, _integrate
 
 # C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
 # table that perfbench/make_reference.py writes to perfbench/reference.json
@@ -92,3 +92,47 @@ def test_upward_extension_matches_per_point_solves():
     assert all(p.defect > 0 for p in ext[:-1])
     for p in ext:
         assert abs(p.defect - integrate_v(4, p.c, SCAN_CONFIG).defect) < 1e-7
+
+
+@pytest.fixture(scope="module")
+def shots():
+    return {m: shoot(m) for m in (1, 4, 8)}
+
+
+@pytest.mark.parametrize("m", [1, 4, 8])
+def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
+    # Brent's solves read only the endpoint; dense output is built once, at
+    # c_star, and leaves the solver's steps as they are
+    res = shots[m]
+    assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
+    assert res.defect == res.trajectory.defect
+    _, endpoint_only = _integrate(m, res.c_star, DEFAULT_CONFIG, dense_output=False)
+    _, dense = _integrate(m, res.c_star, DEFAULT_CONFIG, dense_output=True)
+    assert endpoint_only.t.tobytes() == dense.t.tobytes()
+    assert endpoint_only.y.tobytes() == dense.y.tobytes()
+    assert endpoint_only.y[0, -1] == res.trajectory.v[-1]
+
+
+def _csv_per_value(header, cols):
+    # the per-value formatting that _csv replaced: the reference it must match
+    lines = [header]
+    for row in zip(*cols):
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_csv_artifacts_match_per_value_formatting(shots, m):
+    t = shots[m].trajectory
+    cols = (t.grid, t.v, t.phi, t.phi_prime, t.lambda_values)
+    assert t.to_csv() == _csv_per_value("gamma,v,phi,phi_prime,lambda", cols)
+    curve = reconstruct_curve(t)
+    cols = (curve.gamma, curve.tau, curve.s, curve.phi)
+    assert curve.to_csv() == _csv_per_value("gamma,tau,s,phi", cols)
+
+
+def test_csv_formats_edge_values_like_per_value_formatting():
+    col = np.array([-0.0, 5e-324, 1e300, 1 / 3])
+    cols = (col, col[::-1])
+    assert _csv("a,b", cols) == _csv_per_value("a,b", cols)
+    assert _csv("a,b", cols).split("\n")[1] == "-0,0.33333333333333331"
