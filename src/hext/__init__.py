@@ -31,6 +31,7 @@ from .errors import (
     EndpointSingularity,
     GeneratorMismatch,
     HextError,
+    InvalidInput,
     NoBracket,
     NotIdempotentFamily,
     NotInvertible,

@@ -19,48 +19,33 @@ chosen torus weights, and must equal the closed values times kappa.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 from typing import List, Tuple
 
-from .errors import SeriesMismatch
+from .errors import InvalidInput, SeriesMismatch
 from .graded_algebra import TruncatedPoly, _exact
 from .ratpoly import _frac_str
 
-DEFAULT_MAX_N = 8
-
-
-def table_size_cap() -> int:
-    """Ambient-dimension cap; overridable via the HEXT_MAX_N environment variable."""
-    raw = os.environ.get("HEXT_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_N
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"HEXT_MAX_N must be an integer, got {raw!r}")
+# the largest ambient dimension: the suite checks the three alpha methods
+# against each other, and the closed invariants against localization, for
+# every n up to here
+MAX_N = 8
 
 
 @dataclass(frozen=True)
 class HypersurfaceParams:
-    """Degree-d hypersurface in CP^n with d <= n."""
+    """Degree-d hypersurface in CP^n with d <= n <= MAX_N."""
 
     n: int
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError("ambient dimension n must be an integer >= 2")
+        if not isinstance(self.n, int) or not 2 <= self.n <= MAX_N:
+            raise InvalidInput(f"ambient dimension n must be an integer in 2..{MAX_N}, got {self.n!r}")
         if not isinstance(self.d, int) or not 1 <= self.d <= self.n:
-            raise ValueError("degree d must satisfy 1 <= d <= n")
-
-
-def _check_cap(n: int) -> None:
-    cap = table_size_cap()
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the configured cap {cap}")
+            raise InvalidInput(f"degree d must satisfy 1 <= d <= n = {self.n}, got {self.d!r}")
 
 
 def _diagonal(n: int, d: int, q: int) -> Fraction:
@@ -120,7 +105,6 @@ def alpha_recursive(n: int, d: int) -> AlphaTable:
         alpha_{q0} = (-1)^q.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n)
     rows: List[List[Fraction]] = [[Fraction(1)]]
     for q in range(1, n):
         prev = rows[q - 1]
@@ -143,7 +127,6 @@ def alpha_closed(n: int, d: int) -> AlphaTable:
     Independent code path from the recursion on purpose.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n)
     rows = []
     for a in range(n):
         row = []
@@ -186,7 +169,6 @@ def alpha_series(n: int, d: int) -> AlphaTable:
     otherwise.
     """
     HypersurfaceParams(n, d)
-    _check_cap(n)
     t = TruncatedPoly.t(n)
     w = TruncatedPoly.omega(n)
     e = TruncatedPoly.eta(n)
@@ -238,7 +220,7 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
     """
     HypersurfaceParams(n, d)
     if not 1 <= q <= n - 1:
-        raise ValueError("need 1 <= q <= n-1")
+        raise InvalidInput(f"need 1 <= q <= n-1 = {n - 1}, got q={q}")
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
 
@@ -250,7 +232,7 @@ def _fixed_points(n: int, d: int, weights) -> List[Tuple[List[Fraction], Fractio
     HypersurfaceParams(n, d)
     w = [_exact(x) for x in weights]
     if len(w) != n + 1 or len(set(w)) != n + 1:
-        raise ValueError(f"need {n + 1} distinct weights, one per coordinate of CP^{n}")
+        raise InvalidInput(f"need {n + 1} distinct weights, one per coordinate of CP^{n}")
     points = []
     for i in range(1, n + 1):
         e = d * (w[0] - w[i])

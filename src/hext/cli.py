@@ -1,19 +1,22 @@
 """Command-line front end.
 
-Each subcommand is one row of a table: its flags, a usage check and a body.
-One runner turns every row into a RunReport: command, parameters (the row's
-flags), outputs (inline values or artifact file names), a pass/fail summary,
-and the wall time.  Artifacts and report payloads are byte-identical across
-repeated runs with identical flags; the wall time lives outside the hashed
-payload.
+Each subcommand is one row of a table: its flags and a body.  One runner
+turns every row into a RunReport: command, parameters (the row's flags),
+outputs (inline values or artifact file names), a pass/fail summary, and the
+wall time.  Artifacts and report payloads are byte-identical across repeated
+runs with identical flags; the wall time lives outside the hashed payload.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
-A usage error is one line on stderr and comes before any work: a bad flag
-value (among them a --tol that is not in (0, 1e-3]), an --out that exists
-and is not a directory, or an HEXT_MAX_N that is not an integer.  A library
-error ends every subcommand in one report form: summary {"pass": false,
-"reason": "error"} (exit 1), or "no-bracket" (exit 2) when shoot finds no
-sign change, with the message in outputs.message.
+argparse only parses (numbers, choices, required flags); every rule on a
+value lives in the library function that takes it, which raises InvalidInput
+before doing any work.  A usage error is one line on stderr, with no report
+and no artifacts: a flag argparse cannot parse, an InvalidInput (a
+non-positive --m, a non-finite number, a --tol that is not in (0, 1e-3], an
+empty C window, more than MAX_SCAN_STEPS scan points, n above MAX_N, ...),
+or an --out that exists and is not a directory.  A library error ends every
+subcommand in one report form: summary {"pass": false, "reason": "error"}
+(exit 1), or "no-bracket" (exit 2) when shoot finds no sign change, with the
+message in outputs.message.
 """
 from __future__ import annotations
 
@@ -22,20 +25,18 @@ import csv
 import hashlib
 import io
 import json
-import math
 import re
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .chern_futaki import alpha_closed, alpha_recursive, alpha_series, futaki_closed, table_size_cap
-from .errors import CertificateFailure, HextError, NoBracket
+from .chern_futaki import alpha_closed, alpha_recursive, alpha_series, futaki_closed
+from .errors import CertificateFailure, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from .profile_ode import (
-    EPS_FLOOR, admissible_C_max, certify_m1, defect_scan, hcsck_nonexistence, reconstruct_curve,
-    residual_check, shoot,
+    certify_m1, defect_scan, hcsck_nonexistence, reconstruct_curve, residual_check, shoot,
 )
 from .ratpoly import _frac_str
 
@@ -89,47 +90,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _checked(convert, ok, what: str):
-    """An argparse type: `convert`, then reject values failing `ok`."""
-
-    def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
-        return value
-
-    return parse
-
-
-_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
-_scan_steps = _checked(int, lambda v: v >= 2, "at least 2")
-_finite_float = _checked(float, math.isfinite, "finite")
-_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "positive and finite")
-# every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects at
-# the bracket edges a tolerance would accept an edge as the root
-_defect_tol = _checked(_positive_float, lambda v: v <= 1e-3, "at most 1e-3")
-
-
 def _flag(name: str, type=None, **options) -> Tuple[str, Dict]:
     """A table flag: required unless it has a default."""
     return name, {"type": type, "required": "default" not in options, **options}
 
 
-_M = _flag("--m", _positive_int)
+_M = _flag("--m", int)
 _N = _flag("--n", int)
 _D = _flag("--d", int)
-
-
-def _check_shoot(a) -> Optional[str]:
-    c_top = float(admissible_C_max(a.m, EPS_FLOOR))
-    if a.c_max is not None:
-        c_top = min(c_top, a.c_max)
-    if not a.c_min < c_top:
-        return f"--c-min {a.c_min:g} must lie below --c-max and the admissible maximum (here {c_top:.10g})"
-    return None
 
 
 def _shoot(a) -> _Outcome:
@@ -197,13 +165,6 @@ def _nonexist(a) -> _Outcome:
     return _Outcome(outputs, human, {"pass": rep.margin > 0})
 
 
-def _check_scan(a) -> Optional[str]:
-    c_cap = float(admissible_C_max(a.m, EPS_FLOOR))
-    if a.c_max > c_cap + 1e-9:
-        return f"--c-max {a.c_max:g} exceeds the admissible maximum {c_cap:.10g}"
-    return None if a.c_min < a.c_max else "--c-min must lie below --c-max"
-
-
 def _scan_csv(points) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -226,16 +187,6 @@ def _scan(a) -> _Outcome:
     ] + [f"  bracket: C in ({lo:.8g}, {hi:.8g})" for lo, hi in scan.brackets]
     summary = {"pass": True, "sign_changes": len(scan.brackets)}
     return _Outcome(outputs, human, summary, [("scan_csv", "scan.csv", lambda: _scan_csv(scan.points))])
-
-
-def _check_table(a) -> Optional[str]:
-    try:
-        cap = table_size_cap()
-    except ValueError as exc:  # HEXT_MAX_N is not an integer
-        return str(exc)
-    if a.n > cap:
-        return f"--n {a.n} exceeds the cap {cap} (set HEXT_MAX_N to raise)"
-    return None if 1 <= a.d <= a.n and a.n >= 2 else "need n >= 2 and 1 <= d <= n"
 
 
 def _alpha(a) -> _Outcome:
@@ -268,55 +219,35 @@ def _grassmann(a) -> _Outcome:
     return _Outcome({"identities": identities}, human, {"pass": rep.passed})
 
 
-# name: (help, flags, usage check, body).  A flag is (flag, add_argument
-# keywords) and its dest is a report parameter.  The check returns a one-line
-# usage-error message or None.  A body reaches the library through this
+# name: (help, flags, body).  A flag is (flag, add_argument keywords) and
+# its dest is a report parameter.  A body reaches the library through this
 # module's globals, where perfbench's tracer finds and wraps it.
 _COMMANDS = {
     "shoot": (
         "solve the boundary value problem by shooting on C",
         (
             _M,
-            _flag("--tol", _defect_tol, default=1e-8, help="defect tolerance, at most 1e-3"),
-            _flag("--c-min", _finite_float, default=-50.0, help="lower end of the bracket scan"),
-            _flag("--c-max", _finite_float, default=None,
+            _flag("--tol", float, default=1e-8, help="defect tolerance, at most 1e-3"),
+            _flag("--c-min", float, default=-50.0, help="lower end of the bracket scan"),
+            _flag("--c-max", float, default=None,
                   help="upper end of the bracket scan (default: admissible maximum)"),
         ),
-        _check_shoot,
         _shoot,
     ),
-    "certify": (
-        "run the exact m=1 certificate",
-        (_flag("--m", _positive_int, default=1),),
-        lambda a: None if a.m == 1 else "the certificate is only available for --m 1",
-        _certify,
-    ),
-    "nonexist": ("constant-lambda (A=0) contradiction check", (_M,), lambda a: None, _nonexist),
+    "certify": ("run the exact m=1 certificate", (_flag("--m", int, choices=[1], default=1),), _certify),
+    "nonexist": ("constant-lambda (A=0) contradiction check", (_M,), _nonexist),
     "scan": (
         "defect over a grid of C values",
-        (_M, _flag("--c-min", _finite_float), _flag("--c-max", _finite_float),
-         _flag("--steps", _scan_steps, default=64)),
-        _check_scan,
+        (_M, _flag("--c-min", float), _flag("--c-max", float), _flag("--steps", int, default=64)),
         _scan,
     ),
     "alpha": (
         "Chern coefficient table for a hypersurface",
         (_N, _D, _flag("--method", choices=sorted(_ALPHA_METHODS), default="recursion")),
-        _check_table,
         _alpha,
     ),
-    "futaki": (
-        "closed-formula Bando-Futaki invariant",
-        (_N, _D, _flag("--q", int)),
-        lambda a: _check_table(a) or (None if 1 <= a.q <= a.n - 1 else "need 1 <= q <= n-1"),
-        _futaki,
-    ),
-    "grassmann": (
-        "rank-one determinant identities",
-        (_flag("--k", int),),
-        lambda a: None if 1 <= a.k <= 6 else "need 1 <= k <= 6",
-        _grassmann,
-    ),
+    "futaki": ("closed-formula Bando-Futaki invariant", (_N, _D, _flag("--q", int)), _futaki),
+    "grassmann": ("rank-one determinant identities", (_flag("--k", int),), _grassmann),
 }
 
 
@@ -328,18 +259,18 @@ def _write_text(out_dir: Path, name: str, text: str) -> str:
 
 
 def _run(args) -> int:
-    _, flags, check, body = _COMMANDS[args.command]
-    message = check(args)
-    if args.out and not message:  # --out must be a directory, or a path mkdir can create
-        existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-        message = None if existing.is_dir() else f"--out {args.out}: {existing} is not a directory"
-    if message:
-        sys.stderr.write(f"error: {message}\n")
-        return EXIT_USAGE
+    _, flags, body = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
+        if args.out:  # --out must be a directory, or a path mkdir can create
+            existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
+            if not existing.is_dir():
+                raise InvalidInput(f"--out {args.out}: {existing} is not a directory")
         done = body(args)
         code = EXIT_OK if done.summary["pass"] else EXIT_FAIL
+    except InvalidInput as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except HextError as exc:
         no_bracket = isinstance(exc, NoBracket)
         reason, code = ("no-bracket", EXIT_NO_BRACKET) if no_bracket else ("error", EXIT_FAIL)
@@ -380,7 +311,7 @@ def _attach_negative_values(argv):
 def _parser() -> _Parser:
     parser = _Parser(prog="hext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, _, _) in _COMMANDS.items():
+    for name, (help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in flags:
             p.add_argument(flag, **options)

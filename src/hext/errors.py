@@ -5,6 +5,11 @@ class HextError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidInput(ValueError):
+    """An argument outside the domain of a public function, raised before any
+    work is done.  The message is one line naming the rule."""
+
+
 class PositivityLost(HextError):
     """The integrated quantity v reached the positivity floor at an accepted step.
 

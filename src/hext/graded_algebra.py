@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     GeneratorMismatch,
+    InvalidInput,
     NotIdempotentFamily,
     NotInvertible,
     TruncationMismatch,
@@ -371,7 +372,7 @@ class RankOneReport:
 def rank1_check(k: int) -> RankOneReport:
     """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6."""
     if not 1 <= k <= 6:
-        raise ValueError("k must be in 1..6 (cost grows as 2^(2k))")
+        raise InvalidInput(f"k must be in 1..6 (cost grows as 2^(2k)), got {k}")
     return rank1_identities(AlgebraMatrix.rank_one(k))
 
 

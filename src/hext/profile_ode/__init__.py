@@ -15,6 +15,7 @@ from .coeffs import (
 )
 from .integrate import (
     DEFAULT_CONFIG,
+    MAX_SCAN_STEPS,
     IntegratorConfig,
     NonexistenceReport,
     ProfileCurve,

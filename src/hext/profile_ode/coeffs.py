@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .. import ratpoly
+from ..errors import InvalidInput
 
 Rational = Union[int, float, Fraction]
 
@@ -36,7 +37,7 @@ class KahlerClassIndex:
 
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+            raise InvalidInput(f"m must be a positive integer, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
     Solving A(C) = 0 gives C = 2 + 4/((m+1)^2 - 1); B then follows from the
     boundary constraints.
     """
+    KahlerClassIndex(m)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
     s1 = Fraction((m + 1) ** 2 - 1)
     cs = coeffs_from_C(m, 2 + 4 / s1)
     assert cs.A == 0
@@ -188,6 +190,6 @@ def admissible_C_max(m: int, eps: Rational) -> Fraction:
     """
     eps = Fraction(eps)
     if eps < 0 or eps >= 2:
-        raise ValueError("need 0 <= eps < 2")
+        raise InvalidInput(f"need 0 <= eps < 2, got {eps}")
     ln = compute_LN(m)
     return (-2 + eps - ln.N) / ln.L

@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 from ..errors import (
     CertificateFailure,
     EndpointSingularity,
+    InvalidInput,
     NoBracket,
     PositivityLost,
     StepFailure,
@@ -69,6 +70,10 @@ DEFAULT_CONFIG = IntegratorConfig()
 SCAN_CONFIG = replace(DEFAULT_CONFIG, rel_tol=1e-8, abs_tol=1e-10)
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
+
+# a scan holds one v per point in one solve: 4096 points take about 4 s at
+# m = 1 when every C overflows, and far more would not fit in memory
+MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at an accepted step raises PositivityLost;
 # admissible C (L*C + N >= -2 + EPS_FLOOR) keeps v well above it
@@ -274,15 +279,18 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     """Defect over a monotone C grid, solved as one batch at SCAN_CONFIG.
-    Integrator errors are recorded per point, not raised.  Requires C_hi
-    inside the admissible window."""
-    if steps < 2:
-        raise ValueError("need at least two scan points")
-    c_max = float(admissible_C_max(m, EPS_FLOOR))
+    Integrator errors are recorded per point, not raised.  Requires a finite
+    window C_lo < C_hi with C_hi inside the admissible window, and
+    2 <= steps <= MAX_SCAN_STEPS."""
+    c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
+    if not (math.isfinite(C_lo) and math.isfinite(C_hi)):
+        raise InvalidInput(f"the C window must be finite, got [{C_lo:g}, {C_hi:g}]")
     if C_hi > c_max + 1e-9:
-        raise ValueError(f"C_hi={C_hi:g} exceeds admissible maximum {c_max:.12g}")
+        raise InvalidInput(f"C_hi={C_hi:g} exceeds admissible maximum {c_max:.12g}")
     if not C_lo < C_hi:
-        raise ValueError("need C_lo < C_hi")
+        raise InvalidInput(f"need C_lo < C_hi, got [{C_lo:g}, {C_hi:.10g}]")
+    if not 2 <= steps <= MAX_SCAN_STEPS:
+        raise InvalidInput(f"need 2 <= steps <= {MAX_SCAN_STEPS}, got {steps}")
     return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), SCAN_CONFIG))
 
 
@@ -328,8 +336,15 @@ def shoot(
     large m is a legitimate outcome rather than a failure of the method.
     Brent's method stops once |defect| < defect_tol or the bracket is
     narrower than 1e-10, and fails after 60 iterations; `iterations` counts
-    its solves past the two edges, all at DEFAULT_CONFIG.
+    its solves past the two edges, all at DEFAULT_CONFIG.  Requires
+    0 < defect_tol <= 1e-3 and a finite c_max.
     """
+    # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
+    # at the bracket edges a tolerance would accept an edge as the root
+    if not 0 < defect_tol <= 1e-3:
+        raise InvalidInput(f"defect_tol must lie in (0, 1e-3], got {defect_tol:g}")
+    if c_max is not None and not math.isfinite(c_max):
+        raise InvalidInput(f"c_max must be finite, got {c_max:g}")
     c_adm = float(admissible_C_max(m, EPS_FLOOR))
     c_hi = c_adm if c_max is None else min(c_adm, c_max)
     scan = defect_scan(m, c_min, c_hi, 64)

@@ -14,7 +14,7 @@ from hext import (
     futaki_closed,
     futaki_localized,
 )
-from hext.chern_futaki import _fixed_points, _futaki_formula, _table_from_series, table_size_cap
+from hext.chern_futaki import _fixed_points, _futaki_formula, _table_from_series
 from hext.errors import SeriesMismatch
 from hext.graded_algebra import TruncatedPoly
 
@@ -97,17 +97,9 @@ def test_series_mismatch_detected():
         _table_from_series(bogus, 3, 2)
 
 
-def test_table_cap(monkeypatch):
-    monkeypatch.setenv("HEXT_MAX_N", "8")
+def test_table_cap():
     with pytest.raises(ValueError):
         alpha_recursive(9, 1)
-    monkeypatch.setenv("HEXT_MAX_N", "12")
-    assert table_size_cap() == 12
-    t = alpha_recursive(10, 1)
-    assert t.get(0, 0) == 1
-    monkeypatch.setenv("HEXT_MAX_N", "junk")
-    with pytest.raises(ValueError):
-        table_size_cap()
 
 
 def test_alpha_csv_export():

@@ -6,7 +6,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hext import cli
@@ -64,12 +64,6 @@ def test_alpha_methods_agree_and_deterministic(tmp_path):
     r3 = json.loads((out3 / "report.json").read_text())
     assert r1 == r3
     assert r1["payload_sha256"] == r3["payload_sha256"]
-
-
-def test_alpha_cap_respects_env(monkeypatch):
-    assert main(["alpha", "--n", "9", "--d", "1"]) == EXIT_USAGE
-    monkeypatch.setenv("HEXT_MAX_N", "9")
-    assert main(["alpha", "--n", "9", "--d", "1"]) == EXIT_OK
 
 
 def test_futaki_cli(tmp_path, capsys):
@@ -209,14 +203,39 @@ def test_invalid_input_is_one_line_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
-def _mostly(valid, invalid):
-    """Draws from `valid` nine times in ten."""
-    return st.integers(0, 9).flatmap(lambda k: invalid if k == 0 else valid)
+# one argv per subcommand that only the library rejects, except certify's --m,
+# which argparse's choices reject
+_REJECTED = [
+    ["shoot", "--m", "1", "--tol", "0.5"],
+    ["certify", "--m", "2"],
+    ["nonexist", "--m", "0"],
+    ["scan", "--m", "1", "--c-min", "0", "--c-max", "1", "--steps", "1"],
+    ["alpha", "--n", "9", "--d", "1"],
+    ["futaki", "--n", "3", "--d", "2", "--q", "5"],
+    ["grassmann", "--k", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", _REJECTED, ids=[argv[0] for argv in _REJECTED])
+def test_invalid_input_does_no_work(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    for json_flag in ([], ["--json"]):
+        assert main(argv + json_flag + ["--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
+
+def _mostly(valid, *invalid):
+    """Draws from each of `invalid` one time in ten, else from `valid`."""
+    return st.integers(0, 9).flatmap(lambda k: invalid[k] if k < len(invalid) else valid)
 
 
 _JUNK = st.sampled_from(["x", "", "1.5", "nan", "inf", "1e400", "-0", "-2", "0"])
+_HUGE = st.just(str(10**30))  # for every integer flag but --m, which would make runs slow
 _M = _mostly(st.integers(1, 3).map(str), _JUNK)
-_INT = _mostly(st.integers(1, 9).map(str), _JUNK)
+_INT = _mostly(st.integers(1, 9).map(str), _JUNK, _HUGE)
 _FLOAT = _mostly(st.floats(-60.0, 10.0).map(repr) | st.sampled_from(["-1e300", "1e300"]), _JUNK)
 _TOL = _mostly(st.sampled_from(["1e-8", "1e-3", "1e-12"]), _JUNK)
 # (flag, values, always given); m stays <= 3 so that every run is quick
@@ -226,11 +245,11 @@ _FLAGS = {
     "certify": [("--m", _M, False)],
     "nonexist": [("--m", _M, True)],
     "scan": [("--m", _M, True), ("--c-min", _FLOAT, True), ("--c-max", _FLOAT, True),
-             ("--steps", _mostly(st.integers(2, 12).map(str), _JUNK), False)],
+             ("--steps", _mostly(st.integers(2, 12).map(str), _JUNK, _HUGE), False)],
     "alpha": [("--n", _INT, True), ("--d", _INT, True),
               ("--method", st.sampled_from(["recursion", "closed", "series", "bogus"]), False)],
     "futaki": [("--n", _INT, True), ("--d", _INT, True), ("--q", _INT, True)],
-    "grassmann": [("--k", _mostly(st.integers(1, 6).map(str), _JUNK), True)],
+    "grassmann": [("--k", _mostly(st.integers(1, 6).map(str), _JUNK, _HUGE), True)],
 }
 
 
@@ -248,6 +267,7 @@ def _argv(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(_argv())
+@example(["scan", "--m", "1", "--c-min", "-5", "--c-max", "1", "--steps", str(10**30)])  # a numpy traceback once
 def test_fuzzed_argv_never_tracebacks(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -330,15 +350,6 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err and "is not a directory" in captured.err
     assert blocker.read_text() == "keep"
-
-
-@pytest.mark.parametrize("argv", [["alpha", "--n", "3", "--d", "1"], ["futaki", "--n", "3", "--d", "2", "--q", "1"]])
-def test_bad_hext_max_n_is_usage_error(argv, monkeypatch, capsys):
-    monkeypatch.setenv("HEXT_MAX_N", "x")
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: HEXT_MAX_N must be an integer, got 'x'\n"
 
 
 def test_report_hashes_match_the_golden_table(tmp_path, capsys):
