@@ -220,7 +220,7 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
     """
     HypersurfaceParams(n, d)
     if not 1 <= q <= n - 1:
-        raise InvalidInput(f"need 1 <= q <= n-1 = {n - 1}, got q={q}")
+        raise InvalidInput(f"the invariant index q must lie in 1..{n - 1} (n - 1), got {q}")
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
 

@@ -25,7 +25,6 @@ import csv
 import hashlib
 import io
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -292,16 +291,22 @@ def _run(args) -> int:
     return code
 
 
-_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?", re.IGNORECASE)
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _attach_negative_values(argv):
-    """Write `--opt -1e6` as `--opt=-1e6`: argparse reads a token that starts
-    with "-" as an option unless it looks like -5 or -.5."""
+    """Write `--opt -1e6` as `--opt=-1e6`, and so for every "-" token that
+    float() parses (-inf, -nan too): argparse reads a token that starts with
+    "-" as an option unless it looks like -5 or -.5."""
     out = []
     for token in argv:
         option = out[-1] if out else ""
-        if option.startswith("--") and "=" not in option and _NEGATIVE_NUMBER.fullmatch(token):
+        if option.startswith("--") and "=" not in option and token.startswith("-") and _is_float(token):
             out[-1] += "=" + token
         else:
             out.append(token)

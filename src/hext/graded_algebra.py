@@ -1,14 +1,15 @@
 """Finite exterior algebra and nilpotent-truncated series arithmetic.
 
-Two substrates live here.  GrassmannElement is an element of the exterior
-algebra on 2k odd generators with rational coefficients; it exists to verify
-the rank-one determinant identities det(I - lam*A) * (1 - lam*a) = 1 and
-(I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j,
-whose lambda-matrices have LamPoly entries (polynomials in lambda over the
-same algebra).  TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where
-every monomial with omega-degree + eta-degree >= n vanishes (forms above top
-degree on an (n-1)-dimensional space) and t is kept to degree <= n; it is
-the series engine behind the Chern coefficient tables.
+Two substrates live here.  GrassmannElement is a polynomial in a central
+even variable lambda over the exterior algebra on n_gen odd generators, with
+rational coefficients; its lambda-free elements are the exterior algebra
+itself.  It exists to verify the rank-one determinant identities
+det(I - lam*A) * (1 - lam*a) = 1 and (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A
+for A_ij = alpha_i * beta_j.  TruncatedPoly is a commutative polynomial ring
+in (t, omega, eta) where every monomial with omega-degree + eta-degree >= n
+vanishes (forms above top degree on an (n-1)-dimensional space) and t is
+kept to degree <= n; it is the series engine behind the Chern coefficient
+tables.
 
 All coefficients are exact rationals.
 """
@@ -61,41 +62,55 @@ def _label(mask: int) -> str:
     return "*".join(f"e{i + 1:02d}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-class GrassmannElement:
-    """Element of the exterior algebra on n_gen odd generators.
+def _monomial(power: int, mask: int) -> str:
+    """lambda^2*e01 for (2, 0b1); the generator label alone at power 0."""
+    return _label(mask) if power == 0 else f"lambda^{power}*{_label(mask)}"
 
-    terms maps a generator-subset bitmask to its rational coefficient; zero
+
+class GrassmannElement:
+    """Polynomial in a central even variable lambda over the exterior algebra
+    on n_gen >= 0 odd generators (n_gen = 0 gives polynomials over Q).
+
+    terms maps (lambda power, generator-subset bitmask) to an exact
+    coefficient, an int when integral and a Fraction otherwise; zero
     coefficients are never stored.
     """
 
     __slots__ = ("n_gen", "terms")
 
-    def __init__(self, n_gen: int, terms: Optional[Dict[int, Fraction]] = None):
-        if n_gen < 1:
-            raise ValueError("need at least one generator")
-        self.n_gen = n_gen
-        clean: Dict[int, Fraction] = {}
-        for mask, c in (terms or {}).items():
+    def __init__(self, n_gen: int, terms: Optional[Dict[Tuple[int, int], Scalar]] = None):
+        if n_gen < 0:
+            raise ValueError(f"the number of generators must be >= 0, got {n_gen}")
+        for power, mask in terms or {}:
+            if not isinstance(power, int) or power < 0:
+                raise ValueError(f"lambda power {power!r} is not a nonnegative integer")
             if mask < 0 or mask >> n_gen:
                 raise ValueError(f"bitmask {mask:#x} outside {n_gen} generators")
-            c = _exact(c)
-            if c != 0:
-                clean[mask] = c
-        self.terms = clean
+        self.n_gen = n_gen
+        self.terms = _compact({key: _exact(c) for key, c in (terms or {}).items()})
 
-    @classmethod
-    def zero(cls, n_gen: int) -> "GrassmannElement":
-        return cls(n_gen, {})
+    def _new(self, terms: Dict[Tuple[int, int], Scalar]) -> "GrassmannElement":
+        """An element over self's generators with terms as given: checked,
+        exact and compact already."""
+        out = object.__new__(GrassmannElement)
+        out.n_gen = self.n_gen
+        out.terms = terms
+        return out
 
     @classmethod
     def scalar(cls, n_gen: int, value: Scalar) -> "GrassmannElement":
-        return cls(n_gen, {0: value})
+        return cls(n_gen, {(0, 0): value})
 
     @classmethod
     def generator(cls, n_gen: int, i: int) -> "GrassmannElement":
         if not 0 <= i < n_gen:
             raise ValueError(f"generator index {i} out of range")
-        return cls(n_gen, {1 << i: Fraction(1)})
+        return cls(n_gen, {(0, 1 << i): 1})
+
+    @classmethod
+    def lam(cls, n_gen: int) -> "GrassmannElement":
+        """The variable lambda."""
+        return cls(n_gen, {(1, 0): 1})
 
     def _check(self, other: "GrassmannElement") -> None:
         if self.n_gen != other.n_gen:
@@ -103,38 +118,45 @@ class GrassmannElement:
                 f"generator sets differ: {self.n_gen} vs {other.n_gen}"
             )
 
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
+    def _plus(self, other: "GrassmannElement", sign: int) -> "GrassmannElement":
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            out[mask] = out.get(mask, Fraction(0)) + c
-        return GrassmannElement(self.n_gen, out)
+        out = dict(self.terms)  # already compact; only touched keys change
+        for key, c in other.terms.items():
+            c = out.pop(key, 0) + sign * c
+            if c:
+                out[key] = c.numerator if c.denominator == 1 else c
+        return self._new(out)
+
+    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.n_gen, {m: -c for m, c in self.terms.items()})
+        return self._new({key: -c for key, c in self.terms.items()})
 
     def __mul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, Fraction)):
-            return GrassmannElement(
-                self.n_gen, {m: c * other for m, c in self.terms.items()}
-            )
+            return self._new(_compact({key: c * other for key, c in self.terms.items()}))
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check(other)
-        product = LamPoly.lift(self) * LamPoly.lift(other)
-        return GrassmannElement(self.n_gen, {mask: c for (_, mask), c in product.terms.items()})
+        out: Dict[Tuple[int, int], Scalar] = {}
+        for (pa, ma), ca in self.terms.items():
+            for (pb, mb), cb in other.terms.items():
+                if ma & mb:
+                    continue  # repeated odd generator squares to zero
+                key = (pa + pb, ma | mb)
+                c = ca * cb
+                if (ma & _below_parity(mb)).bit_count() & 1:
+                    c = -c
+                out[key] = out.get(key, 0) + c
+        return self._new(_compact(out))
 
-    def __rmul__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # reached only with a scalar or foreign left operand
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,23 +168,32 @@ class GrassmannElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def witness(self) -> Optional[str]:
+        """None for zero; otherwise the lowest monomial (lowest lambda power,
+        then lowest generator bitmask) with its coefficient, as text."""
+        if not self.terms:
+            return None
+        power, mask = min(self.terms)
+        return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[power, mask]})"
+
     def to_json(self) -> str:
         """Canonical form: sorted monomial labels, rational strings."""
         obj = {
             "generators": self.n_gen,
-            "terms": {
-                _label(m): _frac_str(c) for m, c in self.terms.items()
-            },
+            "terms": {_monomial(*key): _frac_str(c) for key, c in self.terms.items()},
         }
         return json.dumps(obj, sort_keys=True)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "GrassmannElement(0)"
-        parts = [
-            f"{c}*{_label(m)}" for m, c in sorted(self.terms.items())
-        ]
+        parts = [f"{c}*{_monomial(*key)}" for key, c in sorted(self.terms.items())]
         return "GrassmannElement(" + " + ".join(parts) + ")"
+
+
+def _compact(terms: Dict[Tuple[int, int], Scalar]) -> Dict[Tuple[int, int], Scalar]:
+    """terms without zeros, integral coefficients as ints."""
+    return {key: c.numerator if c.denominator == 1 else c for key, c in terms.items() if c}
 
 
 class AlgebraMatrix:
@@ -173,10 +204,8 @@ class AlgebraMatrix:
         if k == 0 or any(len(row) != k for row in entries):
             raise ValueError("entries must form a nonempty square array")
         n_gen = entries[0][0].n_gen
-        for row in entries:
-            for e in row:
-                if e.n_gen != n_gen:
-                    raise GeneratorMismatch("matrix entries over different generator sets")
+        if any(e.n_gen != n_gen for row in entries for e in row):
+            raise GeneratorMismatch("matrix entries over different generator sets")
         self.entries = entries
         self.k = k
         self.n_gen = n_gen
@@ -190,20 +219,7 @@ class AlgebraMatrix:
         return cls([[alpha[i] * beta[j] for j in range(k)] for i in range(k)])
 
     def trace(self) -> GrassmannElement:
-        acc = GrassmannElement.zero(self.n_gen)
-        for i in range(self.k):
-            acc = acc + self.entries[i][i]
-        return acc
-
-    def matmul(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
-        if self.k != other.k:
-            raise ValueError("dimension mismatch")
-        return AlgebraMatrix(_matmul(self.entries, other.entries))
-
-    def scaled(self, factor: GrassmannElement) -> "AlgebraMatrix":
-        return AlgebraMatrix(
-            [[factor * e for e in row] for row in self.entries]
-        )
+        return sum((self.entries[i][i] for i in range(self.k)), GrassmannElement(self.n_gen))
 
     def det_leibniz(self) -> GrassmannElement:
         """Leibniz sum; valid because even entries commute pairwise."""
@@ -213,7 +229,7 @@ class AlgebraMatrix:
         """First-row cofactor expansion (entries must commute: even elements)."""
         if self.k == 1:
             return self.entries[0][0]
-        acc = GrassmannElement.zero(self.n_gen)
+        acc = GrassmannElement(self.n_gen)
         for j in range(self.k):
             minor = AlgebraMatrix(
                 [
@@ -230,13 +246,8 @@ class AlgebraMatrix:
 
 
 def _perm_sign(perm: Tuple[int, ...]) -> int:
-    inv = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return -1 if inv & 1 else 1
+    inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+    return -1 if inversions & 1 else 1
 
 
 def _leibniz(rows, one):
@@ -274,76 +285,6 @@ def _first_mismatch(X, Y):
     return None
 
 
-# -- polynomials in lambda with Grassmann coefficients -------------------------
-
-
-class LamPoly:
-    """Polynomial in a central variable lambda over the exterior algebra.
-
-    terms maps (lambda power, generator bitmask) to an exact coefficient,
-    an int when integral and a Fraction otherwise; zero coefficients are
-    never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[Dict[Tuple[int, int], Scalar]] = None):
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if type(c) is not int:
-                c = _exact(c)
-                if c.denominator == 1:
-                    c = c.numerator
-            if c:
-                self.terms[key] = c
-
-    @classmethod
-    def lift(cls, e: GrassmannElement, power: int = 0) -> "LamPoly":
-        """lambda^power * e."""
-        return cls({(power, mask): c for mask, c in e.terms.items()})
-
-    def _plus(self, other: "LamPoly", sign: int) -> "LamPoly":
-        if not isinstance(other, LamPoly):
-            return NotImplemented
-        out = LamPoly()
-        out.terms = dict(self.terms)  # already exact; only touched keys change
-        for key, c in other.terms.items():
-            c = out.terms.pop(key, 0) + sign * c
-            if c:
-                out.terms[key] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
-        return out
-
-    def __add__(self, other: "LamPoly") -> "LamPoly":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "LamPoly") -> "LamPoly":
-        return self._plus(other, -1)
-
-    def __mul__(self, other: "LamPoly") -> "LamPoly":
-        if not isinstance(other, LamPoly):
-            return NotImplemented
-        out: Dict[Tuple[int, int], Scalar] = {}
-        for (pa, ma), ca in self.terms.items():
-            for (pb, mb), cb in other.terms.items():
-                if ma & mb:
-                    continue  # repeated odd generator squares to zero
-                key = (pa + pb, ma | mb)
-                c = ca * cb
-                if (ma & _below_parity(mb)).bit_count() & 1:
-                    c = -c
-                out[key] = out.get(key, 0) + c
-        return LamPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LamPoly) and self.terms == other.terms
-
-    def witness(self) -> Optional[str]:
-        """None for zero; otherwise the lowest monomial (lowest lambda power,
-        then lowest generator bitmask) with its coefficient, as text."""
-        if not self.terms:
-            return None
-        power, mask = min(self.terms)
-        return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[power, mask]})"
 
 
 @dataclass(frozen=True)
@@ -363,16 +304,13 @@ class RankOneReport:
         return all(i.passed for i in self.identities)
 
     def first_failure(self) -> Optional[IdentityCheck]:
-        for i in self.identities:
-            if not i.passed:
-                return i
-        return None
+        return next((i for i in self.identities if not i.passed), None)
 
 
 def rank1_check(k: int) -> RankOneReport:
     """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6."""
     if not 1 <= k <= 6:
-        raise InvalidInput(f"k must be in 1..6 (cost grows as 2^(2k)), got {k}")
+        raise InvalidInput(f"the matrix size k must lie in 1..6 (cost grows as 2^(2k)), got {k}")
     return rank1_identities(AlgebraMatrix.rank_one(k))
 
 
@@ -387,19 +325,20 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
     All three hold for A_ij = alpha_i * beta_j with odd alpha, beta; a
     failing identity carries the lowest monomial where it fails.
     """
-    k = A.k
+    k, entries = A.k, A.entries
     a = -A.trace()
 
     # (i) A^2 == a * A
-    bad = _first_mismatch(A.matmul(A).entries, A.scaled(a).entries)
-    witness_i = None
-    if bad is not None:
-        witness_i = f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms))}"
+    bad = _first_mismatch(_matmul(entries, entries), [[a * e for e in row] for row in entries])
+    witness_i = None if bad is None else (
+        f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms)[1])}"
+    )
 
-    one, zero = LamPoly({(0, 0): 1}), LamPoly()
+    one, zero, lam = (GrassmannElement.scalar(A.n_gen, 1), GrassmannElement(A.n_gen),
+                      GrassmannElement.lam(A.n_gen))
     eye = [[one if i == j else zero for j in range(k)] for i in range(k)]
-    lam_A = [[LamPoly.lift(e, 1) for e in row] for row in A.entries]
-    lam_a = LamPoly.lift(a, 1)
+    lam_A = [[lam * e for e in row] for row in entries]
+    lam_a = lam * a
 
     # geometric series for 1/(1 - lam*a); it ends because a nilpotent element
     # of the exterior algebra on n_gen generators has a^(n_gen + 1) == 0
@@ -407,7 +346,7 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
     for _ in range(A.n_gen + 1):
         geom = geom + power
         power = power * lam_a
-    if power.terms:
+    if not power.is_zero():
         raise ValueError("a = -Tr A is not nilpotent")
 
     M = [[eye[i][j] - lam_A[i][j] for j in range(k)] for i in range(k)]
@@ -415,9 +354,7 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
 
     # (ii) M @ M_inv == I
     bad = _first_mismatch(_matmul(M, M_inv), eye)
-    witness_ii = None
-    if bad is not None:
-        witness_ii = f"entry ({bad[0]},{bad[1]}): {bad[2].witness()}"
+    witness_ii = None if bad is None else f"entry ({bad[0]},{bad[1]}): {bad[2].witness()}"
 
     # (iii) det(I - lam*A) * (1 - lam*a) == 1
     witness_iii = (_leibniz(M, one) * (one - lam_a) - one).witness()
@@ -456,11 +393,11 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     genuine idempotent family; a fractional value is rejected (that branch
     of the exponential formula is out of scope here).
     """
-    rows = [[Fraction(x) for x in row] for row in A]
+    rows = [[_exact(x) for x in row] for row in A]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("A must be a nonempty square matrix")
-    a = Fraction(a)
+    a = _exact(a)
     if a == 0:
         raise ValueError("a must be nonzero")
     # A @ A == a * A, exactly
@@ -479,14 +416,13 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
         )
     rank = int(rank)
 
-    # det(I - lam*A) as a polynomial in lam: LamPolys without generators
-    one = LamPoly({(0, 0): 1})
+    # det(I - lam*A) as a polynomial in lam over the algebra on no generators
     det = _leibniz(
         [
-            [LamPoly({(0, 0): int(i == j), (1, 0): -x}) for j, x in enumerate(row)]
+            [GrassmannElement(0, {(0, 0): int(i == j), (1, 0): -x}) for j, x in enumerate(row)]
             for i, row in enumerate(rows)
         ],
-        one,
+        GrassmannElement.scalar(0, 1),
     )
     degree = max(power for power, _ in det.terms)
 

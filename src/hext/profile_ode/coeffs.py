@@ -37,7 +37,7 @@ class KahlerClassIndex:
 
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise InvalidInput(f"m must be a positive integer, got {self.m!r}")
+            raise InvalidInput(f"the class index m must be a positive integer, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,6 @@ def admissible_C_max(m: int, eps: Rational) -> Fraction:
     """
     eps = Fraction(eps)
     if eps < 0 or eps >= 2:
-        raise InvalidInput(f"need 0 <= eps < 2, got {eps}")
+        raise InvalidInput(f"the window margin eps must lie in [0, 2), got {eps}")
     ln = compute_LN(m)
     return (-2 + eps - ln.N) / ln.L

@@ -277,20 +277,30 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
     return tuple(points)
 
 
+def _finite(x: float) -> bool:
+    """math.isfinite, with an int too large for a float counted as not finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     """Defect over a monotone C grid, solved as one batch at SCAN_CONFIG.
     Integrator errors are recorded per point, not raised.  Requires a finite
     window C_lo < C_hi with C_hi inside the admissible window, and
     2 <= steps <= MAX_SCAN_STEPS."""
     c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
-    if not (math.isfinite(C_lo) and math.isfinite(C_hi)):
-        raise InvalidInput(f"the C window must be finite, got [{C_lo:g}, {C_hi:g}]")
+    if not (_finite(C_lo) and _finite(C_hi)):
+        raise InvalidInput("the C window must be finite")
     if C_hi > c_max + 1e-9:
-        raise InvalidInput(f"C_hi={C_hi:g} exceeds admissible maximum {c_max:.12g}")
+        raise InvalidInput(
+            f"the C window's upper end {C_hi:g} exceeds the admissible maximum {c_max:.12g}"
+        )
     if not C_lo < C_hi:
-        raise InvalidInput(f"need C_lo < C_hi, got [{C_lo:g}, {C_hi:.10g}]")
+        raise InvalidInput(f"the C window [{C_lo:g}, {C_hi:.10g}] is empty")
     if not 2 <= steps <= MAX_SCAN_STEPS:
-        raise InvalidInput(f"need 2 <= steps <= {MAX_SCAN_STEPS}, got {steps}")
+        raise InvalidInput(f"the number of scan points must lie in 2..{MAX_SCAN_STEPS}, got {steps}")
     return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), SCAN_CONFIG))
 
 
@@ -342,9 +352,9 @@ def shoot(
     # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
     # at the bracket edges a tolerance would accept an edge as the root
     if not 0 < defect_tol <= 1e-3:
-        raise InvalidInput(f"defect_tol must lie in (0, 1e-3], got {defect_tol:g}")
-    if c_max is not None and not math.isfinite(c_max):
-        raise InvalidInput(f"c_max must be finite, got {c_max:g}")
+        raise InvalidInput(f"the defect tolerance must lie in (0, 1e-3], got {defect_tol!r}")
+    if c_max is not None and not _finite(c_max):
+        raise InvalidInput("the upper end of the C window must be finite")
     c_adm = float(admissible_C_max(m, EPS_FLOOR))
     c_hi = c_adm if c_max is None else min(c_adm, c_max)
     scan = defect_scan(m, c_min, c_hi, 64)

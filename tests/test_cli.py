@@ -102,6 +102,16 @@ def test_negative_exponent_values_are_values(capsys):
     assert spaced["payload_sha256"] == joined["payload_sha256"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["shoot", "--m", "1", "--c-min", "-inf"],
+    ["scan", "--m", "1", "--c-min", "-nan", "--c-max", "1"],
+    ["scan", "--m", "1", "--c-min", "-Infinity", "--c-max", "1"],
+], ids=["shoot-inf", "scan-nan", "scan-Infinity"])
+def test_negative_non_finite_values_reach_the_library(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: the C window must be finite\n"
+
+
 def test_scan_cli(tmp_path, capsys):
     out = tmp_path / "s"
     code = main(
@@ -232,7 +242,7 @@ def _mostly(valid, *invalid):
     return st.integers(0, 9).flatmap(lambda k: invalid[k] if k < len(invalid) else valid)
 
 
-_JUNK = st.sampled_from(["x", "", "1.5", "nan", "inf", "1e400", "-0", "-2", "0"])
+_JUNK = st.sampled_from(["x", "", "1.5", "nan", "inf", "-inf", "1e400", "-1e6", "-0", "-2", "0"])
 _HUGE = st.just(str(10**30))  # for every integer flag but --m, which would make runs slow
 _M = _mostly(st.integers(1, 3).map(str), _JUNK)
 _INT = _mostly(st.integers(1, 9).map(str), _JUNK, _HUGE)

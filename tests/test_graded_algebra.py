@@ -19,8 +19,6 @@ from hext.errors import (
     NotInvertible,
     TruncationMismatch,
 )
-from hext.graded_algebra import LamPoly
-
 
 def _gen(n, i):
     return GrassmannElement.generator(n, i)
@@ -40,8 +38,8 @@ def test_anticommutation_and_nilpotency():
 def _random_element(rng, n_gen, n_terms=4):
     terms = {}
     for _ in range(n_terms):
-        mask = rng.randrange(1 << n_gen)
-        terms[mask] = F(rng.randint(-5, 5), rng.randint(1, 4))
+        key = (rng.randrange(3), rng.randrange(1 << n_gen))  # lambda power, generators
+        terms[key] = F(rng.randint(-5, 5), rng.randint(1, 4))
     return GrassmannElement(n_gen, terms)
 
 
@@ -108,9 +106,9 @@ def test_rank1_rejects_out_of_range():
 
 def test_witness_reporting():
     n = 2
-    one = LamPoly.lift(GrassmannElement.scalar(n, 1))
+    one = GrassmannElement.scalar(n, 1)
     x = one
-    y = one + LamPoly.lift(_gen(n, 0) * _gen(n, 1), 1)
+    y = one + GrassmannElement.lam(n) * (_gen(n, 0) * _gen(n, 1))
     w = (x - y).witness()
     assert w is not None and "lambda^1" in w
     assert (x - one).witness() is None
@@ -127,7 +125,7 @@ def test_lam_poly_coefficients_stay_exact():
                 terms[key] = F(rng.randint(-5, 5), rng.randint(1, 4))
             else:
                 terms[key] = rng.randint(-3, 3)
-        return LamPoly(terms)
+        return GrassmannElement(6, terms)
 
     kinds = set()
     for _ in range(30):
@@ -138,30 +136,35 @@ def test_lam_poly_coefficients_stay_exact():
                 assert type(c) is int or (type(c) is F and c.denominator != 1)
                 kinds.add(type(c))
     assert kinds == {int, F}
-    assert type(LamPoly({(0, 0): F(6, 3)}).terms[0, 0]) is int
+    assert type(GrassmannElement(6, {(0, 0): F(6, 3)}).terms[0, 0]) is int
     with pytest.raises(TypeError):
-        LamPoly({(0, 0): 0.5})
+        GrassmannElement(6, {(0, 0): 0.5})
+    for power in (-1, 1.5):
+        with pytest.raises(ValueError):
+            GrassmannElement(6, {(power, 0): 1})
 
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda: GrassmannElement.scalar(2, 0.1),
-        lambda: GrassmannElement(2, {0b11: 0.5}),
+        lambda: GrassmannElement(2, {(0, 0b11): 0.5}),
         lambda: TruncatedPoly(2, {(0, 0, 0): 0.1}),
         lambda: TruncatedPoly.const(2, 0.5),
+        lambda: scalar_projector_check([[0.5, 0.5], [0.5, 0.5]], 1.0),
+        lambda: scalar_projector_check([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], 1.0),
     ],
 )
 def test_floats_do_not_enter_the_exact_layer(build):
     with pytest.raises(TypeError):
         build()
-    assert GrassmannElement.scalar(2, F(1, 10)).terms == {0: F(1, 10)}
+    assert GrassmannElement.scalar(2, F(1, 10)).terms == {(0, 0): F(1, 10)}
     assert TruncatedPoly(2, {(0, 0, 0): 3}).terms == {(0, 0, 0): F(3)}
 
 
 @pytest.mark.parametrize("element", [
-    GrassmannElement.scalar(2, 1), TruncatedPoly.const(2, 1), LamPoly({(0, 0): 1}),
-], ids=["grassmann", "truncpoly", "lampoly"])
+    GrassmannElement.scalar(2, 1), TruncatedPoly.const(2, 1),
+], ids=["grassmann", "truncpoly"])
 @pytest.mark.parametrize("operand", [0.5, "x"])
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 def test_foreign_operands_raise_type_error(element, operand, op):
