@@ -25,8 +25,8 @@ from math import comb, prod
 from typing import List, Tuple
 
 from .errors import InvalidInput, SeriesMismatch
-from .graded_algebra import TruncatedPoly, _exact
-from .ratpoly import _frac_str
+from .graded_algebra import TruncatedPoly
+from .ratpoly import _exact, _frac_str
 
 # the largest ambient dimension: the suite checks the three alpha methods
 # against each other, and the closed invariants against localization, for

@@ -30,16 +30,9 @@ from .errors import (
     NotInvertible,
     TruncationMismatch,
 )
-from .ratpoly import _frac_str
+from .ratpoly import _exact, _frac_str
 
 Scalar = Union[int, Fraction]
-
-
-def _exact(c: Scalar) -> Fraction:
-    """c as a Fraction; a float or any other inexact type raises TypeError."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"coefficient {c!r} is neither an int nor a Fraction")
-    return Fraction(c)
 
 
 @functools.lru_cache(maxsize=1 << 12)

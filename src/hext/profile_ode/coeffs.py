@@ -18,6 +18,7 @@ from typing import Tuple, Union
 
 from .. import ratpoly
 from ..errors import InvalidInput
+from ..ratpoly import _exact
 
 Rational = Union[int, float, Fraction]
 
@@ -183,12 +184,12 @@ def compute_LN(m: int) -> LNConstants:
     return LNConstants(m=m, L=L, N=N)
 
 
-def admissible_C_max(m: int, eps: Rational) -> Fraction:
+def admissible_C_max(m: int, eps: Union[int, Fraction]) -> Fraction:
     """Largest C with L*C + N >= -2 + eps (L < 0 reverses the inequality).
 
     eps = 0 gives the closure of the admissible window and is accepted.
     """
-    eps = Fraction(eps)
+    eps = _exact(eps)
     if eps < 0 or eps >= 2:
         raise InvalidInput(f"the window margin eps must lie in [0, 2), got {eps}")
     ln = compute_LN(m)

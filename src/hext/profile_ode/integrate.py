@@ -47,11 +47,11 @@ class IntegratorConfig:
     """Tolerances and step cap of the DOP853 v-integration.
 
     The step is capped at m/max_step_divisor; halved() doubles the divisor.
-    The cap keeps the defect refinement-stable; SCAN_CONFIG shares it and
-    only loosens the tolerances.  Left to the tolerance alone, DOP853 takes
-    7-13 steps and the defect is off by more than 10*rel_tol (1.2e-9 at m=7,
-    C=2; 9.3e-9 at m=10, C=-20 even at rel_tol=1e-13, against a solve capped
-    at m/128).  With m/32 the defect at the tested points (m, C) = (1, 22/3),
+    The cap keeps the defect refinement-stable; only defect_scan solves at
+    SCAN_CONFIG, which shares it and loosens the tolerances.  Left to the
+    tolerance alone, DOP853 takes 7-13 steps and the defect is off by more
+    than 10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
+    rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect at the tested points (m, C) = (1, 22/3),
     (1, 2), (5, 2), (7, 2), (10, -20) is within 8.8e-11 of a 30-digit mpmath
     solve and within 8.7e-11 of its halved-cap value, at a few ms a solve.
     """
@@ -66,7 +66,7 @@ class IntegratorConfig:
 
 DEFAULT_CONFIG = IntegratorConfig()
 
-# the same step cap with looser tolerances is enough to read off defect signs
+# defect_scan's: the same step cap with looser tolerances reads off defect signs
 SCAN_CONFIG = replace(DEFAULT_CONFIG, rel_tol=1e-8, abs_tol=1e-10)
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
@@ -285,11 +285,9 @@ def _finite(x: float) -> bool:
         return False
 
 
-def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
-    """Defect over a monotone C grid, solved as one batch at SCAN_CONFIG.
-    Integrator errors are recorded per point, not raised.  Requires a finite
-    window C_lo < C_hi with C_hi inside the admissible window, and
-    2 <= steps <= MAX_SCAN_STEPS."""
+def _window(m: int, C_lo: float, C_hi: float, steps: int) -> np.ndarray:
+    """The grid of `steps` C over a finite window C_lo < C_hi whose top lies
+    in the admissible window; requires 2 <= steps <= MAX_SCAN_STEPS."""
     c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
     if not (_finite(C_lo) and _finite(C_hi)):
         raise InvalidInput("the C window must be finite")
@@ -301,19 +299,28 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
         raise InvalidInput(f"the C window [{C_lo:g}, {C_hi:.10g}] is empty")
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise InvalidInput(f"the number of scan points must lie in 2..{MAX_SCAN_STEPS}, got {steps}")
-    return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps), SCAN_CONFIG))
+    return np.linspace(C_lo, C_hi, steps)
 
 
-def _extend_scan_upward(m: int, scan: ScanResult) -> ScanResult:
-    """Continue a bracketless scan past its top edge in steps of 1/64, at
-    most 256 of them, up to the first defect that is not positive, eight C
-    per solve (the roots for m = 3..8 lie 4-7 steps past the edge)."""
+def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
+    """Defect over the _window grid, solved as one batch at SCAN_CONFIG.
+    Integrator errors are recorded per point, not raised."""
+    return ScanResult(m=m, points=_solve_defects(m, _window(m, C_lo, C_hi, steps), SCAN_CONFIG))
+
+
+def _extend_scan_upward(m: int, scan: ScanResult, block: Tuple[ScanPoint, ...]) -> ScanResult:
+    """Continue a bracketless scan past its top edge c in steps of 1/64, at
+    most 256 of them, up to the first defect that is not positive.  `block`
+    holds c + k/64, k = 1..8; later blocks of eight are solved at DEFAULT_CONFIG
+    (the roots for m = 3..8 lie 4-7 steps past the edge)."""
     points = list(scan.points)
     last = points[-1]
     if last.defect is None or last.defect <= 0.0:
         return scan
     for k in range(1, 257, 8):
-        for point in _solve_defects(m, last.c + np.arange(k, k + 8) * 2.0 ** -6, SCAN_CONFIG):
+        if k > 1:
+            block = _solve_defects(m, last.c + np.arange(k, k + 8) * 2.0 ** -6, DEFAULT_CONFIG)
+        for point in block:
             points.append(point)
             if point.defect is None or point.defect <= 0.0:
                 return ScanResult(m=m, points=tuple(points))
@@ -344,10 +351,12 @@ def shoot(
     so the scan only has to find the negative side.  Raises NoBracket (with
     the scan attached) when no sign change exists in the window, which for
     large m is a legitimate outcome rather than a failure of the method.
-    Brent's method stops once |defect| < defect_tol or the bracket is
-    narrower than 1e-10, and fails after 60 iterations; `iterations` counts
-    its solves past the two edges, all at DEFAULT_CONFIG.  Requires
-    0 < defect_tol <= 1e-3 and a finite c_max.
+    The scan is one batch at DEFAULT_CONFIG that gives Brent's method its
+    edges.  Brent's method stops once |defect| < defect_tol, or the bracket
+    is narrower than 1e-10, or after 60 iterations.  `iterations` counts its
+    scalar DEFAULT_CONFIG solves, the only source of c_star (an edge inside
+    the tolerance is solved once more); StepFailure is raised unless
+    |defect| < defect_tol there.  Requires 0 < defect_tol <= 1e-3, finite c_max.
     """
     # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
     # at the bracket edges a tolerance would accept an edge as the root
@@ -357,59 +366,59 @@ def shoot(
         raise InvalidInput("the upper end of the C window must be finite")
     c_adm = float(admissible_C_max(m, EPS_FLOOR))
     c_hi = c_adm if c_max is None else min(c_adm, c_max)
-    scan = defect_scan(m, c_min, c_hi, 64)
+    cs = _window(m, c_min, c_hi, 64)
+    if c_max is None:  # the first block of the upward extension rides along
+        cs = np.concatenate([cs, c_hi + np.arange(1, 9) * 2.0 ** -6])
+    solved = _solve_defects(m, cs, DEFAULT_CONFIG)
+    scan = ScanResult(m=m, points=solved[:64])
     if not scan.brackets and c_max is None:
-        # The eps-floor window is a sufficient condition for positivity, not
-        # a necessary one; when the defect is still positive at the window
-        # edge the root lies beyond it (that is the delicate regime for
-        # m >= 3).  Probe upward in fine steps until the sign flips or the
-        # positivity floor genuinely trips.
-        scan = _extend_scan_upward(m, scan)
+        # the eps-floor window suffices for positivity but is not necessary:
+        # for m >= 3 the defect is still positive at its edge and the root
+        # lies beyond, where the sign flips before positivity trips
+        scan = _extend_scan_upward(m, scan, solved[64:])
     if not scan.brackets:
         raise NoBracket(
             f"no defect sign change for m={m} in C range [{c_min:g}, {c_hi:.6g}]",
             scan=scan,
         )
     lo, hi = scan.brackets[0]
-    best = {}
+    solves = []  # (C, defect) of every scalar endpoint solve
 
     def defect_at(c: float) -> float:
         _, sol = _integrate(m, c, DEFAULT_CONFIG, dense_output=False)
         d = float(sol.y[0, -1] - 2.0 * (m + 1) ** 2)  # as Trajectory.defect
-        if not best or abs(d) < abs(best["d"]):
-            best.update(c=c, d=d)
+        solves.append((c, d))
         # brentq returns at once on an exact zero: that is how defect_tol
         # ends the search
         return 0.0 if abs(d) < defect_tol else d
 
-    # the scan used coarser tolerances, so the edges are solved again
-    edges = {lo: defect_at(lo), hi: defect_at(hi)}
-    if edges[lo] * edges[hi] > 0.0:
-        raise NoBracket(
-            f"bracket ({lo:g}, {hi:g}) lost its sign change at full accuracy",
-            scan=scan,
-        )
-    _, info = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
-                     xtol=1e-10, maxiter=60, full_output=True, disp=False)
-    if not info.converged:
-        raise StepFailure(
-            "Brent's method did not converge in 60 iterations "
-            f"(|defect|={abs(best['d']):g})"
-        )
-    traj = integrate_v(m, best["c"])
+    # Brent's edges come from the scan; an edge inside the tolerance is
+    # returned only once a scalar solve agrees
+    edges = {p.c: 0.0 if abs(p.defect) < defect_tol and defect_at(p.c) == 0.0 else p.defect
+             for p in scan.points if p.c in (lo, hi)}
+    root = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
+                  xtol=1e-10, maxiter=60, disp=False)
+    if not solves:  # a bracket narrower than xtol takes no Brent solve
+        defect_at(root)
+    c_star, defect = min(solves, key=lambda s: abs(s[1]))
+    # Brent's method also stops on xtol, or unconverged after 60 iterations
+    if not abs(defect) < defect_tol:
+        raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
+                          f"{abs(defect):g} after {len(solves)} solves, not below {defect_tol:g}")
+    traj = integrate_v(m, c_star)
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
     a_slope = float(traj.meta.A)
     return ShootResult(
         m=m,
-        c_star=best["c"],
+        c_star=c_star,
         trajectory=traj,
         defect=traj.defect,
         a_slope=a_slope,
         not_hcsck=abs(a_slope) > 1e-3,
         phi_prime_end=float(traj.phi_prime[-1]),
         bracket=(lo, hi),
-        iterations=info.function_calls - 2,
+        iterations=len(solves),
         scan=scan,
     )
 

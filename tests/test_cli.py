@@ -155,6 +155,17 @@ def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
     assert main(["shoot", "--m", "1", "--c-min", "7.8", "--c-max", "8.0"]) == EXIT_NO_BRACKET
 
 
+def test_shoot_fails_when_the_defect_misses_the_tolerance(capsys):
+    # Brent's method may stop on its C tolerance first: m = 8 then reaches
+    # |defect| of about 6e-13, which is no answer at --tol 1e-13
+    assert main(["shoot", "--m", "8", "--tol", "1e-13", "--json"]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False, "reason": "error"}
+    assert "m=8" in doc["outputs"]["message"] and "|defect|=" in doc["outputs"]["message"]
+    assert main(["shoot", "--m", "1", "--tol", "1e-13", "--json"]) == EXIT_OK
+    assert abs(json.loads(capsys.readouterr().out)["outputs"]["defect"]) < 1e-13
+
+
 def test_every_subcommand_honors_json(capsys):
     commands = [
         ["certify", "--m", "1"],

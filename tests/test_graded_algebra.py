@@ -9,6 +9,7 @@ from hext import (
     AlgebraMatrix,
     GrassmannElement,
     TruncatedPoly,
+    admissible_C_max,
     rank1_check,
     rank1_identities,
     scalar_projector_check,
@@ -153,6 +154,7 @@ def test_lam_poly_coefficients_stay_exact():
         lambda: TruncatedPoly.const(2, 0.5),
         lambda: scalar_projector_check([[0.5, 0.5], [0.5, 0.5]], 1.0),
         lambda: scalar_projector_check([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], 1.0),
+        lambda: admissible_C_max(1, 0.1),
     ],
 )
 def test_floats_do_not_enter_the_exact_layer(build):

@@ -4,9 +4,19 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hext import coeffs_from_C, integrate_v, reconstruct_curve, residual_check, shoot
-from hext.errors import NoBracket
-from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _csv, _integrate
+from scipy.integrate import solve_ivp
+
+from hext import (
+    admissible_C_max,
+    coeffs_from_C,
+    integrate_v,
+    reconstruct_curve,
+    residual_check,
+    shoot,
+)
+from hext.errors import NoBracket, StepFailure
+from hext.profile_ode.coeffs import EPS_FLOOR
+from hext.profile_ode.integrate import DEFAULT_CONFIG, _csv, _integrate
 
 # C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
 # table that perfbench/make_reference.py writes to perfbench/reference.json
@@ -84,14 +94,54 @@ def test_c_star_matches_mpmath_reference(m):
 
 
 def test_upward_extension_matches_per_point_solves():
-    # for m = 4 the root lies past the eps-floor window; the extension's
-    # batched points must agree with one solve per C and stop at the first
-    # non-positive defect
-    ext = shoot(4).scan.points[64:]
-    assert ext and ext[-1].defect <= 0
-    assert all(p.defect > 0 for p in ext[:-1])
-    for p in ext:
-        assert abs(p.defect - integrate_v(4, p.c, SCAN_CONFIG).defect) < 1e-7
+    # for m >= 3 the root lies past the eps-floor window; the extension's
+    # batched points must agree with one full-accuracy solve per C and stop
+    # at the first non-positive defect
+    for m in (4, 8):
+        ext = shoot(m).scan.points[64:]
+        assert ext and ext[-1].defect <= 0
+        assert all(p.defect > 0 for p in ext[:-1])
+        for p in ext:
+            assert abs(p.defect - integrate_v(m, p.c).defect) < 1e-8
+
+
+@pytest.mark.parametrize("m", sorted(C_STAR_REF))
+def test_one_batched_solve_then_scalar_solves(m, monkeypatch):
+    # the 64-point scan and the first 8 points of the upward extension are
+    # one batch, which also gives Brent's method its edge values; after it
+    # come Brent's scalar solves and the dense one at c_star
+    sizes = []
+
+    def counted(rhs, t_span, y0, **kwargs):
+        sizes.append(len(y0))
+        return solve_ivp(rhs, t_span, y0, **kwargs)
+
+    monkeypatch.setattr("hext.profile_ode.integrate.solve_ivp", counted)
+    res = shoot(m)
+    assert sizes == [64 + 8] + [1] * (res.iterations + 1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_root_on_a_scan_point_is_confirmed_by_a_scalar_solve(m):
+    # window point 40 placed on C*: its batched defect is inside the
+    # tolerance, so that bracket edge is returned after one scalar solve
+    # (for m >= 3 the root lies past the window, out of c_min's reach)
+    c_hi = float(admissible_C_max(m, EPS_FLOOR))
+    c_min = (63 * C_STAR_REF[m] - 40 * c_hi) / 23
+    assert abs(np.linspace(c_min, c_hi, 64)[40] - C_STAR_REF[m]) < 1e-12
+    res = shoot(m, c_min=c_min)
+    assert res.c_star in res.bracket and res.iterations == 1
+    assert abs(res.defect) < 1e-8
+    assert abs(res.c_star - C_STAR_REF[m]) < 1e-6
+    assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
+
+
+def test_bracket_narrower_than_xtol_takes_one_solve():
+    # Brent's method returns such a bracket without a solve of its own; the
+    # one scalar solve misses a tolerance this tight, which is reported
+    c = C_STAR_REF[1]
+    with pytest.raises(StepFailure, match="m=1 .* after 1 solves"):
+        shoot(1, defect_tol=1e-14, c_min=c - 1e-11, c_max=c + 1e-11)
 
 
 @pytest.fixture(scope="module")
