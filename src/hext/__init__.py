@@ -6,7 +6,9 @@ Three pillars:
   * profile_ode    - the momentum-profile boundary value problem: exact
                      coefficient algebra, adaptive integration, shooting on
                      the free parameter C, the exact m=1 certificate, and
-                     the constant-lambda (hcscK) contradiction check;
+                     the constant-lambda (hcscK) contradiction check; its
+                     NUMERICAL names, served here too, load numpy and scipy
+                     on first use, and nothing else imports either;
   * graded_algebra - finite exterior algebra and truncated series rings used
                      as exact oracles for determinant and generating-series
                      identities;
@@ -48,29 +50,26 @@ from .graded_algebra import (
     rank1_identities,
     scalar_projector_check,
 )
+from . import profile_ode
 from .profile_ode import (
+    EPS_FLOOR,
     CertificateM1,
+    Claim,
     CoeffSet,
-    IntegratorConfig,
     KahlerClassIndex,
     LNConstants,
-    NonexistenceReport,
-    ProfileCurve,
     ProfilePoly,
-    ScanResult,
-    ShootResult,
-    Trajectory,
     admissible_C_max,
     certify_m1,
     coeffs_from_C,
     compute_LN,
-    defect_scan,
     hcsck_coeffs,
-    hcsck_nonexistence,
-    integrate_v,
-    reconstruct_curve,
-    residual_check,
-    shoot,
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in profile_ode.NUMERICAL:
+        return getattr(profile_ode, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,6 +5,8 @@ turns every row into a RunReport: command, parameters (the row's flags),
 outputs (inline values or artifact file names), a pass/fail summary, and the
 wall time.  Artifacts and report payloads are byte-identical across repeated
 runs with identical flags; the wall time lives outside the hashed payload.
+certify, alpha, futaki and grassmann are exact and never load numpy or scipy;
+the first shoot, nonexist or scan in a process imports them in its wall time.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
 argparse only parses (numbers, choices, required flags); every rule on a
@@ -34,9 +36,8 @@ from typing import Callable, Dict, List, Tuple
 from .chern_futaki import alpha_closed, alpha_recursive, alpha_series, futaki_closed
 from .errors import CertificateFailure, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
-from .profile_ode import (
-    certify_m1, defect_scan, hcsck_nonexistence, reconstruct_curve, residual_check, shoot,
-)
+from . import profile_ode
+from .profile_ode import certify_m1
 from .ratpoly import _frac_str
 
 EXIT_OK = 0
@@ -100,9 +101,9 @@ _D = _flag("--d", int)
 
 
 def _shoot(a) -> _Outcome:
-    result = shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
-    residual = residual_check(result.trajectory)
-    curve = reconstruct_curve(result.trajectory)
+    result = profile_ode.shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
+    residual = profile_ode.residual_check(result.trajectory)
+    curve = profile_ode.reconstruct_curve(result.trajectory)
     outputs = {
         "c_star": result.c_star,
         "defect": result.defect,
@@ -142,7 +143,7 @@ def _certify(a) -> _Outcome:
 
 
 def _nonexist(a) -> _Outcome:
-    rep = hcsck_nonexistence(a.m)
+    rep = profile_ode.hcsck_nonexistence(a.m)
     outputs = {
         "A": "0/1",
         "B": _frac_str(rep.coeffs.B),
@@ -175,7 +176,7 @@ def _scan_csv(points) -> str:
 
 
 def _scan(a) -> _Outcome:
-    scan = defect_scan(a.m, a.c_min, a.c_max, a.steps)
+    scan = profile_ode.defect_scan(a.m, a.c_min, a.c_max, a.steps)
     outputs = {
         "points": [{"C": p.c, "defect": p.defect, "error": p.error} for p in scan.points],
         "brackets": [list(b) for b in scan.brackets],
@@ -219,8 +220,8 @@ def _grassmann(a) -> _Outcome:
 
 
 # name: (help, flags, body).  A flag is (flag, add_argument keywords) and
-# its dest is a report parameter.  A body reaches the library through this
-# module's globals, where perfbench's tracer finds and wraps it.
+# its dest is a report parameter.  Exact bodies call the library through
+# this module's globals; integrating ones through profile_ode as they run.
 _COMMANDS = {
     "shoot": (
         "solve the boundary value problem by shooting on C",

@@ -1,5 +1,8 @@
 """Momentum-profile boundary value problem: exact coefficient algebra,
-adaptive integration, parameter shooting, and the m = 1 certificate."""
+adaptive integration, parameter shooting, and the m = 1 certificate.  The
+NUMERICAL names live in .integrate, which alone imports numpy and scipy:
+__getattr__ loads it at their first use and looks them up there every time.
+"""
 
 from .certificate import CertificateM1, Claim, certify_m1
 from .coeffs import (
@@ -13,20 +16,16 @@ from .coeffs import (
     compute_LN,
     hcsck_coeffs,
 )
-from .integrate import (
-    DEFAULT_CONFIG,
-    MAX_SCAN_STEPS,
-    IntegratorConfig,
-    NonexistenceReport,
-    ProfileCurve,
-    ScanPoint,
-    ScanResult,
-    ShootResult,
-    Trajectory,
-    defect_scan,
-    hcsck_nonexistence,
-    integrate_v,
-    reconstruct_curve,
-    residual_check,
-    shoot,
-)
+
+NUMERICAL = frozenset({
+    "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
+    "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
+    "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
+})
+
+
+def __getattr__(name):
+    if name in NUMERICAL:
+        from . import integrate
+        return getattr(integrate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

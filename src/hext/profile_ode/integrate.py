@@ -170,7 +170,10 @@ def _lost(sol, i: int, c: float) -> None:
 def _integrate(m: int, C: Rational, cfg: IntegratorConfig, dense_output: bool):
     """integrate_v's coefficients and checked solve; dense output leaves the steps as they are."""
     cs = coeffs_from_C(m, C)  # validates m
-    a, b, c = cs.float_abc()
+    try:
+        a, b, c = cs.float_abc()
+    except OverflowError:
+        raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
 
     def rhs(t, y):
         v = y[0]
@@ -246,25 +249,30 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
     Positivity is checked per component by _lost: a C whose v reaches
     V_FLOOR is reported as that point's error.  Below zero the square root
     is taken of 0, so such a v stays smooth and does not shrink the shared
-    step.  A failed solve is split in halves until it is down to single C.
+    step.  A failed solve, or a C whose exact A or B does not fit a float, is
+    split in halves until it is down to single C.
     """
     # the exact affine maps C -> A, B of coeffs_from_C, rounded once per C
     a1, a0, b1, b0 = _linear_maps(m)
     exact = [Fraction(float(x)) for x in cs]
-    a3 = np.array([float(a1 * x + a0) for x in exact]) / 3.0
-    b2 = np.array([float(b1 * x + b0) for x in exact]) / 2.0
     c = np.array([float(x) for x in exact])
 
     def rhs(t, v):
         q = ((a3 * t + b2) * t * t + c) * t
         return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q
 
-    sol = _solve(rhs, m, np.full(len(cs), 2.0), cfg)
-    if sol.status < 0 and len(cs) > 1:  # halve the batch to isolate the failing C
+    try:
+        a3 = np.array([float(a1 * x + a0) for x in exact]) / 3.0
+        b2 = np.array([float(b1 * x + b0) for x in exact]) / 2.0
+    except OverflowError:
+        error = f"m={m}, C={cs[0]}: the coefficients do not fit a float"
+    else:
+        sol = _solve(rhs, m, np.full(len(cs), 2.0), cfg)
+        error = f"integration failed: {sol.message}" if sol.status < 0 else None
+    if error and len(cs) > 1:  # halve the batch to isolate the failing C
         half = len(cs) // 2
         return _solve_defects(m, cs[:half], cfg) + _solve_defects(m, cs[half:], cfg)
-    if sol.status < 0:
-        error = f"integration failed: {sol.message}"
+    if error:
         return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
     points = []
     for i, x in enumerate(cs):
@@ -408,14 +416,14 @@ def shoot(
     traj = integrate_v(m, c_star)
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
-    a_slope = float(traj.meta.A)
     return ShootResult(
         m=m,
         c_star=c_star,
         trajectory=traj,
         defect=traj.defect,
-        a_slope=a_slope,
-        not_hcsck=abs(a_slope) > 1e-3,
+        a_slope=float(traj.meta.A),
+        # A = a1*(C - C_h) with a1 > 0: exact, given phi > 0 checked above
+        not_hcsck=traj.meta.C > hcsck_coeffs(m).C,
         phi_prime_end=float(traj.phi_prime[-1]),
         bracket=(lo, hi),
         iterations=len(solves),

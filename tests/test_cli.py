@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hext import cli
+from hext import cli, profile_ode
+from hext.profile_ode import integrate
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
 
@@ -136,6 +137,21 @@ def test_nonexist_cli(capsys):
     assert doc["outputs"]["integral_q"] == "0/1"
     assert doc["outputs"]["alt_satisfies_boundary"] is False
     assert doc["outputs"]["margin"] > 0
+
+
+def test_c_whose_coefficients_overflow_a_float(capsys):
+    # at m = 1 the exact A or B of C = -1e308 and -6.7e307 exceed the float
+    # range, and -3.3e307 fails its solve: per-point errors, not a traceback
+    argv = ["scan", "--m", "1", "--c-min", "-1e308", "--c-max", "1", "--steps", "4", "--json"]
+    assert main(argv) == EXIT_OK
+    points = json.loads(capsys.readouterr().out)["outputs"]["points"]
+    assert [p["error"] is not None for p in points] == [True, True, True, False]
+    assert points[0]["error"] == "m=1, C=-1e+308: the coefficients do not fit a float"
+    assert points[3]["defect"] > 0
+    assert main(["shoot", "--m", "1", "--c-min", "-1e308", "--json"]) == EXIT_NO_BRACKET
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False, "reason": "no-bracket"}
+    assert doc["outputs"]["message"].startswith("no defect sign change for m=1")
 
 
 def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
@@ -304,8 +320,10 @@ def test_fuzzed_argv_never_tracebacks(argv):
 @pytest.mark.parametrize(
     "argv,exit_code",
     [(["scan", "--m", "1", "--c-min", "-1e300", "--c-max", "1", "--steps", "8"], EXIT_OK),
-     (["shoot", "--m", "1", "--c-min", "-1e300"], EXIT_NO_BRACKET)],
-    ids=["scan", "shoot"],
+     (["shoot", "--m", "1", "--c-min", "-1e300"], EXIT_NO_BRACKET),
+     (["scan", "--m", "1", "--c-min", "-1e308", "--c-max", "1", "--steps", "4"], EXIT_OK),
+     (["shoot", "--m", "1", "--c-min", "-1e308"], EXIT_NO_BRACKET)],
+    ids=["scan", "shoot", "scan-float-max", "shoot-float-max"],
 )
 def test_overflowing_c_prints_nothing_on_stderr(argv, exit_code):
     out, err = io.StringIO(), io.StringIO()
@@ -324,7 +342,9 @@ def _raise(exc):
     return fail
 
 
-# (argv, the library call in hext.cli that the subcommand makes)
+# (argv, the library call that the subcommand makes: a name in hext.cli, or
+# for the numerical ones a name in integrate, which the body looks up through
+# hext.profile_ode when it runs)
 _LIBRARY_CALLS = [
     (["shoot", "--m", "1"], "shoot"),
     (["certify"], "certify_m1"),
@@ -342,7 +362,7 @@ def test_library_errors_give_one_report_form(argv, call, monkeypatch, tmp_path, 
     if call is None:
         monkeypatch.setitem(cli._ALPHA_METHODS, "recursion", fail)
     else:
-        monkeypatch.setattr(cli, call, fail)
+        monkeypatch.setattr(integrate if call in profile_ode.NUMERICAL else cli, call, fail)
     out = tmp_path / "out"
     assert main(argv + ["--json", "--out", str(out)]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
@@ -355,7 +375,7 @@ def test_library_errors_give_one_report_form(argv, call, monkeypatch, tmp_path, 
 
 
 def test_shoot_no_bracket_report(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "shoot", _raise(NoBracket("no sign change")))
+    monkeypatch.setattr(integrate, "shoot", _raise(NoBracket("no sign change")))
     assert main(["shoot", "--m", "1", "--json"]) == EXIT_NO_BRACKET
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"pass": False, "reason": "no-bracket"}

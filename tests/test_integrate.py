@@ -18,7 +18,7 @@ from hext import (
     integrate_v,
     residual_check,
 )
-from hext.errors import PositivityLost
+from hext.errors import PositivityLost, StepFailure
 from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _solve_defects
 
 
@@ -242,5 +242,18 @@ def test_batch_solver_failure_is_per_point():
     with np.errstate(all="ignore"):
         bad, good = _solve_defects(1, np.array([-1e300, 4.0]), SCAN_CONFIG)
     assert bad.defect is None and bad.error.startswith("integration failed")
+    assert good.error is None
+    assert abs(good.defect - integrate_v(1, 4.0, SCAN_CONFIG).defect) < 1e-7
+
+
+def test_coefficients_beyond_the_float_range_fail_per_point():
+    # the exact A and B of m = 1 at C = -1e308 do not fit a float: a
+    # StepFailure naming m and C for a scalar solve, that point's error in a batch
+    message = "m=1, C=-1e+308: the coefficients do not fit a float"
+    with pytest.raises(StepFailure) as info:
+        integrate_v(1, -1e308)
+    assert str(info.value) == message
+    bad, good = _solve_defects(1, np.array([-1e308, 4.0]), SCAN_CONFIG)
+    assert bad.defect is None and bad.error == message
     assert good.error is None
     assert abs(good.defect - integrate_v(1, 4.0, SCAN_CONFIG).defect) < 1e-7

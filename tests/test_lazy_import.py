@@ -1,0 +1,84 @@
+"""numpy and scipy load with the numerical names only: the exact commands run
+without them, and the lazy names resolve to one object from every package."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hext
+from hext import profile_ode
+from hext.profile_ode import defect_scan, integrate, shoot
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every name hext.profile_ode imported eagerly before its numerical names
+# became lazy
+PROFILE_ODE_NAMES = [
+    "CertificateM1", "Claim", "certify_m1",
+    "EPS_FLOOR", "CoeffSet", "KahlerClassIndex", "LNConstants", "ProfilePoly",
+    "admissible_C_max", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
+    "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
+    "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
+    "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
+]
+
+# run in a fresh interpreter: this one has loaded numpy long ago
+_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import hext.cli
+
+def loaded():
+    return sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return hext.cli.main(argv + ["--json"])
+
+report = {"on_import": loaded()}
+report["exact_codes"] = [run(argv) for argv in (
+    ["certify"],
+    ["alpha", "--n", "4", "--d", "2", "--method", "recursion"],
+    ["alpha", "--n", "4", "--d", "2", "--method", "closed"],
+    ["alpha", "--n", "4", "--d", "2", "--method", "series"],
+    ["futaki", "--n", "4", "--d", "2", "--q", "1"],
+    ["grassmann", "--k", "2"],
+)]
+report["after_exact"] = loaded()
+report["nonexist_code"] = run(["nonexist", "--m", "1"])
+report["after_nonexist"] = loaded()
+report["same_shoot"] = hext.shoot is hext.profile_ode.integrate.shoot
+print(json.dumps(report))
+"""
+
+
+def test_exact_commands_run_without_numpy_or_scipy():
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(SRC)], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["on_import"] == []
+    assert report["exact_codes"] == [0] * 6
+    assert report["after_exact"] == []
+    assert report["nonexist_code"] == 0
+    assert report["after_nonexist"] == ["numpy", "scipy"]
+    assert report["same_shoot"] is True
+
+
+def test_every_old_name_resolves_to_one_object():
+    assert shoot is integrate.shoot and defect_scan is integrate.defect_scan
+    for name in PROFILE_ODE_NAMES:
+        assert getattr(hext, name) is getattr(profile_ode, name), name
+    for name in profile_ode.NUMERICAL:
+        assert getattr(profile_ode, name) is getattr(integrate, name), name
+    assert profile_ode.NUMERICAL <= set(PROFILE_ODE_NAMES)
+
+
+def test_unknown_names_raise_attribute_error():
+    for package in (hext, profile_ode):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        from hext import no_such_name  # noqa: F401

@@ -9,7 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_tracer_finds_every_traced_name(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import hext.cli  # noqa: F401  the tracer wraps the modules the CLI loads
+    import hext.cli  # noqa: F401  the tracer wraps the modules the CLI loads ...
+    import hext.profile_ode.integrate  # noqa: F401  ... and the first numerical call
     import tracing
 
     tracer = tracing.Tracer()

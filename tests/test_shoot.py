@@ -91,6 +91,16 @@ def test_c_star_matches_mpmath_reference(m):
     assert abs(res.c_star - C_STAR_REF[m]) < 1e-6
     assert abs(res.defect) < 1e-8
     assert res.bracket[0] < res.c_star < res.bracket[1]
+    assert res.not_hcsck
+
+
+def test_not_hcsck_is_the_exact_side_of_c_h():
+    # A* = 5.2e-4 at m = 32, under the old float threshold |A| > 1e-3; the
+    # exact comparison C* > C_h = 2 + 4/((m+1)^2 - 1) decides it
+    res = shoot(32)
+    c_h = 2 + F(4, 33 ** 2 - 1)
+    assert 0 < res.a_slope < 1e-3 and F(res.c_star) > c_h
+    assert res.not_hcsck
 
 
 def test_upward_extension_matches_per_point_solves():
