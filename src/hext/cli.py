@@ -17,8 +17,9 @@ non-positive --m, a non-finite number, a --tol that is not in (0, 1e-3], an
 empty C window, more than MAX_SCAN_STEPS scan points, n above MAX_N, ...),
 or an --out that exists and is not a directory.  A library error ends every
 subcommand in one report form: summary {"pass": false, "reason": "error"}
-(exit 1), or "no-bracket" (exit 2) when shoot finds no sign change, with the
-message in outputs.message.
+(exit 1), or "no-bracket" (exit 2) when --c-min and --c-max clip shoot's
+root bracket to a window without a sign change, with the message in
+outputs.message.
 """
 from __future__ import annotations
 
@@ -228,9 +229,10 @@ _COMMANDS = {
         (
             _M,
             _flag("--tol", float, default=1e-8, help="defect tolerance, at most 1e-3"),
-            _flag("--c-min", float, default=-50.0, help="lower end of the bracket scan"),
+            _flag("--c-min", float, default=-50.0,
+                  help="lower clip of the root bracket [C_h, C_top] (default: -50, no clip)"),
             _flag("--c-max", float, default=None,
-                  help="upper end of the bracket scan (default: admissible maximum)"),
+                  help="upper clip of the root bracket [C_h, C_top] (default: none)"),
         ),
         _shoot,
     ),

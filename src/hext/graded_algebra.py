@@ -449,8 +449,9 @@ class TruncatedPoly:
         self.order = order
         clean: Dict[Tuple[int, int, int], Fraction] = {}
         for (ta, ob, ec), c in (terms or {}).items():
-            if ta < 0 or ob < 0 or ec < 0:
-                raise ValueError("negative exponent")
+            # type() is int: a float or a bool is no exponent
+            if not type(ta) is type(ob) is type(ec) is int or min(ta, ob, ec) < 0:
+                raise ValueError(f"exponents {(ta, ob, ec)!r} are not nonnegative integers")
             if ob + ec >= order or ta > order:
                 continue
             c = _exact(c)

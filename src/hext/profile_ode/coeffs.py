@@ -22,8 +22,10 @@ from ..ratpoly import _exact
 
 Rational = Union[int, float, Fraction]
 
-# the margin in L*C + N >= -2 + eps that defines the admissible C window of
-# the shooting scans (see admissible_C_max)
+# the margin in L*C + N >= -2 + eps that defines the admissible C window
+# (see admissible_C_max), which bounds the top of a defect_scan window; it is
+# the m = 1 certificate's condition, and for m >= 3 the root lies above it,
+# so shoot brackets its root by [C_h, C_top] instead
 EPS_FLOOR = Fraction(1, 100)
 
 

@@ -47,8 +47,9 @@ class IntegratorConfig:
     """Tolerances and step cap of the DOP853 v-integration.
 
     The step is capped at m/max_step_divisor; halved() doubles the divisor.
-    The cap keeps the defect refinement-stable; only defect_scan solves at
-    SCAN_CONFIG, which shares it and loosens the tolerances.  Left to the
+    The cap keeps the defect refinement-stable.  shoot solves one C at a time
+    at DEFAULT_CONFIG; only defect_scan solves at SCAN_CONFIG, a batch that
+    shares the cap and loosens the tolerances.  Left to the
     tolerance alone, DOP853 takes 7-13 steps and the defect is off by more
     than 10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
     rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect at the tested points (m, C) = (1, 22/3),
@@ -293,9 +294,11 @@ def _finite(x: float) -> bool:
         return False
 
 
-def _window(m: int, C_lo: float, C_hi: float, steps: int) -> np.ndarray:
-    """The grid of `steps` C over a finite window C_lo < C_hi whose top lies
-    in the admissible window; requires 2 <= steps <= MAX_SCAN_STEPS."""
+def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
+    """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi whose
+    top lies in the admissible window, solved as one batch at SCAN_CONFIG;
+    requires 2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded
+    per point, not raised."""
     c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
     if not (_finite(C_lo) and _finite(C_hi)):
         raise InvalidInput("the C window must be finite")
@@ -307,32 +310,14 @@ def _window(m: int, C_lo: float, C_hi: float, steps: int) -> np.ndarray:
         raise InvalidInput(f"the C window [{C_lo:g}, {C_hi:.10g}] is empty")
     if not 2 <= steps <= MAX_SCAN_STEPS:
         raise InvalidInput(f"the number of scan points must lie in 2..{MAX_SCAN_STEPS}, got {steps}")
-    return np.linspace(C_lo, C_hi, steps)
+    cs = np.linspace(C_lo, C_hi, steps)
+    return ScanResult(m=m, points=_solve_defects(m, cs, SCAN_CONFIG))
 
 
-def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
-    """Defect over the _window grid, solved as one batch at SCAN_CONFIG.
-    Integrator errors are recorded per point, not raised."""
-    return ScanResult(m=m, points=_solve_defects(m, _window(m, C_lo, C_hi, steps), SCAN_CONFIG))
-
-
-def _extend_scan_upward(m: int, scan: ScanResult, block: Tuple[ScanPoint, ...]) -> ScanResult:
-    """Continue a bracketless scan past its top edge c in steps of 1/64, at
-    most 256 of them, up to the first defect that is not positive.  `block`
-    holds c + k/64, k = 1..8; later blocks of eight are solved at DEFAULT_CONFIG
-    (the roots for m = 3..8 lie 4-7 steps past the edge)."""
-    points = list(scan.points)
-    last = points[-1]
-    if last.defect is None or last.defect <= 0.0:
-        return scan
-    for k in range(1, 257, 8):
-        if k > 1:
-            block = _solve_defects(m, last.c + np.arange(k, k + 8) * 2.0 ** -6, DEFAULT_CONFIG)
-        for point in block:
-            points.append(point)
-            if point.defect is None or point.defect <= 0.0:
-                return ScanResult(m=m, points=tuple(points))
-    return ScanResult(m=m, points=tuple(points))
+def _defect(m: int, C: Rational) -> float:
+    """v(m+1) - 2*(m+1)^2 from one endpoint-only solve at DEFAULT_CONFIG."""
+    _, sol = _integrate(m, C, DEFAULT_CONFIG, dense_output=False)
+    return float(sol.y[0, -1] - 2.0 * (m + 1) ** 2)  # as Trajectory.defect
 
 
 @dataclass
@@ -354,61 +339,49 @@ def shoot(
 ) -> ShootResult:
     """Find the C with v(m+1) = 2*(m+1)^2 by Brent's method on the defect.
 
-    The bracket is discovered by a 64-point scan of C upward from c_min to
-    the admissible maximum; at very negative C the defect is provably positive,
-    so the scan only has to find the negative side.  Raises NoBracket (with
-    the scan attached) when no sign change exists in the window, which for
-    large m is a legitimate outcome rather than a failure of the method.
-    The scan is one batch at DEFAULT_CONFIG that gives Brent's method its
-    edges.  Brent's method stops once |defect| < defect_tol, or the bracket
-    is narrower than 1e-10, or after 60 iterations.  `iterations` counts its
-    scalar DEFAULT_CONFIG solves, the only source of c_star (an edge inside
-    the tolerance is solved once more); StepFailure is raised unless
-    |defect| < defect_tol there.  Requires 0 < defect_tol <= 1e-3, finite c_max.
+    The defect decreases strictly in C and is positive at C_h, the A = 0
+    value, where it equals the hcscK margin 2*int(phi_h).  By the identity
+    defect(C) = L*C + N + 2*int(phi_C), with L < 0 and L*C_h + N = 0, it is
+    negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
+    c_min and c_max only clip that bracket; NoBracket is raised when the
+    clipped bracket is empty or its ends' defects share a sign.  Every solve
+    is scalar, endpoint-only and at DEFAULT_CONFIG.  Brent's method stops once
+    |defect| < defect_tol, or the bracket is narrower than 1e-12, or after 60
+    iterations; c_star is the solved C of least |defect|, and StepFailure is
+    raised unless |defect| < defect_tol there.  `iterations` counts the
+    solves, the C_h one included, and `scan` holds the solves in the clipped
+    bracket in C order.  Requires 0 < defect_tol <= 1e-3, finite c_min < c_max.
     """
     # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
     # at the bracket edges a tolerance would accept an edge as the root
     if not 0 < defect_tol <= 1e-3:
         raise InvalidInput(f"the defect tolerance must lie in (0, 1e-3], got {defect_tol!r}")
-    if c_max is not None and not _finite(c_max):
-        raise InvalidInput("the upper end of the C window must be finite")
-    c_adm = float(admissible_C_max(m, EPS_FLOOR))
-    c_hi = c_adm if c_max is None else min(c_adm, c_max)
-    cs = _window(m, c_min, c_hi, 64)
-    if c_max is None:  # the first block of the upward extension rides along
-        cs = np.concatenate([cs, c_hi + np.arange(1, 9) * 2.0 ** -6])
-    solved = _solve_defects(m, cs, DEFAULT_CONFIG)
-    scan = ScanResult(m=m, points=solved[:64])
-    if not scan.brackets and c_max is None:
-        # the eps-floor window suffices for positivity but is not necessary:
-        # for m >= 3 the defect is still positive at its edge and the root
-        # lies beyond, where the sign flips before positivity trips
-        scan = _extend_scan_upward(m, scan, solved[64:])
-    if not scan.brackets:
-        raise NoBracket(
-            f"no defect sign change for m={m} in C range [{c_min:g}, {c_hi:.6g}]",
-            scan=scan,
-        )
-    lo, hi = scan.brackets[0]
-    solves = []  # (C, defect) of every scalar endpoint solve
+    if not (_finite(c_min) and (c_max is None or _finite(c_max))):
+        raise InvalidInput("the C window must be finite")
+    if c_max is not None and not c_min < c_max:
+        raise InvalidInput(f"the C window [{c_min:g}, {c_max:g}] is empty")
+    c_h = float(hcsck_coeffs(m).C)  # validates m
+    solves = {c_h: _defect(m, c_h)}  # C -> defect of every endpoint solve
+    c_top = c_h + solves[c_h] / -float(compute_LN(m).L)
+    lo, hi = max(c_min, c_h), c_top if c_max is None else min(c_max, c_top)
 
     def defect_at(c: float) -> float:
-        _, sol = _integrate(m, c, DEFAULT_CONFIG, dense_output=False)
-        d = float(sol.y[0, -1] - 2.0 * (m + 1) ** 2)  # as Trajectory.defect
-        solves.append((c, d))
+        if c not in solves:
+            solves[c] = _defect(m, c)
         # brentq returns at once on an exact zero: that is how defect_tol
         # ends the search
-        return 0.0 if abs(d) < defect_tol else d
+        return 0.0 if abs(solves[c]) < defect_tol else solves[c]
 
-    # Brent's edges come from the scan; an edge inside the tolerance is
-    # returned only once a scalar solve agrees
-    edges = {p.c: 0.0 if abs(p.defect) < defect_tol and defect_at(p.c) == 0.0 else p.defect
-             for p in scan.points if p.c in (lo, hi)}
-    root = brentq(lambda c: edges[c] if c in edges else defect_at(c), lo, hi,
-                  xtol=1e-10, maxiter=60, disp=False)
-    if not solves:  # a bracket narrower than xtol takes no Brent solve
-        defect_at(root)
-    c_star, defect = min(solves, key=lambda s: abs(s[1]))
+    def scan() -> ScanResult:
+        return ScanResult(m=m, points=tuple(
+            ScanPoint(c=c, defect=d) for c, d in sorted(solves.items()) if lo <= c <= hi))
+
+    if not lo < hi or defect_at(lo) * defect_at(hi) > 0.0:
+        raise NoBracket(f"no defect sign change for m={m} in C range [{lo:.6g}, {hi:.6g}], "
+                        f"the root bracket [{c_h:.6g}, {c_top:.6g}] clipped by c_min and c_max",
+                        scan=scan())
+    brentq(defect_at, lo, hi, xtol=1e-12, maxiter=60, disp=False)
+    c_star, defect = min(solves.items(), key=lambda s: abs(s[1]))
     # Brent's method also stops on xtol, or unconverged after 60 iterations
     if not abs(defect) < defect_tol:
         raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
@@ -427,7 +400,7 @@ def shoot(
         phi_prime_end=float(traj.phi_prime[-1]),
         bracket=(lo, hi),
         iterations=len(solves),
-        scan=scan,
+        scan=scan(),
     )
 
 
@@ -460,11 +433,8 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     numerical face of that contradiction.
     """
     cs = hcsck_coeffs(m)
-    ln = compute_LN(m)
-    integral = ln.lc_plus_n(cs.C)
-    _, sol = _integrate(m, cs.C, DEFAULT_CONFIG, dense_output=False)
-    target = 2.0 * (m + 1) ** 2
-    margin = sol.y[0, -1] - target
+    integral = compute_LN(m).lc_plus_n(cs.C)
+    margin = _defect(m, cs.C)
 
     s1 = Fraction((m + 1) ** 2 - 1)
     alt_B = -12 / s1
@@ -477,8 +447,8 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
         m=m,
         coeffs=cs,
         integral=integral,
-        margin=float(margin),
-        target=target,
+        margin=margin,
+        target=2.0 * (m + 1) ** 2,
         alt_B=alt_B,
         alt_C=alt_C,
         alt_integral=Fraction(2),
@@ -516,7 +486,7 @@ class ProfileCurve:
             raise EndpointSingularity(
                 f"s diverges logarithmically at gamma={gamma:g}"
             )
-        if gamma < self.gamma[0] or gamma > self.gamma[-1]:
+        if not self.gamma[0] <= gamma <= self.gamma[-1]:  # NaN too
             raise ValueError(
                 f"gamma={gamma:g} outside the covered range "
                 f"[{self.gamma[0]:.6g}, {self.gamma[-1]:.6g}]"

@@ -148,10 +148,11 @@ def test_c_whose_coefficients_overflow_a_float(capsys):
     assert [p["error"] is not None for p in points] == [True, True, True, False]
     assert points[0]["error"] == "m=1, C=-1e+308: the coefficients do not fit a float"
     assert points[3]["defect"] > 0
-    assert main(["shoot", "--m", "1", "--c-min", "-1e308", "--json"]) == EXIT_NO_BRACKET
+    # shoot solves nothing below C_h, where every defect is positive
+    assert main(["shoot", "--m", "1", "--c-min", "-1e308", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["summary"] == {"pass": False, "reason": "no-bracket"}
-    assert doc["outputs"]["message"].startswith("no defect sign change for m=1")
+    assert abs(doc["outputs"]["c_star"] - 4.126269829713513) < 1e-6
+    assert doc["outputs"]["bracket"][0] == 10 / 3
 
 
 def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
@@ -167,17 +168,19 @@ def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
     assert first[0] == "1" and first[1] == "2"
     curve_lines = (out / "profile_curve.csv").read_text().splitlines()
     assert curve_lines[0] == "gamma,tau,s,phi"
-    # a window on the wrong side of the root has no sign change
+    # a window on the wrong side of the root has no sign change, and so has
+    # one above the root bracket [C_h, C_top] = [10/3, 4.357]
     assert main(["shoot", "--m", "1", "--c-min", "7.8", "--c-max", "8.0"]) == EXIT_NO_BRACKET
+    assert main(["shoot", "--m", "1", "--c-min", "9"]) == EXIT_NO_BRACKET
 
 
 def test_shoot_fails_when_the_defect_misses_the_tolerance(capsys):
-    # Brent's method may stop on its C tolerance first: m = 8 then reaches
-    # |defect| of about 6e-13, which is no answer at --tol 1e-13
-    assert main(["shoot", "--m", "8", "--tol", "1e-13", "--json"]) == EXIT_FAIL
+    # Brent's method may stop on its C tolerance first: m = 16 then reaches
+    # |defect| of about 5.7e-13, which is no answer at --tol 1e-13
+    assert main(["shoot", "--m", "16", "--tol", "1e-13", "--json"]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"pass": False, "reason": "error"}
-    assert "m=8" in doc["outputs"]["message"] and "|defect|=" in doc["outputs"]["message"]
+    assert "m=16" in doc["outputs"]["message"] and "|defect|=" in doc["outputs"]["message"]
     assert main(["shoot", "--m", "1", "--tol", "1e-13", "--json"]) == EXIT_OK
     assert abs(json.loads(capsys.readouterr().out)["outputs"]["defect"]) < 1e-13
 
@@ -225,7 +228,7 @@ def test_json_payload_deterministic(capsys):
         ["shoot", "--m", "1", "--tol", "-1"],
         ["shoot", "--m", "1", "--tol", "0"],
         ["shoot", "--m", "1", "--c-min", "5", "--c-max", "2"],
-        ["shoot", "--m", "1", "--c-min", "9"],
+        ["shoot", "--m", "1", "--c-min", "3", "--c-max", "3"],
         ["scan", "--m", "1", "--c-min", "3", "--c-max", "2"],
         ["scan", "--m", "1", "--c-min", "0", "--c-max", "1", "--steps", "1"],
         ["scan", "--m", "1", "--c-min", "x", "--c-max", "1"],
@@ -320,9 +323,9 @@ def test_fuzzed_argv_never_tracebacks(argv):
 @pytest.mark.parametrize(
     "argv,exit_code",
     [(["scan", "--m", "1", "--c-min", "-1e300", "--c-max", "1", "--steps", "8"], EXIT_OK),
-     (["shoot", "--m", "1", "--c-min", "-1e300"], EXIT_NO_BRACKET),
+     (["shoot", "--m", "1", "--c-min", "-1e300"], EXIT_OK),
      (["scan", "--m", "1", "--c-min", "-1e308", "--c-max", "1", "--steps", "4"], EXIT_OK),
-     (["shoot", "--m", "1", "--c-min", "-1e308"], EXIT_NO_BRACKET)],
+     (["shoot", "--m", "1", "--c-min", "-1e308"], EXIT_OK)],
     ids=["scan", "shoot", "scan-float-max", "shoot-float-max"],
 )
 def test_overflowing_c_prints_nothing_on_stderr(argv, exit_code):

@@ -31,6 +31,13 @@ def test_endpoint_singularity(shot_m1):
         curve.s_at(1.0001)  # inside the excluded margin
 
 
+def test_s_at_rejects_nan(shot_m1):
+    # NaN fails both range comparisons, so the check must be the in-range one
+    curve = reconstruct_curve(shot_m1.trajectory)
+    with pytest.raises(ValueError, match="outside the covered range"):
+        curve.s_at(float("nan"))
+
+
 def test_margin_excludes_endpoints(shot_m1):
     curve = reconstruct_curve(shot_m1.trajectory, margin=1e-2)
     assert curve.gamma[0] >= 1.0 + 1e-2

@@ -145,6 +145,13 @@ def test_lam_poly_coefficients_stay_exact():
             GrassmannElement(6, {(power, 0): 1})
 
 
+@pytest.mark.parametrize("key", [(0.5, 0, 0), (0, 1.0, 0), (0, 0, F(1)), (True, 0, 0), (0, 0, -1)])
+def test_truncpoly_exponents_are_nonnegative_integers(key):
+    # t^0.5 was stored once, and its square printed as t^1.0
+    with pytest.raises(ValueError, match="not nonnegative integers"):
+        TruncatedPoly(3, {key: 1})
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -15,7 +15,7 @@ _CALLS = {
     "shoot-c-min-huge-int": lambda: shoot(1, c_min=-10**400),
     "shoot-c-max-huge-int": lambda: shoot(1, c_max=10**400),
     "shoot-tol-huge-int": lambda: shoot(1, defect_tol=10**400),
-    "shoot-empty-window": lambda: shoot(1, c_min=9.0),
+    "shoot-empty-window": lambda: shoot(1, c_min=3.0, c_max=3.0),
     "scan-infinite-window": lambda: defect_scan(1, -math.inf, 1.0, 8),
     "scan-huge-int-window": lambda: defect_scan(1, -10**400, 1.0, 8),
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),

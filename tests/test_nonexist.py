@@ -1,7 +1,9 @@
 """Constant-lambda (A = 0) contradiction runs."""
 from fractions import Fraction as F
 
-from hext import compute_LN, hcsck_nonexistence
+from scipy.integrate import simpson
+
+from hext import compute_LN, hcsck_coeffs, hcsck_nonexistence, integrate_v
 
 # frozen from converged runs; windows are generous against integrator drift
 EXPECTED_MARGINS = {
@@ -30,6 +32,14 @@ def test_margins_positive_m1_to_5():
         # exact zero integral of q under the derived A=0 constants
         assert rep.integral == 0
         assert compute_LN(m).lc_plus_n(rep.coeffs.C) == 0
+
+
+def test_margin_is_twice_the_integral_of_phi_h():
+    # F1 at C_h, where L*C_h + N = 0: the margin is 2*int(phi_h), Simpson on
+    # the A = 0 trajectory, within 1e-9 (6.4e-11 at most for m = 1..8)
+    for m in range(1, 9):
+        t = integrate_v(m, hcsck_coeffs(m).C)
+        assert abs(hcsck_nonexistence(m).margin - 2.0 * simpson(t.phi, x=t.grid)) < 1e-9
 
 
 def test_alternative_constants_reported_not_adopted():

@@ -1,5 +1,6 @@
-"""The benchmark's hooks into hext: every name perfbench traces exists, and
-perfbench's own self-test passes against the current code."""
+"""The benchmark's hooks into hext: every name perfbench traces exists, its
+summaries read real results, and perfbench's own self-test passes against
+the current code."""
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,20 @@ def test_tracer_finds_every_traced_name(monkeypatch):
     tracer = tracing.Tracer()
     with tracer.installed():
         assert tracer.missing == []
+
+
+def test_trace_summaries_read_real_results(monkeypatch):
+    # the summaries --trace records read fields of ShootResult and ScanResult
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from hext import defect_scan, shoot
+
+    res = shoot(1)
+    info = tracing._shoot_info(res, (1,), {})
+    assert set(info) == {"m", "c_star", "defect", "iterations", "scan_points"}
+    assert info["scan_points"] == info["iterations"] == len(res.scan.points)
+    info = tracing._scan_info(defect_scan(1, 2.0, 5.0, 4), (), {})
+    assert info == {"points": 4, "failed": 0}
 
 
 def test_benchmark_selftest_passes():

@@ -4,19 +4,20 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from scipy.integrate import solve_ivp
+from scipy.integrate import simpson, solve_ivp
 
 from hext import (
-    admissible_C_max,
     coeffs_from_C,
+    compute_LN,
+    hcsck_coeffs,
+    hcsck_nonexistence,
     integrate_v,
     reconstruct_curve,
     residual_check,
     shoot,
 )
 from hext.errors import NoBracket, StepFailure
-from hext.profile_ode.coeffs import EPS_FLOOR
-from hext.profile_ode.integrate import DEFAULT_CONFIG, _csv, _integrate
+from hext.profile_ode.integrate import DEFAULT_CONFIG, Trajectory, _csv, _integrate
 
 # C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
 # table that perfbench/make_reference.py writes to perfbench/reference.json
@@ -86,7 +87,7 @@ def test_no_bracket_raises_with_scan():
 
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
 def test_c_star_matches_mpmath_reference(m):
-    # m >= 4 has its root beyond the eps-floor window: the upward extension
+    # m >= 3 has its root beyond the eps-floor window, inside [C_h, C_top]
     res = shoot(m)
     assert abs(res.c_star - C_STAR_REF[m]) < 1e-6
     assert abs(res.defect) < 1e-8
@@ -103,55 +104,89 @@ def test_not_hcsck_is_the_exact_side_of_c_h():
     assert res.not_hcsck
 
 
-def test_upward_extension_matches_per_point_solves():
-    # for m >= 3 the root lies past the eps-floor window; the extension's
-    # batched points must agree with one full-accuracy solve per C and stop
-    # at the first non-positive defect
-    for m in (4, 8):
-        ext = shoot(m).scan.points[64:]
-        assert ext and ext[-1].defect <= 0
-        assert all(p.defect > 0 for p in ext[:-1])
-        for p in ext:
-            assert abs(p.defect - integrate_v(m, p.c).defect) < 1e-8
-
-
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
-def test_one_batched_solve_then_scalar_solves(m, monkeypatch):
-    # the 64-point scan and the first 8 points of the upward extension are
-    # one batch, which also gives Brent's method its edge values; after it
-    # come Brent's scalar solves and the dense one at c_star
-    sizes = []
+def test_every_solve_is_scalar_and_inside_the_root_bracket(m, monkeypatch):
+    # F1 and F2 put the root in [C_h, C_top] with C_top = C_h + margin/|L|:
+    # shoot solves one v at a time, only at C in that bracket, and last of
+    # all densely at c_star
+    c_h = float(hcsck_coeffs(m).C)
+    c_top = c_h + hcsck_nonexistence(m).margin / -float(compute_LN(m).L)
+    sizes, cs = [], []
 
     def counted(rhs, t_span, y0, **kwargs):
         sizes.append(len(y0))
         return solve_ivp(rhs, t_span, y0, **kwargs)
 
+    def recorded(m, C, *args, **kwargs):
+        cs.append(C)
+        return _integrate(m, C, *args, **kwargs)
+
     monkeypatch.setattr("hext.profile_ode.integrate.solve_ivp", counted)
+    monkeypatch.setattr("hext.profile_ode.integrate._integrate", recorded)
     res = shoot(m)
-    assert sizes == [64 + 8] + [1] * (res.iterations + 1)
+    assert sizes == [1] * (res.iterations + 1) and len(cs) == len(sizes)
+    assert all(c_h <= c <= c_top + 1e-12 for c in cs) and cs[-1] == res.c_star
+    assert [p.c for p in res.scan.points] == sorted(set(cs))
+
+
+def test_f1_identity_on_the_shot_trajectories():
+    # v(m+1) - 2(m+1)^2 = L*C + N + 2*int(phi): Simpson on the 1025-point
+    # trajectory meets the solver's defect within 1e-9 (6.0e-11 at most)
+    for m in sorted(C_STAR_REF):
+        res = shoot(m)
+        assert abs(_f1_defect(res.trajectory, res.c_star) - res.defect) < 1e-9
+
+
+def test_f1_identity_fails_on_a_scaled_trajectory():
+    # a v that is off by a relative 1e-6 (v(1) = 2 kept) misses the identity
+    # by 4.8e-6 or more
+    for m in sorted(C_STAR_REF):
+        t = shoot(m).trajectory
+        v = t.v * (1 + 1e-6)
+        v[0] = 2.0
+        scaled = Trajectory(t.grid, v, t.meta)
+        assert abs(_f1_defect(scaled, t.meta.C) - scaled.defect) > 1e-9
+
+
+def _f1_defect(t, c):
+    return float(compute_LN(t.m).lc_plus_n(c)) + 2.0 * simpson(t.phi, x=t.grid)
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_root_on_a_scan_point_is_confirmed_by_a_scalar_solve(m):
-    # window point 40 placed on C*: its batched defect is inside the
-    # tolerance, so that bracket edge is returned after one scalar solve
-    # (for m >= 3 the root lies past the window, out of c_min's reach)
-    c_hi = float(admissible_C_max(m, EPS_FLOOR))
-    c_min = (63 * C_STAR_REF[m] - 40 * c_hi) / 23
-    assert abs(np.linspace(c_min, c_hi, 64)[40] - C_STAR_REF[m]) < 1e-12
-    res = shoot(m, c_min=c_min)
-    assert res.c_star in res.bracket and res.iterations == 1
+def test_root_on_a_bracket_edge_ends_the_search(m):
+    # c_min placed on C*: the edge's defect is inside the tolerance, so
+    # Brent's method returns that edge after the solves at C_h and both edges
+    res = shoot(m, c_min=C_STAR_REF[m])
+    assert res.c_star == res.bracket[0] == C_STAR_REF[m] and res.iterations == 3
     assert abs(res.defect) < 1e-8
-    assert abs(res.c_star - C_STAR_REF[m]) < 1e-6
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
 
 
-def test_bracket_narrower_than_xtol_takes_one_solve():
+def test_bracket_narrower_than_xtol_is_reported_after_its_edge_solves():
     # Brent's method returns such a bracket without a solve of its own; the
-    # one scalar solve misses a tolerance this tight, which is reported
+    # edges miss a tolerance this tight, which is reported
     c = C_STAR_REF[1]
-    with pytest.raises(StepFailure, match="m=1 .* after 1 solves"):
-        shoot(1, defect_tol=1e-14, c_min=c - 1e-11, c_max=c + 1e-11)
+    with pytest.raises(StepFailure, match="m=1 .* after 3 solves"):
+        shoot(1, defect_tol=1e-14, c_min=c - 1e-13, c_max=c + 1e-13)
+
+
+def test_clips_outside_the_root_bracket_change_nothing():
+    # a c_min whose coefficients overflow a float and a c_max above the
+    # eps-floor window (2.23 at m = 4) lie outside [C_h, C_top]: no clip
+    res = shoot(4, c_min=-1e300, c_max=3.0)
+    assert res.c_star == shoot(4).c_star and res.bracket == shoot(4).bracket
+
+
+@pytest.mark.parametrize("window,signs", [
+    (dict(c_min=4.2, c_max=4.3), [-1, -1]),  # above C*, inside [C_h, C_top]
+    (dict(c_max=3.5), [1, 1]),  # [C_h, 3.5], below C*
+    (dict(c_min=9.0), []),  # above C_top = 4.357: nothing to solve in the window
+    (dict(c_max=3.0), []),  # below C_h = 10/3
+], ids=["above-root", "below-root", "above-c-top", "below-c-h"])
+def test_window_without_the_root_raises_no_bracket(window, signs):
+    with pytest.raises(NoBracket, match="no defect sign change for m=1") as info:
+        shoot(1, **window)
+    assert [np.sign(p.defect) for p in info.value.scan.points] == signs
 
 
 @pytest.fixture(scope="module")
