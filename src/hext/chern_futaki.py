@@ -42,9 +42,10 @@ class HypersurfaceParams:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not 2 <= self.n <= MAX_N:
+        # type() is int: a bool is no dimension or degree
+        if type(self.n) is not int or not 2 <= self.n <= MAX_N:
             raise InvalidInput(f"ambient dimension n must be an integer in 2..{MAX_N}, got {self.n!r}")
-        if not isinstance(self.d, int) or not 1 <= self.d <= self.n:
+        if type(self.d) is not int or not 1 <= self.d <= self.n:
             raise InvalidInput(f"degree d must satisfy 1 <= d <= n = {self.n}, got {self.d!r}")
 
 
@@ -219,8 +220,8 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
               * sum_{j=0}^{q-1} (-d)^j (j+1) binom(n, q-j-1) * kappa.
     """
     HypersurfaceParams(n, d)
-    if not 1 <= q <= n - 1:
-        raise InvalidInput(f"the invariant index q must lie in 1..{n - 1} (n - 1), got {q}")
+    if type(q) is not int or not 1 <= q <= n - 1:
+        raise InvalidInput(f"the invariant index q must be an integer in 1..{n - 1} (n - 1), got {q!r}")
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
 

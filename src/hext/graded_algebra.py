@@ -1,17 +1,19 @@
 """Finite exterior algebra and nilpotent-truncated series arithmetic.
 
-Two substrates live here.  GrassmannElement is a polynomial in a central
-even variable lambda over the exterior algebra on n_gen odd generators, with
-rational coefficients; its lambda-free elements are the exterior algebra
-itself.  It exists to verify the rank-one determinant identities
-det(I - lam*A) * (1 - lam*a) = 1 and (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A
-for A_ij = alpha_i * beta_j.  TruncatedPoly is a commutative polynomial ring
-in (t, omega, eta) where every monomial with omega-degree + eta-degree >= n
-vanishes (forms above top degree on an (n-1)-dimensional space) and t is
-kept to degree <= n; it is the series engine behind the Chern coefficient
-tables.
-
-All coefficients are exact rationals.
+Two exact engines live here, built on one sparse-polynomial core
+(_SparsePoly): a map from monomial keys to exact rational coefficients with
+the shared sum, difference, negation, scalar multiple and equality.
+GrassmannElement is a polynomial in a central even variable lambda over the
+exterior algebra on n_gen odd generators; its lambda-free elements are the
+exterior algebra itself.  It exists to verify the rank-one determinant
+identities det(I - lam*A) * (1 - lam*a) = 1 and
+(I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
+TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
+monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
+on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
+engine behind the Chern coefficient tables.  Each type adds its own key
+rule and product; both invert 1 - x for nilpotent x by one finite geometric
+series (_geometric).
 """
 from __future__ import annotations
 
@@ -33,6 +35,90 @@ from .errors import (
 from .ratpoly import _exact, _frac_str
 
 Scalar = Union[int, Fraction]
+
+
+def _compact(terms: Dict[tuple, Scalar]) -> Dict[tuple, Scalar]:
+    """terms without zeros, integral coefficients as ints."""
+    return {key: c.numerator if c.denominator == 1 else c for key, c in terms.items() if c}
+
+
+class _SparsePoly:
+    """Sparse polynomial over Q: terms maps a monomial key to an exact
+    coefficient, an int when integral and a Fraction otherwise; zero
+    coefficients are never stored.  _ring is the integer that fixes the ring
+    (generator count, truncation order); operands over different rings raise
+    _mismatch.
+
+    The public constructor checks the ring parameter, every key (_key, which
+    also says whether the key survives) and every coefficient once; operator
+    results are built unchecked by _new.  __mul__ stays in each subclass body,
+    so each product is a name of its own class (perfbench wraps it there).
+    """
+
+    __slots__ = ("_ring", "terms")
+    # a subclass sets _least (smallest ring parameter), _what (its name in
+    # messages), _mismatch (an exception type) and _key(key)
+
+    def __init__(self, ring: int, terms: Optional[Dict[tuple, Scalar]] = None):
+        if type(ring) is not int or ring < self._least:  # a bool is no int here
+            raise ValueError(f"{self._what} must be an integer >= {self._least}, got {ring!r}")
+        self._ring = ring
+        self.terms = _compact(
+            {key: _exact(c) for key, c in (terms or {}).items() if self._key(key)}
+        )
+
+    def _new(self, terms: Dict[tuple, Scalar]):
+        """An element over self's ring with terms as given: checked, exact and
+        compact already."""
+        out = object.__new__(type(self))
+        out._ring = self._ring
+        out.terms = terms
+        return out
+
+    def _operand(self, other):
+        """other as an element to add to self, or None if it cannot be one."""
+        return other if isinstance(other, type(self)) else None
+
+    def _check(self, other: "_SparsePoly") -> None:
+        if self._ring != other._ring:
+            raise self._mismatch(f"{self._what} differs: {self._ring} vs {other._ring}")
+
+    def _plus(self, other, sign: int):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)  # already compact; only touched keys change
+        for key, c in other.terms.items():
+            c = out.pop(key, 0) + sign * c
+            if c:
+                out[key] = c.numerator if c.denominator == 1 else c
+        return self._new(out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self)._plus(other, 1)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
+
+    def _scale(self, value: Scalar):
+        """self times the int or Fraction value."""
+        return self._new(_compact({key: c * value for key, c in self.terms.items()}))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self._ring == other._ring
+                and self.terms == other.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -60,35 +146,25 @@ def _monomial(power: int, mask: int) -> str:
     return _label(mask) if power == 0 else f"lambda^{power}*{_label(mask)}"
 
 
-class GrassmannElement:
+class GrassmannElement(_SparsePoly):
     """Polynomial in a central even variable lambda over the exterior algebra
     on n_gen >= 0 odd generators (n_gen = 0 gives polynomials over Q).
 
-    terms maps (lambda power, generator-subset bitmask) to an exact
-    coefficient, an int when integral and a Fraction otherwise; zero
-    coefficients are never stored.
+    terms maps (lambda power, generator-subset bitmask) to its coefficient.
+    Scalars enter + and - only through GrassmannElement.scalar.
     """
 
-    __slots__ = ("n_gen", "terms")
+    __slots__ = ()
+    _least, _what, _mismatch = 0, "the number of generators", GeneratorMismatch
+    n_gen = property(lambda self: self._ring)
 
-    def __init__(self, n_gen: int, terms: Optional[Dict[Tuple[int, int], Scalar]] = None):
-        if n_gen < 0:
-            raise ValueError(f"the number of generators must be >= 0, got {n_gen}")
-        for power, mask in terms or {}:
-            if not isinstance(power, int) or power < 0:
-                raise ValueError(f"lambda power {power!r} is not a nonnegative integer")
-            if mask < 0 or mask >> n_gen:
-                raise ValueError(f"bitmask {mask:#x} outside {n_gen} generators")
-        self.n_gen = n_gen
-        self.terms = _compact({key: _exact(c) for key, c in (terms or {}).items()})
-
-    def _new(self, terms: Dict[Tuple[int, int], Scalar]) -> "GrassmannElement":
-        """An element over self's generators with terms as given: checked,
-        exact and compact already."""
-        out = object.__new__(GrassmannElement)
-        out.n_gen = self.n_gen
-        out.terms = terms
-        return out
+    def _key(self, key: Tuple[int, int]) -> bool:
+        power, mask = key
+        if type(power) is not int or power < 0:
+            raise ValueError(f"lambda power {power!r} is not a nonnegative integer")
+        if type(mask) is not int or mask < 0 or mask >> self._ring:
+            raise ValueError(f"bitmask {mask!r} outside {self._ring} generators")
+        return True
 
     @classmethod
     def scalar(cls, n_gen: int, value: Scalar) -> "GrassmannElement":
@@ -105,35 +181,9 @@ class GrassmannElement:
         """The variable lambda."""
         return cls(n_gen, {(1, 0): 1})
 
-    def _check(self, other: "GrassmannElement") -> None:
-        if self.n_gen != other.n_gen:
-            raise GeneratorMismatch(
-                f"generator sets differ: {self.n_gen} vs {other.n_gen}"
-            )
-
-    def _plus(self, other: "GrassmannElement", sign: int) -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)  # already compact; only touched keys change
-        for key, c in other.terms.items():
-            c = out.pop(key, 0) + sign * c
-            if c:
-                out[key] = c.numerator if c.denominator == 1 else c
-        return self._new(out)
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self._plus(other, -1)
-
-    def __neg__(self) -> "GrassmannElement":
-        return self._new({key: -c for key, c in self.terms.items()})
-
     def __mul__(self, other) -> "GrassmannElement":
         if isinstance(other, (int, Fraction)):
-            return self._new(_compact({key: c * other for key, c in self.terms.items()}))
+            return self._scale(other)
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._check(other)
@@ -151,16 +201,6 @@ class GrassmannElement:
 
     __rmul__ = __mul__  # reached only with a scalar or foreign left operand
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GrassmannElement)
-            and self.n_gen == other.n_gen
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def witness(self) -> Optional[str]:
         """None for zero; otherwise the lowest monomial (lowest lambda power,
         then lowest generator bitmask) with its coefficient, as text."""
@@ -172,7 +212,7 @@ class GrassmannElement:
     def to_json(self) -> str:
         """Canonical form: sorted monomial labels, rational strings."""
         obj = {
-            "generators": self.n_gen,
+            "generators": self._ring,
             "terms": {_monomial(*key): _frac_str(c) for key, c in self.terms.items()},
         }
         return json.dumps(obj, sort_keys=True)
@@ -182,11 +222,6 @@ class GrassmannElement:
             return "GrassmannElement(0)"
         parts = [f"{c}*{_monomial(*key)}" for key, c in sorted(self.terms.items())]
         return "GrassmannElement(" + " + ".join(parts) + ")"
-
-
-def _compact(terms: Dict[Tuple[int, int], Scalar]) -> Dict[Tuple[int, int], Scalar]:
-    """terms without zeros, integral coefficients as ints."""
-    return {key: c.numerator if c.denominator == 1 else c for key, c in terms.items() if c}
 
 
 class AlgebraMatrix:
@@ -278,6 +313,17 @@ def _first_mismatch(X, Y):
     return None
 
 
+def _geometric(x, one, length: int):
+    """sum_{j < length} x^j, which is 1/(1 - x) when x^length == 0; raises
+    ValueError when x^length != 0.  Stops at the first vanishing power."""
+    total, power = one, x
+    for _ in range(length - 1):
+        if power.is_zero():
+            break
+        total, power = total + power, power * x
+    if not power.is_zero():
+        raise ValueError(f"not nilpotent: x^{length} != 0, so 1/(1 - x) has no finite series")
+    return total
 
 
 @dataclass(frozen=True)
@@ -302,8 +348,8 @@ class RankOneReport:
 
 def rank1_check(k: int) -> RankOneReport:
     """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6."""
-    if not 1 <= k <= 6:
-        raise InvalidInput(f"the matrix size k must lie in 1..6 (cost grows as 2^(2k)), got {k}")
+    if type(k) is not int or not 1 <= k <= 6:  # a bool is no int here
+        raise InvalidInput(f"the matrix size k must be an integer in 1..6 (cost grows as 4^k), got {k!r}")
     return rank1_identities(AlgebraMatrix.rank_one(k))
 
 
@@ -333,14 +379,9 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
     lam_A = [[lam * e for e in row] for row in entries]
     lam_a = lam * a
 
-    # geometric series for 1/(1 - lam*a); it ends because a nilpotent element
-    # of the exterior algebra on n_gen generators has a^(n_gen + 1) == 0
-    geom, power = zero, one
-    for _ in range(A.n_gen + 1):
-        geom = geom + power
-        power = power * lam_a
-    if not power.is_zero():
-        raise ValueError("a = -Tr A is not nilpotent")
+    # 1/(1 - lam*a) as a finite geometric series: a nilpotent element of the
+    # exterior algebra on n_gen generators has a^(n_gen + 1) == 0
+    geom = _geometric(lam_a, one, A.n_gen + 1)
 
     M = [[eye[i][j] - lam_A[i][j] for j in range(k)] for i in range(k)]
     M_inv = [[eye[i][j] + geom * lam_A[i][j] for j in range(k)] for i in range(k)]
@@ -432,32 +473,27 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
 # -- truncated commutative series in (t, omega, eta) --------------------------
 
 
-class TruncatedPoly:
+class TruncatedPoly(_SparsePoly):
     """Polynomial in t, omega, eta modulo the truncation ideal.
 
-    Monomials t^a omega^b eta^c with b + c >= order vanish identically
-    (forms above the top degree of an (order-1)-dimensional space), and t is
-    kept to degree <= order.  The order is fixed at construction; arithmetic
-    between different orders raises TruncationMismatch.
+    terms maps exponents (a, b, c) of t^a omega^b eta^c to its coefficient.
+    Monomials with b + c >= order vanish identically (forms above the top
+    degree of an (order-1)-dimensional space), and t is kept to degree
+    <= order.  The order is fixed at construction; arithmetic between
+    different orders raises TruncationMismatch.  An int or a Fraction is a
+    constant in + and -.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ()
+    _least, _what, _mismatch = 1, "truncation order", TruncationMismatch
+    order = property(lambda self: self._ring)
 
-    def __init__(self, order: int, terms: Optional[Dict[Tuple[int, int, int], Fraction]] = None):
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
-        self.order = order
-        clean: Dict[Tuple[int, int, int], Fraction] = {}
-        for (ta, ob, ec), c in (terms or {}).items():
-            # type() is int: a float or a bool is no exponent
-            if not type(ta) is type(ob) is type(ec) is int or min(ta, ob, ec) < 0:
-                raise ValueError(f"exponents {(ta, ob, ec)!r} are not nonnegative integers")
-            if ob + ec >= order or ta > order:
-                continue
-            c = _exact(c)
-            if c != 0:
-                clean[(ta, ob, ec)] = c
-        self.terms = clean
+    def _key(self, key: Tuple[int, int, int]) -> bool:
+        ta, ob, ec = key
+        # type() is int: a float or a bool is no exponent
+        if not type(ta) is type(ob) is type(ec) is int or min(ta, ob, ec) < 0:
+            raise ValueError(f"exponents {key!r} are not nonnegative integers")
+        return ob + ec < self._ring and ta <= self._ring
 
     @classmethod
     def const(cls, order: int, value: Scalar) -> "TruncatedPoly":
@@ -465,84 +501,42 @@ class TruncatedPoly:
 
     @classmethod
     def t(cls, order: int) -> "TruncatedPoly":
-        return cls(order, {(1, 0, 0): Fraction(1)})
+        return cls(order, {(1, 0, 0): 1})
 
     @classmethod
     def omega(cls, order: int) -> "TruncatedPoly":
-        return cls(order, {(0, 1, 0): Fraction(1)})
+        return cls(order, {(0, 1, 0): 1})
 
     @classmethod
     def eta(cls, order: int) -> "TruncatedPoly":
-        return cls(order, {(0, 0, 1): Fraction(1)})
+        return cls(order, {(0, 0, 1): 1})
 
-    def _check(self, other: "TruncatedPoly") -> None:
-        if self.order != other.order:
-            raise TruncationMismatch(
-                f"truncation orders differ: {self.order} vs {other.order}"
-            )
-
-    def __add__(self, other) -> "TruncatedPoly":
+    def _operand(self, other) -> Optional["TruncatedPoly"]:
         if isinstance(other, (int, Fraction)):
-            other = TruncatedPoly.const(self.order, other)
-        elif not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, Fraction(0)) + c
-            if acc == 0:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return TruncatedPoly(self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.order, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other) -> "TruncatedPoly":
-        if not isinstance(other, (int, Fraction, TruncatedPoly)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "TruncatedPoly":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return (-self) + other
+            return self._new(_compact({(0, 0, 0): other}))
+        return other if isinstance(other, TruncatedPoly) else None
 
     def __mul__(self, other) -> "TruncatedPoly":
         if isinstance(other, (int, Fraction)):
-            return TruncatedPoly(
-                self.order, {k: c * other for k, c in self.terms.items()}
-            )
+            return self._scale(other)
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         self._check(other)
-        out: Dict[Tuple[int, int, int], Fraction] = {}
-        n = self.order
+        n = self._ring
+        out: Dict[Tuple[int, int, int], Scalar] = {}
         for (a1, b1, c1), x in self.terms.items():
             for (a2, b2, c2), y in other.terms.items():
-                b, c = b1 + b2, c1 + c2
-                if b + c >= n:
-                    continue
-                a = a1 + a2
-                if a > n:
-                    continue
-                key = (a, b, c)
-                acc = out.get(key, Fraction(0)) + x * y
-                if acc == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return TruncatedPoly(self.order, out)
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                if key[1] + key[2] < n and key[0] <= n:
+                    out[key] = out.get(key, 0) + x * y
+        return self._new(_compact(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "TruncatedPoly":
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = TruncatedPoly.const(self.order, 1)
+        result = self._new({(0, 0, 0): 1})
         base = self
         while e:
             if e & 1:
@@ -551,63 +545,35 @@ class TruncatedPoly:
             e >>= 1
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedPoly)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def coefficient(self, a: int, b: int, c: int) -> Fraction:
+        return Fraction(self.terms.get((a, b, c), 0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0, 0), Fraction(0))
+        return self.coefficient(0, 0, 0)
 
     def inv(self) -> "TruncatedPoly":
         """Inverse in the quotient ring; needs a nonzero constant term.
 
-        The non-constant part is nilpotent under the truncation, so the
-        geometric series terminates exactly.
+        u = 1 - self/c0 has no constant term, so every monomial of u^j has
+        a + b + c >= j, while none above 2*order - 1 survives: u is nilpotent
+        and the geometric series for 1/(1 - u) ends exactly.
         """
         c0 = self.constant_term()
         if c0 == 0:
             raise NotInvertible("zero constant term")
-        u = TruncatedPoly.const(self.order, 1) - self * (1 / c0)
-        acc = TruncatedPoly.const(self.order, 1)
-        term = u
-        guard = 0
-        while not term.is_zero():
-            acc = acc + term
-            term = term * u
-            guard += 1
-            if guard > 3 * self.order + 3:
-                raise RuntimeError("geometric series failed to terminate")
-        return acc * (1 / c0)
-
-    def coefficient(self, a: int, b: int, c: int) -> Fraction:
-        return self.terms.get((a, b, c), Fraction(0))
+        one = self._new({(0, 0, 0): 1})
+        return _geometric(one - self * (1 / c0), one, 2 * self._ring + 1) * (1 / c0)
 
     def t_coefficient(self, q: int) -> Dict[Tuple[int, int], Fraction]:
         """Coefficient of t^q as a map (omega_deg, eta_deg) -> value."""
-        return {
-            (b, c): v for (a, b, c), v in self.terms.items() if a == q
-        }
+        return {(b, c): Fraction(v) for (a, b, c), v in self.terms.items() if a == q}
 
     def to_json(self) -> str:
-        obj = {
-            "order": self.order,
-            "terms": {
-                f"t^{a}*omega^{b}*eta^{c}": _frac_str(v)
-                for (a, b, c), v in self.terms.items()
-            },
-        }
-        return json.dumps(obj, sort_keys=True)
+        terms = {f"t^{a}*omega^{b}*eta^{c}": _frac_str(v) for (a, b, c), v in self.terms.items()}
+        return json.dumps({"order": self._ring, "terms": terms}, sort_keys=True)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "TruncatedPoly(0)"
-        parts = [
-            f"{v}*t^{a}*w^{b}*h^{c}" for (a, b, c), v in sorted(self.terms.items())
-        ]
+        parts = [f"{v}*t^{a}*w^{b}*h^{c}" for (a, b, c), v in sorted(self.terms.items())]
         return "TruncatedPoly(" + " + ".join(parts) + ")"

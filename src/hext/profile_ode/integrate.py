@@ -96,12 +96,12 @@ class Trajectory:
             raise ValueError("grid and v must be matching 1-d arrays")
         if grid[0] != 1.0 or abs(grid[-1] - (meta.m + 1)) > 1e-12:
             raise ValueError("grid must span [1, m+1]")
-        if np.any(np.diff(grid) <= 0):
+        if not np.all(np.diff(grid) > 0):  # written so that a NaN fails
             raise ValueError("grid must be strictly increasing")
         if v[0] != 2.0:
             raise ValueError("initial value v(1) must be exactly 2")
-        if np.any(v <= 0):
-            raise ValueError("v must stay positive on a Trajectory")
+        if not np.all((v > 0) & (v < np.inf)):
+            raise ValueError("v must stay positive and finite on a Trajectory")
         self.grid = grid
         self.v = v
         self.meta = meta
@@ -308,8 +308,8 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
         )
     if not C_lo < C_hi:
         raise InvalidInput(f"the C window [{C_lo:g}, {C_hi:.10g}] is empty")
-    if not 2 <= steps <= MAX_SCAN_STEPS:
-        raise InvalidInput(f"the number of scan points must lie in 2..{MAX_SCAN_STEPS}, got {steps}")
+    if type(steps) is not int or not 2 <= steps <= MAX_SCAN_STEPS:
+        raise InvalidInput(f"the number of scan points must be an integer in 2..{MAX_SCAN_STEPS}, got {steps!r}")
     cs = np.linspace(C_lo, C_hi, steps)
     return ScanResult(m=m, points=_solve_defects(m, cs, SCAN_CONFIG))
 

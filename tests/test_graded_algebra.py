@@ -152,6 +152,21 @@ def test_truncpoly_exponents_are_nonnegative_integers(key):
         TruncatedPoly(3, {key: 1})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GrassmannElement(True, {(0, 1): 1}),  # once written as "generators": true
+    lambda: GrassmannElement(2.5),
+    lambda: GrassmannElement(-1),
+    lambda: TruncatedPoly(2.5, {(0, 0, 0): 1}),
+    lambda: TruncatedPoly(True),
+    lambda: TruncatedPoly(0),
+    lambda: TruncatedPoly.t(F(2)),
+], ids=["grassmann-bool", "grassmann-float", "grassmann-negative",
+        "truncpoly-float", "truncpoly-bool", "truncpoly-zero", "truncpoly-fraction"])
+def test_ring_parameter_is_an_int(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
 @pytest.mark.parametrize(
     "build",
     [

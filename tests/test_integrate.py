@@ -147,6 +147,18 @@ def test_trajectory_rejects_bad_data():
     assert not t.interior_positive()
 
 
+def test_trajectory_rejects_nan_and_inf():
+    # NaN compares False both ways, so "any(v <= 0)" once let these through
+    cs = coeffs_from_C(1, 2)
+    grid = np.linspace(1.0, 2.0, 11)
+    v = 2.0 * grid ** 2
+    for name, i, bad in (("v", 5, np.nan), ("v", -1, np.inf), ("grid", 5, np.nan)):
+        data = {"grid": grid.copy(), "v": v.copy()}
+        data[name][i] = bad
+        with pytest.raises(ValueError, match="positive and finite|strictly increasing"):
+            Trajectory(data["grid"], data["v"], cs)
+
+
 def test_trajectory_csv_format():
     traj = integrate_v(1, F(22, 3))
     text = traj.to_csv()

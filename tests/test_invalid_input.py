@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from hext import HypersurfaceParams, InvalidInput, futaki_closed, hcsck_nonexistence, rank1_check
+from hext import (
+    HypersurfaceParams,
+    InvalidInput,
+    alpha_recursive,
+    futaki_closed,
+    hcsck_nonexistence,
+    rank1_check,
+)
 from hext.profile_ode import MAX_SCAN_STEPS, defect_scan, hcsck_coeffs, shoot
 
 _CALLS = {
@@ -21,9 +28,18 @@ _CALLS = {
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),
     "scan-huge-steps": lambda: defect_scan(1, 0.0, 1.0, 10**30),
     "scan-one-step": lambda: defect_scan(1, 0.0, 1.0, 1),
+    "scan-float-steps": lambda: defect_scan(1, 2.0, 5.0, 2.5),
+    "scan-bool-steps": lambda: defect_scan(1, 2.0, 5.0, True),
     "params-n-above-cap": lambda: HypersurfaceParams(9, 2),
     "futaki-n-above-cap": lambda: futaki_closed(9, 2, 1),
+    "params-d-bool": lambda: HypersurfaceParams(3, True),
+    "futaki-d-bool": lambda: futaki_closed(3, True, 1),
+    "futaki-q-bool": lambda: futaki_closed(3, 2, True),
+    "futaki-q-float": lambda: futaki_closed(3, 2, 1.0),
+    "alpha-d-bool": lambda: alpha_recursive(3, True),
     "rank1-k-above-6": lambda: rank1_check(7),
+    "rank1-k-bool": lambda: rank1_check(True),
+    "rank1-k-float": lambda: rank1_check(2.0),
     "nonexist-m-0": lambda: hcsck_nonexistence(0),
     "coeffs-m-0": lambda: hcsck_coeffs(0),
     "coeffs-m-minus-2": lambda: hcsck_coeffs(-2),

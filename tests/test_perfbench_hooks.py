@@ -37,3 +37,19 @@ def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_tracer_counts_both_exact_products(monkeypatch):
+    # the tracer wraps a method only in its own class's namespace, so a
+    # product inherited from a base class would be reported present but
+    # never counted
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from hext import alpha_series, rank1_check
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        rank1_check(2)
+        assert tracer.counts["grassmann_mul"] > 0
+        alpha_series(3, 2)
+        assert any(span[0] == "truncpoly_mul" for span in tracer.spans)
