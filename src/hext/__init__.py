@@ -29,7 +29,6 @@ from .chern_futaki import (
     futaki_localized,
 )
 from .errors import (
-    CertificateFailure,
     EndpointSingularity,
     GeneratorMismatch,
     HextError,
@@ -43,7 +42,6 @@ from .errors import (
     TruncationMismatch,
 )
 from .graded_algebra import (
-    AlgebraMatrix,
     GrassmannElement,
     TruncatedPoly,
     rank1_check,
@@ -58,7 +56,6 @@ from .profile_ode import (
     CoeffSet,
     KahlerClassIndex,
     LNConstants,
-    ProfilePoly,
     admissible_C_max,
     certify_m1,
     coeffs_from_C,

@@ -64,7 +64,7 @@ class AlphaTable:
 
     def __post_init__(self):
         HypersurfaceParams(self.n, self.d)
-        if self.provenance not in ("recursion", "closed", "series"):
+        if self.provenance not in ALPHA_METHODS:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if len(self.entries) != self.n:
             raise ValueError("table must have rows q = 0 .. n-1")
@@ -75,8 +75,6 @@ class AlphaTable:
                 raise ValueError(f"alpha[{q}][0] must be (-1)^{q}")
             if row[q] != _diagonal(self.n, self.d, q):
                 raise ValueError(f"alpha[{q}][{q}] violates the diagonal sum")
-        if self.entries[0][0] != 1:
-            raise ValueError("alpha[0][0] must be 1")
 
     def get(self, q: int, k: int) -> Fraction:
         return self.entries[q][k]
@@ -177,6 +175,10 @@ def alpha_series(n: int, d: int) -> AlphaTable:
     denom = 1 + t * (w * d + e)
     series = numer * denom.inv()
     return _table_from_series(series, n, d)
+
+
+# the three methods by name: an AlphaTable's provenance and the CLI's --method
+ALPHA_METHODS = {"recursion": alpha_recursive, "closed": alpha_closed, "series": alpha_series}
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ or an --out that exists and is not a directory.  A library error ends every
 subcommand in one report form: summary {"pass": false, "reason": "error"}
 (exit 1), or "no-bracket" (exit 2) when --c-min and --c-max clip shoot's
 root bracket to a window without a sign change, with the message in
-outputs.message.
+outputs.message.  A check that runs and fails is no error: a failed
+certificate claim, rank-one identity or non-positive hcscK margin comes back
+from the library as data, and its report keeps the full outputs with
+"pass": false (certify names its failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
-from .chern_futaki import alpha_closed, alpha_recursive, alpha_series, futaki_closed
-from .errors import CertificateFailure, HextError, InvalidInput, NoBracket
+from .chern_futaki import ALPHA_METHODS, futaki_closed
+from .errors import HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from . import profile_ode
 from .profile_ode import certify_m1
@@ -45,12 +48,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_NO_BRACKET = 2
 EXIT_USAGE = 64
-
-_ALPHA_METHODS = {
-    "recursion": alpha_recursive,
-    "closed": alpha_closed,
-    "series": alpha_series,
-}
 
 
 @dataclass
@@ -128,18 +125,15 @@ def _shoot(a) -> _Outcome:
 
 
 def _certify(a) -> _Outcome:
-    try:
-        cert, failed = certify_m1(), None
-    except CertificateFailure as exc:
-        cert, failed = exc.certificate, exc.claim_id
-    rows = cert.rows() if cert is not None else []
+    cert = certify_m1()
+    rows, failed = cert.rows(), cert.first_failed()
     human = [
         f"{'PASS' if r['pass'] else 'FAIL'}  {r['id']:22s} {r['lhs']} {r['cmp']} {r['rhs']}"
         for r in rows
     ]
     human.append("all claims pass" if failed is None else f"FAILED claim: {failed}")
     summary = {"pass": failed is None, "failed_claim": failed}
-    artifacts = [("certificate_json", "certificate.json", cert.to_json)] if cert is not None else []
+    artifacts = [("certificate_json", "certificate.json", cert.to_json)]
     return _Outcome({"claims": rows}, human, summary, artifacts)
 
 
@@ -157,13 +151,15 @@ def _nonexist(a) -> _Outcome:
         "alt_integral": _frac_str(rep.alt_integral),
         "alt_satisfies_boundary": rep.alt_satisfies_boundary,
     }
+    excluded = rep.margin > 0  # the A = 0 profile cannot close
+    verdict = "> 0: constant-lambda closing impossible" if excluded else "is not > 0: no contradiction"
     human = [
         "m={m}: A=0 forces B={B}, C={C} (alternative constants B={alt_B}, C={alt_C}"
         " fail p(1)=2: {fails})".format(m=a.m, fails=not rep.alt_satisfies_boundary, **outputs),
         "exact integral of q = {integral_q} (alternative value {alt_integral})".format(**outputs),
-        f"v(m+1) - 2(m+1)^2 = {rep.margin:.6f} > 0: constant-lambda closing impossible",
+        f"v(m+1) - 2(m+1)^2 = {rep.margin:.6f} {verdict}",
     ]
-    return _Outcome(outputs, human, {"pass": rep.margin > 0})
+    return _Outcome(outputs, human, {"pass": excluded})
 
 
 def _scan_csv(points) -> str:
@@ -191,7 +187,7 @@ def _scan(a) -> _Outcome:
 
 
 def _alpha(a) -> _Outcome:
-    table = _ALPHA_METHODS[a.method](a.n, a.d)
+    table = ALPHA_METHODS[a.method](a.n, a.d)
     csv_text = table.to_csv()
     rows = [
         {"q": q, "k": k, "alpha": str(v.numerator)}
@@ -245,7 +241,7 @@ _COMMANDS = {
     ),
     "alpha": (
         "Chern coefficient table for a hypersurface",
-        (_N, _D, _flag("--method", choices=sorted(_ALPHA_METHODS), default="recursion")),
+        (_N, _D, _flag("--method", choices=sorted(ALPHA_METHODS), default="recursion")),
         _alpha,
     ),
     "futaki": ("closed-formula Bando-Futaki invariant", (_N, _D, _flag("--q", int)), _futaki),

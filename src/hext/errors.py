@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+A failed certificate claim, rank-one identity or hcscK margin is not an
+error: it is returned as data (CertificateM1, RankOneReport,
+NonexistenceReport), and the CLI turns it into a failed summary.
+"""
 
 
 class HextError(Exception):
@@ -36,15 +41,6 @@ class NoBracket(HextError):
     def __init__(self, message: str, scan=None):
         self.scan = scan
         super().__init__(message)
-
-
-class CertificateFailure(HextError):
-    """An exact certificate claim failed.  Carries the first failing claim id."""
-
-    def __init__(self, claim_id: str, certificate=None):
-        self.claim_id = claim_id
-        self.certificate = certificate
-        super().__init__(f"certificate claim failed: {claim_id}")
 
 
 class EndpointSingularity(HextError):

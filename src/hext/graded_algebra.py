@@ -8,6 +8,8 @@ exterior algebra on n_gen odd generators; its lambda-free elements are the
 exterior algebra itself.  It exists to verify the rank-one determinant
 identities det(I - lam*A) * (1 - lam*a) = 1 and
 (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
+A matrix is a list of rows; _matmul, _leibniz and its test oracle _cofactor
+work over any commutative ring with +, - and *.
 TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
 monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
 on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
@@ -172,8 +174,8 @@ class GrassmannElement(_SparsePoly):
 
     @classmethod
     def generator(cls, n_gen: int, i: int) -> "GrassmannElement":
-        if not 0 <= i < n_gen:
-            raise ValueError(f"generator index {i} out of range")
+        if type(i) is not int or not 0 <= i < n_gen:  # a bool is no index here
+            raise ValueError(f"generator index {i!r} is not an integer in range({n_gen!r})")
         return cls(n_gen, {(0, 1 << i): 1})
 
     @classmethod
@@ -224,52 +226,6 @@ class GrassmannElement(_SparsePoly):
         return "GrassmannElement(" + " + ".join(parts) + ")"
 
 
-class AlgebraMatrix:
-    """Square matrix of GrassmannElements over one shared generator set."""
-
-    def __init__(self, entries: List[List[GrassmannElement]]):
-        k = len(entries)
-        if k == 0 or any(len(row) != k for row in entries):
-            raise ValueError("entries must form a nonempty square array")
-        n_gen = entries[0][0].n_gen
-        if any(e.n_gen != n_gen for row in entries for e in row):
-            raise GeneratorMismatch("matrix entries over different generator sets")
-        self.entries = entries
-        self.k = k
-        self.n_gen = n_gen
-
-    @classmethod
-    def rank_one(cls, k: int) -> "AlgebraMatrix":
-        """A_ij = alpha_i * beta_j with alpha_i, beta_i the 2k generators."""
-        n_gen = 2 * k
-        alpha = [GrassmannElement.generator(n_gen, 2 * i) for i in range(k)]
-        beta = [GrassmannElement.generator(n_gen, 2 * i + 1) for i in range(k)]
-        return cls([[alpha[i] * beta[j] for j in range(k)] for i in range(k)])
-
-    def trace(self) -> GrassmannElement:
-        return sum((self.entries[i][i] for i in range(self.k)), GrassmannElement(self.n_gen))
-
-    def det_leibniz(self) -> GrassmannElement:
-        """Leibniz sum; valid because even entries commute pairwise."""
-        return _leibniz(self.entries, GrassmannElement.scalar(self.n_gen, 1))
-
-    def det_cofactor(self) -> GrassmannElement:
-        """First-row cofactor expansion (entries must commute: even elements)."""
-        if self.k == 1:
-            return self.entries[0][0]
-        acc = GrassmannElement(self.n_gen)
-        for j in range(self.k):
-            minor = AlgebraMatrix(
-                [
-                    [self.entries[i][jj] for jj in range(self.k) if jj != j]
-                    for i in range(1, self.k)
-                ]
-            )
-            term = self.entries[0][j] * minor.det_cofactor()
-            acc = acc + (term if j % 2 == 0 else -term)
-        return acc
-
-
 # -- matrix algebra over any ring with +, - and * -------------------------------
 
 
@@ -291,6 +247,18 @@ def _leibniz(rows, one):
         for i in range(1, len(perm)):
             term = term * rows[i][perm[i]]
         total = total + term if _perm_sign(perm) > 0 else total - term
+    return total
+
+
+def _cofactor(rows):
+    """Determinant by first-row cofactor expansion, in a commutative ring: the
+    test oracle for _leibniz."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0] - rows[0][0]
+    for j, x in enumerate(rows[0]):
+        term = x * _cofactor([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
     return total
 
 
@@ -347,14 +315,17 @@ class RankOneReport:
 
 
 def rank1_check(k: int) -> RankOneReport:
-    """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6."""
+    """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6, where
+    alpha_i and beta_i are the generators 2i and 2i + 1 of 2k."""
     if type(k) is not int or not 1 <= k <= 6:  # a bool is no int here
         raise InvalidInput(f"the matrix size k must be an integer in 1..6 (cost grows as 4^k), got {k!r}")
-    return rank1_identities(AlgebraMatrix.rank_one(k))
+    gen = [GrassmannElement.generator(2 * k, i) for i in range(2 * k)]
+    return rank1_identities([[gen[2 * i] * gen[2 * j + 1] for j in range(k)] for i in range(k)])
 
 
-def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
-    """Check the three rank-one identities on A, with a = -Tr A:
+def rank1_identities(rows) -> RankOneReport:
+    """Check the three rank-one identities on the square matrix A of
+    GrassmannElements given by its rows, with a = -Tr A:
 
     (i)   A@A == a*A;
     (ii)  (I - lam*A) * (I + lam * geom(a) * A) == I, where geom(a) is the
@@ -362,26 +333,31 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
     (iii) det(I - lam*A) * (1 - lam*a) == 1 by Leibniz expansion.
 
     All three hold for A_ij = alpha_i * beta_j with odd alpha, beta; a
-    failing identity carries the lowest monomial where it fails.
+    failing identity carries the lowest monomial where it fails.  Rows that
+    do not form a nonempty square raise ValueError; entries over different
+    generator sets raise GeneratorMismatch from the arithmetic.
     """
-    k, entries = A.k, A.entries
-    a = -A.trace()
+    k = len(rows)
+    if k == 0 or any(len(row) != k for row in rows):
+        raise ValueError("A must be a nonempty square matrix")
+    n_gen = rows[0][0].n_gen
+    a = -sum((rows[i][i] for i in range(k)), GrassmannElement(n_gen))
 
     # (i) A^2 == a * A
-    bad = _first_mismatch(_matmul(entries, entries), [[a * e for e in row] for row in entries])
+    bad = _first_mismatch(_matmul(rows, rows), [[a * e for e in row] for row in rows])
     witness_i = None if bad is None else (
         f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms)[1])}"
     )
 
-    one, zero, lam = (GrassmannElement.scalar(A.n_gen, 1), GrassmannElement(A.n_gen),
-                      GrassmannElement.lam(A.n_gen))
+    one, zero, lam = (GrassmannElement.scalar(n_gen, 1), GrassmannElement(n_gen),
+                      GrassmannElement.lam(n_gen))
     eye = [[one if i == j else zero for j in range(k)] for i in range(k)]
-    lam_A = [[lam * e for e in row] for row in entries]
+    lam_A = [[lam * e for e in row] for row in rows]
     lam_a = lam * a
 
     # 1/(1 - lam*a) as a finite geometric series: a nilpotent element of the
     # exterior algebra on n_gen generators has a^(n_gen + 1) == 0
-    geom = _geometric(lam_a, one, A.n_gen + 1)
+    geom = _geometric(lam_a, one, n_gen + 1)
 
     M = [[eye[i][j] - lam_A[i][j] for j in range(k)] for i in range(k)]
     M_inv = [[eye[i][j] + geom * lam_A[i][j] for j in range(k)] for i in range(k)]
@@ -393,17 +369,9 @@ def rank1_identities(A: AlgebraMatrix) -> RankOneReport:
     # (iii) det(I - lam*A) * (1 - lam*a) == 1
     witness_iii = (_leibniz(M, one) * (one - lam_a) - one).witness()
 
-    return RankOneReport(
-        k=k,
-        identities=[
-            IdentityCheck(name, witness is None, witness)
-            for name, witness in (
-                ("A_squared_equals_aA", witness_i),
-                ("inverse_formula", witness_ii),
-                ("determinant_geometric", witness_iii),
-            )
-        ],
-    )
+    names = ("A_squared_equals_aA", "inverse_formula", "determinant_geometric")
+    witnesses = (witness_i, witness_ii, witness_iii)
+    return RankOneReport(k, [IdentityCheck(n, w is None, w) for n, w in zip(names, witnesses)])
 
 
 @dataclass
@@ -534,8 +502,8 @@ class TruncatedPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "TruncatedPoly":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        if type(e) is not int or e < 0:  # a bool is no exponent here
+            raise ValueError(f"exponent {e!r} is not a nonnegative integer")
         result = self._new({(0, 0, 0): 1})
         base = self
         while e:

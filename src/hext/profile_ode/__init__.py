@@ -10,7 +10,6 @@ from .coeffs import (
     CoeffSet,
     KahlerClassIndex,
     LNConstants,
-    ProfilePoly,
     admissible_C_max,
     coeffs_from_C,
     compute_LN,

@@ -28,7 +28,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .. import ratpoly
-from ..errors import CertificateFailure
 from ..ratpoly import _frac_str
 from .coeffs import coeffs_from_C, compute_LN
 
@@ -106,8 +105,9 @@ def _step_upper(v_a: Fraction, delta_P: Fraction, h: Fraction) -> Fraction:
 def certify_m1() -> CertificateM1:
     """Build and check the full m = 1 certificate.
 
-    Returns the certificate when every claim passes; raises
-    CertificateFailure naming the first failed claim otherwise.
+    A failed claim is returned, not raised: all_pass is False and
+    first_failed() names it.  If p has other than one root on [1, 2], the
+    certificate ends at its failed gamma0_unique claim.
     """
     m = 1
     claims: List[Claim] = []
@@ -129,21 +129,21 @@ def certify_m1() -> CertificateM1:
     claims.append(_claim("A_value", cs.A, "==", Fraction(9)))
     claims.append(_claim("B_value", cs.B, "==", Fraction(-50, 3)))
 
-    poly = cs.profile_poly()
+    p, q = cs.p, cs.q
     expected_q = ratpoly.poly([0, Fraction(22, 3), 0, Fraction(-25, 3), 3])
-    q_diff = sum(abs(c) for c in ratpoly.sub(poly.q, expected_q))
+    q_diff = sum(abs(c) for c in ratpoly.sub(q, expected_q))
     claims.append(_claim("q_polynomial", Fraction(q_diff), "==", Fraction(0)))
 
     # root bracketing of p on [1, 2]
-    p_lo = poly.p_at(Fraction(6, 5))
-    p_hi = poly.p_at(Fraction(13, 10))
+    p_lo = ratpoly.eval_at(p, Fraction(6, 5))
+    p_hi = ratpoly.eval_at(p, Fraction(13, 10))
     claims.append(_claim("p_sign_at_6_5", p_lo, ">", Fraction(0)))
     claims.append(_claim("p_sign_at_13_10", p_hi, "<", Fraction(0)))
-    n_roots = ratpoly.count_roots(poly.p, Fraction(1), Fraction(2))
-    claims.append(_claim("gamma0_unique", Fraction(n_roots), "==", Fraction(1)))
-    intervals = ratpoly.isolate_roots(poly.p, Fraction(1), Fraction(2), Fraction(1, 10 ** 6))
+    # one Sturm-isolated interval per root: the count and gamma_0's interval
+    intervals = ratpoly.isolate_roots(p, Fraction(1), Fraction(2), Fraction(1, 10 ** 6))
+    claims.append(_claim("gamma0_unique", Fraction(len(intervals)), "==", Fraction(1)))
     if len(intervals) != 1:
-        raise CertificateFailure("gamma0_unique", CertificateM1(claims, details))
+        return CertificateM1(claims, details)
     g0_lo, g0_hi = intervals[0]
     details["gamma0_lo"] = g0_lo
     details["gamma0_hi"] = g0_hi
@@ -152,10 +152,10 @@ def certify_m1() -> CertificateM1:
 
     # certified minimum of q over [1, 2]: interval enclosures at the isolated
     # critical points plus exact endpoint values
-    q_prime = ratpoly.derivative(poly.q)
-    lower_bounds = [poly.q_at(1), poly.q_at(2)]
+    q_prime = ratpoly.derivative(q)
+    lower_bounds = [ratpoly.eval_at(q, 1), ratpoly.eval_at(q, 2)]
     for lo, hi in ratpoly.isolate_roots(q_prime, Fraction(1), Fraction(2), Fraction(1, 10 ** 6)):
-        enc_lo, _ = ratpoly.interval_eval(poly.q, lo, hi)
+        enc_lo, _ = ratpoly.interval_eval(q, lo, hi)
         lower_bounds.append(enc_lo)
     q_min_bound = min(lower_bounds)
     details["q_min_lower_bound"] = q_min_bound
@@ -169,8 +169,9 @@ def certify_m1() -> CertificateM1:
 
     # two-step upper bound with h = 1/2, exact P increments
     h = Fraction(1, 2)
-    P_15 = poly.P_at(Fraction(3, 2))
-    P_2 = poly.P_at(2)
+    P = cs.P
+    P_15 = ratpoly.eval_at(P, Fraction(3, 2))
+    P_2 = ratpoly.eval_at(P, 2)
     details["P_at_3_2"] = P_15
     details["P_at_2"] = P_2
     u1 = _step_upper(Fraction(2), P_15, h)
@@ -180,8 +181,4 @@ def certify_m1() -> CertificateM1:
     claims.append(_claim("v2_upper_bound", u2, "<=", Fraction(15, 2)))
     claims.append(_claim("v2_below_target", Fraction(15, 2), "<", Fraction(8)))
 
-    cert = CertificateM1(claims=claims, details=details)
-    failed = cert.first_failed()
-    if failed is not None:
-        raise CertificateFailure(failed, cert)
-    return cert
+    return CertificateM1(claims=claims, details=details)

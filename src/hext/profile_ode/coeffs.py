@@ -74,46 +74,25 @@ class CoeffSet:
             return self.A * Fraction(gamma) + self.B
         return float(self.A) * gamma + float(self.B)
 
-    def profile_poly(self) -> "ProfilePoly":
-        return ProfilePoly.from_coeffs(self)
+    @property
+    def p(self) -> ratpoly.Poly:
+        """p(gamma) = A*gamma^3/3 + B*gamma^2/2 + C, ascending coefficients."""
+        return ratpoly.poly([self.C, 0, self.B / 2, self.A / 3])
+
+    @property
+    def q(self) -> ratpoly.Poly:
+        """q(gamma) = p(gamma) * gamma."""
+        return ratpoly.poly([0, *self.p])
+
+    @property
+    def P(self) -> ratpoly.Poly:
+        """The antiderivative P(gamma) = int_1^gamma q, so P(1) == 0."""
+        prim = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.q)]
+        prim[0] = -ratpoly.eval_at(prim, 1)
+        return ratpoly.poly(prim)
 
     def float_abc(self) -> Tuple[float, float, float]:
         return float(self.A), float(self.B), float(self.C)
-
-
-@dataclass(frozen=True)
-class ProfilePoly:
-    """p, q = p*gamma, and the antiderivative P(gamma) = int_1^gamma q.
-
-    Coefficient tuples are ascending.  P(1) == 0 by construction.
-    """
-
-    m: int
-    p: ratpoly.Poly
-    q: ratpoly.Poly
-    P: ratpoly.Poly
-
-    @classmethod
-    def from_coeffs(cls, cs: CoeffSet) -> "ProfilePoly":
-        p = ratpoly.poly([cs.C, 0, cs.B / 2, cs.A / 3])
-        q = ratpoly.poly([0, cs.C, 0, cs.B / 2, cs.A / 3])
-        # antiderivative of q, shifted so P(1) = 0
-        prim = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(q)]
-        prim[0] = -ratpoly.eval_at(ratpoly.poly(prim), Fraction(1))
-        P = ratpoly.poly(prim)
-        obj = cls(m=cs.m, p=p, q=q, P=P)
-        if obj.p_at(1) != 2 or obj.p_at(cs.m + 1) != -2:
-            raise ValueError("profile polynomial violates boundary values")
-        return obj
-
-    def p_at(self, x) -> Fraction:
-        return ratpoly.eval_at(self.p, Fraction(x))
-
-    def q_at(self, x) -> Fraction:
-        return ratpoly.eval_at(self.q, Fraction(x))
-
-    def P_at(self, x) -> Fraction:
-        return ratpoly.eval_at(self.P, Fraction(x))
 
 
 @dataclass(frozen=True)

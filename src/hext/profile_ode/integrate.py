@@ -21,7 +21,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from ..errors import (
-    CertificateFailure,
     EndpointSingularity,
     InvalidInput,
     NoBracket,
@@ -430,7 +429,8 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
 
     A constant-lambda solution that closes up would need v(m+1) = 2*(m+1)^2,
     but the integrated v overshoots strictly; the positive margin is the
-    numerical face of that contradiction.
+    numerical face of that contradiction.  The report is returned whatever
+    the margin: the caller's margin > 0 is the verdict.
     """
     cs = hcsck_coeffs(m)
     integral = compute_LN(m).lc_plus_n(cs.C)
@@ -440,9 +440,6 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     alt_B = -12 / s1
     alt_C = 4 + 8 / s1
     alt_boundary_ok = (alt_B / 2 + alt_C) == 2
-
-    if not margin > 0.0:
-        raise CertificateFailure("hcsck_margin", None)
     return NonexistenceReport(
         m=m,
         coeffs=cs,

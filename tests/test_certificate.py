@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from hext import certify_m1
+from hext import certify_m1, ratpoly
 
 EXPECTED_ORDER = [
     "L_value",
@@ -96,3 +96,23 @@ def test_json_schema():
     byid = {r["id"]: r for r in rows}
     assert byid["LCplusN"]["lhs"] == "-33/20"
     assert byid["v2_upper_bound"]["rhs"] == "15/2"
+
+
+def test_a_failed_claim_is_returned(monkeypatch):
+    # a square-root bound 1 too high lifts the two-step bound above 15/2
+    sqrt_upper = ratpoly.sqrt_upper
+    monkeypatch.setattr(ratpoly, "sqrt_upper", lambda x, *a: sqrt_upper(x, *a) + 1)
+    cert = certify_m1()
+    assert not cert.all_pass
+    assert cert.first_failed() == "v2_upper_bound"
+    assert [c.id for c in cert.claims] == EXPECTED_ORDER
+    assert [c.id for c in cert.claims if not c.passed] == ["v2_upper_bound"]
+
+
+def test_two_roots_of_p_end_the_certificate(monkeypatch):
+    monkeypatch.setattr(ratpoly, "isolate_roots", lambda *a: [(F(1), F(3, 2)), (F(3, 2), F(2))])
+    cert = certify_m1()
+    assert cert.first_failed() == "gamma0_unique"
+    assert cert.claims[-1].id == "gamma0_unique"
+    assert cert.claim("gamma0_unique").lhs == 2
+    assert [c.id for c in cert.claims] == EXPECTED_ORDER[:EXPECTED_ORDER.index("gamma0_unique") + 1]

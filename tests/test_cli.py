@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hext import cli, profile_ode
+from hext import cli, profile_ode, ratpoly
 from hext.profile_ode import integrate
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
@@ -137,6 +137,34 @@ def test_nonexist_cli(capsys):
     assert doc["outputs"]["integral_q"] == "0/1"
     assert doc["outputs"]["alt_satisfies_boundary"] is False
     assert doc["outputs"]["margin"] > 0
+
+
+def test_nonexist_verdict_can_fail(monkeypatch, capsys):
+    # by F1 the margin is 2*int(phi_h) > 0, so only a patched solve reaches
+    # this: the report keeps every output and its verdict fails
+    monkeypatch.setattr(integrate, "_defect", lambda m, C: -1.0)
+    assert main(["nonexist", "--m", "1", "--json"]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False}
+    assert doc["outputs"]["margin"] == -1.0
+    assert doc["outputs"]["B"] == "-8/3" and doc["outputs"]["C"] == "10/3"
+    assert main(["nonexist", "--m", "1"]) == EXIT_FAIL
+    assert capsys.readouterr().out.splitlines()[-1].endswith("is not > 0: no contradiction")
+
+
+def test_certify_failed_claim_is_reported(monkeypatch, tmp_path, capsys):
+    sqrt_upper = ratpoly.sqrt_upper
+    monkeypatch.setattr(ratpoly, "sqrt_upper", lambda x, *a: sqrt_upper(x, *a) + 1)
+    out = tmp_path / "cert"
+    assert main(["certify", "--json", "--out", str(out)]) == EXIT_FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["summary"] == {"pass": False, "failed_claim": "v2_upper_bound"}
+    rows = json.loads((out / "certificate.json").read_text())
+    assert [r["id"] for r in rows if not r["pass"]] == ["v2_upper_bound"]
+    assert {r["id"]: r for r in rows}["v2_upper_bound"]["pass"] is False
+    assert main(["certify"]) == EXIT_FAIL
+    text = capsys.readouterr().out
+    assert text.splitlines()[-1] == "FAILED claim: v2_upper_bound"
 
 
 def test_c_whose_coefficients_overflow_a_float(capsys):
@@ -363,7 +391,7 @@ _LIBRARY_CALLS = [
 def test_library_errors_give_one_report_form(argv, call, monkeypatch, tmp_path, capsys):
     fail = _raise(StepFailure("no progress"))
     if call is None:
-        monkeypatch.setitem(cli._ALPHA_METHODS, "recursion", fail)
+        monkeypatch.setitem(cli.ALPHA_METHODS, "recursion", fail)
     else:
         monkeypatch.setattr(integrate if call in profile_ode.NUMERICAL else cli, call, fail)
     out = tmp_path / "out"

@@ -61,17 +61,17 @@ def test_m_zero_rejected():
         coeffs_from_C(0, 2)
 
 
-def test_profile_poly_invariants():
+def test_coeffset_polynomial_invariants():
     rng = random.Random(5)
     for _ in range(20):
         m = rng.randint(1, 8)
         C = F(rng.randint(-300, 300), rng.randint(1, 40))
-        poly = coeffs_from_C(m, C).profile_poly()
-        assert poly.p_at(1) == 2
-        assert poly.p_at(m + 1) == -2
-        assert poly.P_at(1) == 0
+        cs = coeffs_from_C(m, C)
+        assert rp.eval_at(cs.p, 1) == 2
+        assert rp.eval_at(cs.p, m + 1) == -2
+        assert rp.eval_at(cs.P, 1) == 0
         ln = compute_LN(m)
-        assert poly.P_at(m + 1) == ln.lc_plus_n(C)
+        assert rp.eval_at(cs.P, m + 1) == ln.lc_plus_n(C)
 
 
 def test_LN_m1_values():
@@ -183,8 +183,8 @@ def test_root_uniqueness_by_sturm():
     for _ in range(60):
         m = rng.randint(1, 10)
         C = F(rng.randint(-5000, 5000), rng.randint(1, 100))
-        poly = coeffs_from_C(m, C).profile_poly()
-        assert rp.count_roots(poly.p, F(1), F(m + 1)) == 1
+        p = coeffs_from_C(m, C).p
+        assert rp.count_roots(p, F(1), F(m + 1)) == 1
         # at most one critical point of p inside the interval
-        crit = rp.count_roots(rp.derivative(poly.p), F(1), F(m + 1))
+        crit = rp.count_roots(rp.derivative(p), F(1), F(m + 1))
         assert crit <= 1

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from hext import (
-    AlgebraMatrix,
     GrassmannElement,
     TruncatedPoly,
     admissible_C_max,
@@ -20,9 +19,17 @@ from hext.errors import (
     NotInvertible,
     TruncationMismatch,
 )
+from hext.graded_algebra import _cofactor, _leibniz
 
 def _gen(n, i):
     return GrassmannElement.generator(n, i)
+
+
+def _rank_one(k):
+    """The rows of A_ij = alpha_i * beta_j, with alpha_i, beta_i the 2k
+    generators, as rank1_check builds them."""
+    gen = [_gen(2 * k, i) for i in range(2 * k)]
+    return [[gen[2 * i] * gen[2 * j + 1] for j in range(k)] for i in range(k)]
 
 
 def test_anticommutation_and_nilpotency():
@@ -75,16 +82,16 @@ def test_rank1_identities(k):
 
 def test_rank1_k1_det_is_single_pair():
     # det(I - lam*A) = 1 - lam*alpha1*beta1 since (alpha1*beta1)^2 = 0
-    A = AlgebraMatrix.rank_one(1)
-    a = -A.trace()
+    A = _rank_one(1)
+    a = -A[0][0]
     assert (a * a).is_zero()
-    assert A.entries[0][0] == _gen(2, 0) * _gen(2, 1)
+    assert A[0][0] == _gen(2, 0) * _gen(2, 1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_rank1_identities_fail_on_a_corrupted_matrix(k):
-    A = AlgebraMatrix.rank_one(k)
-    A.entries[0][1] = A.entries[0][1] * 2  # no longer alpha_0 * beta_1
+    A = _rank_one(k)
+    A[0][1] = A[0][1] * 2  # no longer alpha_0 * beta_1
     rep = rank1_identities(A)
     assert not rep.passed
     assert [i.passed for i in rep.identities] == [False, False, False]
@@ -102,7 +109,24 @@ def test_rank1_rejects_out_of_range():
     with pytest.raises(ValueError):
         rank1_check(7)
     with pytest.raises(ValueError):  # a = -Tr A = -1 is not nilpotent
-        rank1_identities(AlgebraMatrix([[GrassmannElement.scalar(2, 1)]]))
+        rank1_identities([[GrassmannElement.scalar(2, 1)]])
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[_gen(2, 0) * _gen(2, 1), _gen(2, 0) * _gen(2, 1)]],
+    [[_gen(4, 0) * _gen(4, 1)], [_gen(4, 2) * _gen(4, 3)]],
+], ids=["empty", "one-by-two", "two-by-one"])
+def test_rank1_identities_need_a_nonempty_square(rows):
+    with pytest.raises(ValueError, match="nonempty square"):
+        rank1_identities(rows)
+
+
+def test_rank1_identities_reject_two_generator_sets():
+    rows = _rank_one(2)
+    rows[1][0] = _gen(2, 0) * _gen(2, 1)  # over 2 generators, the rest over 4
+    with pytest.raises(GeneratorMismatch):
+        rank1_identities(rows)
 
 
 def test_witness_reporting():
@@ -167,6 +191,19 @@ def test_ring_parameter_is_an_int(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: TruncatedPoly.t(3) ** True,  # returned t
+    lambda: TruncatedPoly.t(3) ** 1.0,
+    lambda: GrassmannElement.generator(2, True),  # returned e02
+    lambda: GrassmannElement.generator(2, 1.0),  # ended in a TypeError from <<
+], ids=["pow-bool", "pow-float", "generator-bool", "generator-float"])
+def test_integer_arguments_are_ints(build):
+    with pytest.raises(ValueError, match="is not a"):
+        build()
+    assert TruncatedPoly.t(3) ** 1 == TruncatedPoly.t(3)
+    assert GrassmannElement.generator(2, 1).terms == {(0, 0b10): 1}
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -214,8 +251,7 @@ def test_leibniz_vs_cofactor_random_even_matrices():
                     e = e + (gens[ii] * gens[jj]) * coeff
                 row.append(e)
             entries.append(row)
-        mat = AlgebraMatrix(entries)
-        assert mat.det_leibniz() == mat.det_cofactor()
+        assert _leibniz(entries, GrassmannElement.scalar(n_gen, 1)) == _cofactor(entries)
 
 
 def test_leibniz_vs_cofactor_fractional_coefficients():
@@ -234,9 +270,8 @@ def test_leibniz_vs_cofactor_fractional_coefficients():
                     e = e + (gens[ii] * gens[jj]) * rng.choice(values)
                 row.append(e)
             entries.append(row)
-        mat = AlgebraMatrix(entries)
-        det = mat.det_leibniz()
-        assert det == mat.det_cofactor()
+        det = _leibniz(entries, GrassmannElement.scalar(n_gen, 1))
+        assert det == _cofactor(entries)
         assert any(c.denominator != 1 for c in det.terms.values())
 
 

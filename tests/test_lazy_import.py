@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # became lazy
 PROFILE_ODE_NAMES = [
     "CertificateM1", "Claim", "certify_m1",
-    "EPS_FLOOR", "CoeffSet", "KahlerClassIndex", "LNConstants", "ProfilePoly",
+    "EPS_FLOOR", "CoeffSet", "KahlerClassIndex", "LNConstants",
     "admissible_C_max", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
     "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
     "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",

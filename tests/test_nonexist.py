@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from scipy.integrate import simpson
 
 from hext import compute_LN, hcsck_coeffs, hcsck_nonexistence, integrate_v
+from hext import ratpoly as rp
 
 # frozen from converged runs; windows are generous against integrator drift
 EXPECTED_MARGINS = {
@@ -59,6 +60,6 @@ def test_alternative_constants_reported_not_adopted():
 def test_boundary_constraints_exact():
     for m in range(1, 6):
         rep = hcsck_nonexistence(m)
-        poly = rep.coeffs.profile_poly()
-        assert poly.p_at(1) == 2
-        assert poly.p_at(m + 1) == -2
+        p = rep.coeffs.p
+        assert rp.eval_at(p, 1) == 2
+        assert rp.eval_at(p, m + 1) == -2
