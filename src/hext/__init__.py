@@ -54,7 +54,6 @@ from .profile_ode import (
     CertificateM1,
     Claim,
     CoeffSet,
-    KahlerClassIndex,
     LNConstants,
     admissible_C_max,
     certify_m1,

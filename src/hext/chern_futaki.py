@@ -24,9 +24,9 @@ from fractions import Fraction
 from math import comb, prod
 from typing import List, Tuple
 
-from .errors import InvalidInput, SeriesMismatch
+from .errors import InvalidInput, SeriesMismatch, _exact, _integer
 from .graded_algebra import TruncatedPoly
-from .ratpoly import _exact, _frac_str
+from .ratpoly import _frac_str
 
 # the largest ambient dimension: the suite checks the three alpha methods
 # against each other, and the closed invariants against localization, for
@@ -42,11 +42,8 @@ class HypersurfaceParams:
     d: int
 
     def __post_init__(self):
-        # type() is int: a bool is no dimension or degree
-        if type(self.n) is not int or not 2 <= self.n <= MAX_N:
-            raise InvalidInput(f"ambient dimension n must be an integer in 2..{MAX_N}, got {self.n!r}")
-        if type(self.d) is not int or not 1 <= self.d <= self.n:
-            raise InvalidInput(f"degree d must satisfy 1 <= d <= n = {self.n}, got {self.d!r}")
+        _integer("the ambient dimension n", self.n, 2, MAX_N)
+        _integer("the degree d (at most n)", self.d, 1, self.n)
 
 
 def _diagonal(n: int, d: int, q: int) -> Fraction:
@@ -222,8 +219,7 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
               * sum_{j=0}^{q-1} (-d)^j (j+1) binom(n, q-j-1) * kappa.
     """
     HypersurfaceParams(n, d)
-    if type(q) is not int or not 1 <= q <= n - 1:
-        raise InvalidInput(f"the invariant index q must be an integer in 1..{n - 1} (n - 1), got {q!r}")
+    _integer("the invariant index q (at most n - 1)", q, 1, n - 1)
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
 

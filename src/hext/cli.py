@@ -10,19 +10,19 @@ the first shoot, nonexist or scan in a process imports them in its wall time.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
 argparse only parses (numbers, choices, required flags); every rule on a
-value lives in the library function that takes it, which raises InvalidInput
-before doing any work.  A usage error is one line on stderr, with no report
-and no artifacts: a flag argparse cannot parse, an InvalidInput (a
-non-positive --m, a non-finite number, a --tol that is not in (0, 1e-3], an
-empty C window, more than MAX_SCAN_STEPS scan points, n above MAX_N, ...),
-or an --out that exists and is not a directory.  A library error ends every
-subcommand in one report form: summary {"pass": false, "reason": "error"}
-(exit 1), or "no-bracket" (exit 2) when --c-min and --c-max clip shoot's
-root bracket to a window without a sign change, with the message in
-outputs.message.  A check that runs and fails is no error: a failed
-certificate claim, rank-one identity or non-positive hcscK margin comes back
-from the library as data, and its report keeps the full outputs with
-"pass": false (certify names its failed_claim), exit 1.
+value is written once, in errors.py, and applied by the library function
+that takes it, which raises InvalidInput before any work.  A usage error is
+one line on stderr, with no report and no artifacts: a flag argparse cannot
+parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol not
+in [1e-10, 1e-3], an empty C window, more than MAX_SCAN_STEPS scan points,
+n above MAX_N, ...), or an --out that exists and is not a directory.  A
+library error ends every subcommand in one report form: summary
+{"pass": false, "reason": "error"} (exit 1), or "no-bracket" (exit 2) when
+--c-min and --c-max clip shoot's root bracket to a window without a sign
+change, with the message in outputs.message.  A check that runs and fails is
+no error: a failed certificate claim, rank-one identity or non-positive
+hcscK margin comes back from the library as data, and its report keeps the
+full outputs with "pass": false (certify names its failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -224,7 +224,7 @@ _COMMANDS = {
         "solve the boundary value problem by shooting on C",
         (
             _M,
-            _flag("--tol", float, default=1e-8, help="defect tolerance, at most 1e-3"),
+            _flag("--tol", float, default=1e-8, help="defect tolerance, in [1e-10, 1e-3]"),
             _flag("--c-min", float, default=-50.0,
                   help="lower clip of the root bracket [C_h, C_top] (default: -50, no clip)"),
             _flag("--c-max", float, default=None,

@@ -29,12 +29,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     GeneratorMismatch,
-    InvalidInput,
     NotIdempotentFamily,
     NotInvertible,
     TruncationMismatch,
+    _exact,
+    _integer,
 )
-from .ratpoly import _exact, _frac_str
+from .ratpoly import _frac_str
 
 Scalar = Union[int, Fraction]
 
@@ -62,8 +63,7 @@ class _SparsePoly:
     # messages), _mismatch (an exception type) and _key(key)
 
     def __init__(self, ring: int, terms: Optional[Dict[tuple, Scalar]] = None):
-        if type(ring) is not int or ring < self._least:  # a bool is no int here
-            raise ValueError(f"{self._what} must be an integer >= {self._least}, got {ring!r}")
+        _integer(self._what, ring, self._least)
         self._ring = ring
         self.terms = _compact(
             {key: _exact(c) for key, c in (terms or {}).items() if self._key(key)}
@@ -162,10 +162,8 @@ class GrassmannElement(_SparsePoly):
 
     def _key(self, key: Tuple[int, int]) -> bool:
         power, mask = key
-        if type(power) is not int or power < 0:
-            raise ValueError(f"lambda power {power!r} is not a nonnegative integer")
-        if type(mask) is not int or mask < 0 or mask >> self._ring:
-            raise ValueError(f"bitmask {mask!r} outside {self._ring} generators")
+        _integer("the lambda power", power, 0)
+        _integer("the generator bitmask", mask, 0, (1 << self._ring) - 1)
         return True
 
     @classmethod
@@ -174,8 +172,7 @@ class GrassmannElement(_SparsePoly):
 
     @classmethod
     def generator(cls, n_gen: int, i: int) -> "GrassmannElement":
-        if type(i) is not int or not 0 <= i < n_gen:  # a bool is no index here
-            raise ValueError(f"generator index {i!r} is not an integer in range({n_gen!r})")
+        _integer("the generator index", i, 0, n_gen - 1)
         return cls(n_gen, {(0, 1 << i): 1})
 
     @classmethod
@@ -317,8 +314,7 @@ class RankOneReport:
 def rank1_check(k: int) -> RankOneReport:
     """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6, where
     alpha_i and beta_i are the generators 2i and 2i + 1 of 2k."""
-    if type(k) is not int or not 1 <= k <= 6:  # a bool is no int here
-        raise InvalidInput(f"the matrix size k must be an integer in 1..6 (cost grows as 4^k), got {k!r}")
+    _integer("the matrix size k (cost grows as 4^k)", k, 1, 6)
     gen = [GrassmannElement.generator(2 * k, i) for i in range(2 * k)]
     return rank1_identities([[gen[2 * i] * gen[2 * j + 1] for j in range(k)] for i in range(k)])
 
@@ -334,12 +330,17 @@ def rank1_identities(rows) -> RankOneReport:
 
     All three hold for A_ij = alpha_i * beta_j with odd alpha, beta; a
     failing identity carries the lowest monomial where it fails.  Rows that
-    do not form a nonempty square raise ValueError; entries over different
+    do not form a nonempty square raise ValueError, and the first entry that
+    is not a GrassmannElement raises TypeError; entries over different
     generator sets raise GeneratorMismatch from the arithmetic.
     """
     k = len(rows)
     if k == 0 or any(len(row) != k for row in rows):
         raise ValueError("A must be a nonempty square matrix")
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if not isinstance(e, GrassmannElement):
+                raise TypeError(f"entry ({i},{j}) is {e!r}, not a GrassmannElement")
     n_gen = rows[0][0].n_gen
     a = -sum((rows[i][i] for i in range(k)), GrassmannElement(n_gen))
 
@@ -458,9 +459,8 @@ class TruncatedPoly(_SparsePoly):
 
     def _key(self, key: Tuple[int, int, int]) -> bool:
         ta, ob, ec = key
-        # type() is int: a float or a bool is no exponent
-        if not type(ta) is type(ob) is type(ec) is int or min(ta, ob, ec) < 0:
-            raise ValueError(f"exponents {key!r} are not nonnegative integers")
+        for e in key:
+            _integer("a monomial exponent", e, 0)
         return ob + ec < self._ring and ta <= self._ring
 
     @classmethod
@@ -502,8 +502,7 @@ class TruncatedPoly(_SparsePoly):
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "TruncatedPoly":
-        if type(e) is not int or e < 0:  # a bool is no exponent here
-            raise ValueError(f"exponent {e!r} is not a nonnegative integer")
+        _integer("the exponent", e, 0)
         result = self._new({(0, 0, 0): 1})
         base = self
         while e:

@@ -8,7 +8,6 @@ from .certificate import CertificateM1, Claim, certify_m1
 from .coeffs import (
     EPS_FLOOR,
     CoeffSet,
-    KahlerClassIndex,
     LNConstants,
     admissible_C_max,
     coeffs_from_C,

@@ -7,8 +7,9 @@ The first-order problem on [1, m+1] is
 
 with phi(1) = phi(m+1) = 0.  Imposing p(1) = 2 and p(m+1) = -2 (the smooth
 closing of the metric at the two sections) makes A and B affine functions of
-the remaining free parameter C.  Everything in this module is computed in
-exact rational arithmetic; floating point enters only in the integrator.
+the remaining free parameter C; the class index m is >= 1 (m = 0 gives no
+Kahler class).  Everything in this module is computed in exact rational
+arithmetic; floating point enters only in the integrator.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .. import ratpoly
-from ..errors import InvalidInput
-from ..ratpoly import _exact
+from ..errors import InvalidInput, _exact, _finite, _integer
 
 Rational = Union[int, float, Fraction]
 
@@ -27,20 +27,6 @@ Rational = Union[int, float, Fraction]
 # the m = 1 certificate's condition, and for m >= 3 the root lies above it,
 # so shoot brackets its root by [C_h, C_top] instead
 EPS_FLOOR = Fraction(1, 100)
-
-
-@dataclass(frozen=True)
-class KahlerClassIndex:
-    """Index m of the polarisation; fixes the fibre range gamma in [1, m+1].
-
-    m = 0 is rejected: the class is not Kahler in this setup.
-    """
-
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise InvalidInput(f"the class index m must be a positive integer, got {self.m!r}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +44,7 @@ class CoeffSet:
     B: Fraction
 
     def __post_init__(self):
-        KahlerClassIndex(self.m)
+        _integer("the class index m", self.m, 1)
         s = self.m + 1
         if self.A / 3 + self.B / 2 + self.C != 2:
             raise ValueError("boundary identity p(1) == 2 violated")
@@ -108,7 +94,7 @@ class LNConstants:
     N: Fraction
 
     def __post_init__(self):
-        KahlerClassIndex(self.m)
+        _integer("the class index m", self.m, 1)
         if not (self.L < 0 and self.N > 0):
             raise ValueError("expected L < 0 and N > 0")
         if not (2 * self.L + self.N > Fraction(2, 5)):
@@ -130,11 +116,14 @@ def _linear_maps(m: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
-    """Resolve the boundary constraints p(1) = 2, p(m+1) = -2 for given C."""
-    KahlerClassIndex(m)
+    """Resolve the boundary constraints p(1) = 2, p(m+1) = -2 for C, an int,
+    a Fraction or a finite float (a bool or another type raises TypeError)."""
+    _integer("the class index m", m, 1)
+    if isinstance(C, float) and not _finite(C):
+        raise InvalidInput(f"C must be finite, got {C!r}")
     # Fraction(float) is the exact binary value, which is what the shooting
     # loop wants when it feeds a float C back into the exact layer.
-    C = Fraction(C)
+    C = Fraction(C) if isinstance(C, float) else _exact(C)
     a1, a0, b1, b0 = _linear_maps(m)
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
 
@@ -145,7 +134,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
     Solving A(C) = 0 gives C = 2 + 4/((m+1)^2 - 1); B then follows from the
     boundary constraints.
     """
-    KahlerClassIndex(m)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
+    _integer("the class index m", m, 1)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
     s1 = Fraction((m + 1) ** 2 - 1)
     cs = coeffs_from_C(m, 2 + 4 / s1)
     assert cs.A == 0
@@ -154,7 +143,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
 
 def compute_LN(m: int) -> LNConstants:
     """Split the exact integral int_1^{m+1} p(t)*t dt into L*C + N."""
-    KahlerClassIndex(m)
+    _integer("the class index m", m, 1)
     a1, a0, b1, b0 = _linear_maps(m)
     s = m + 1
     i5 = Fraction(s ** 5 - 1, 15)

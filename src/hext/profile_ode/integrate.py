@@ -26,6 +26,8 @@ from ..errors import (
     NoBracket,
     PositivityLost,
     StepFailure,
+    _integer,
+    _window,
 )
 from .coeffs import (
     EPS_FLOOR,
@@ -285,30 +287,18 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
     return tuple(points)
 
 
-def _finite(x: float) -> bool:
-    """math.isfinite, with an int too large for a float counted as not finite."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi whose
     top lies in the admissible window, solved as one batch at SCAN_CONFIG;
     requires 2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded
     per point, not raised."""
     c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
-    if not (_finite(C_lo) and _finite(C_hi)):
-        raise InvalidInput("the C window must be finite")
+    _window(C_lo, C_hi)
     if C_hi > c_max + 1e-9:
         raise InvalidInput(
             f"the C window's upper end {C_hi:g} exceeds the admissible maximum {c_max:.12g}"
         )
-    if not C_lo < C_hi:
-        raise InvalidInput(f"the C window [{C_lo:g}, {C_hi:.10g}] is empty")
-    if type(steps) is not int or not 2 <= steps <= MAX_SCAN_STEPS:
-        raise InvalidInput(f"the number of scan points must be an integer in 2..{MAX_SCAN_STEPS}, got {steps!r}")
+    _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
     cs = np.linspace(C_lo, C_hi, steps)
     return ScanResult(m=m, points=_solve_defects(m, cs, SCAN_CONFIG))
 
@@ -349,16 +339,15 @@ def shoot(
     iterations; c_star is the solved C of least |defect|, and StepFailure is
     raised unless |defect| < defect_tol there.  `iterations` counts the
     solves, the C_h one included, and `scan` holds the solves in the clipped
-    bracket in C order.  Requires 0 < defect_tol <= 1e-3, finite c_min < c_max.
+    bracket in C order.  Requires 1e-10 <= defect_tol <= 1e-3, finite
+    c_min < c_max.
     """
     # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
-    # at the bracket edges a tolerance would accept an edge as the root
-    if not 0 < defect_tol <= 1e-3:
-        raise InvalidInput(f"the defect tolerance must lie in (0, 1e-3], got {defect_tol!r}")
-    if not (_finite(c_min) and (c_max is None or _finite(c_max))):
-        raise InvalidInput("the C window must be finite")
-    if c_max is not None and not c_min < c_max:
-        raise InvalidInput(f"the C window [{c_min:g}, {c_max:g}] is empty")
+    # at the bracket edges a tolerance would accept an edge as the root.  A
+    # solve is good to 8.8e-11, and at 1e-11 the shoot for m = 32 fails
+    if not 1e-10 <= defect_tol <= 1e-3:
+        raise InvalidInput(f"the defect tolerance must lie in [1e-10, 1e-3], got {defect_tol!r}")
+    _window(c_min, c_max)
     c_h = float(hcsck_coeffs(m).C)  # validates m
     solves = {c_h: _defect(m, c_h)}  # C -> defect of every endpoint solve
     c_top = c_h + solves[c_h] / -float(compute_LN(m).L)

@@ -23,13 +23,6 @@ def poly(coeffs: Iterable) -> Poly:
     return tuple(cs)
 
 
-def _exact(c) -> Fraction:
-    """c as a Fraction; a float or any other inexact type raises TypeError."""
-    if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"{c!r} is neither an int nor a Fraction")
-    return Fraction(c)
-
-
 def _frac_str(x: Fraction) -> str:
     """A rational as "p/q" text, the form of every exact value in JSON output."""
     return f"{x.numerator}/{x.denominator}"

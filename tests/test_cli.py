@@ -202,15 +202,16 @@ def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
     assert main(["shoot", "--m", "1", "--c-min", "9"]) == EXIT_NO_BRACKET
 
 
-def test_shoot_fails_when_the_defect_misses_the_tolerance(capsys):
-    # Brent's method may stop on its C tolerance first: m = 16 then reaches
-    # |defect| of about 5.7e-13, which is no answer at --tol 1e-13
-    assert main(["shoot", "--m", "16", "--tol", "1e-13", "--json"]) == EXIT_FAIL
+def test_shoot_fails_when_the_defect_misses_the_tolerance(defect_padded, monkeypatch, capsys):
+    # Brent's method may stop on its C tolerance first: with every defect
+    # padded to |defect| > 1e-9, m = 16 ends there with no answer at --tol 1e-10
+    assert main(["shoot", "--m", "16", "--tol", "1e-10", "--json"]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"pass": False, "reason": "error"}
     assert "m=16" in doc["outputs"]["message"] and "|defect|=" in doc["outputs"]["message"]
-    assert main(["shoot", "--m", "1", "--tol", "1e-13", "--json"]) == EXIT_OK
-    assert abs(json.loads(capsys.readouterr().out)["outputs"]["defect"]) < 1e-13
+    monkeypatch.undo()
+    assert main(["shoot", "--m", "1", "--tol", "1e-10", "--json"]) == EXIT_OK
+    assert abs(json.loads(capsys.readouterr().out)["outputs"]["defect"]) < 1e-10
 
 
 def test_every_subcommand_honors_json(capsys):
@@ -262,6 +263,7 @@ def test_json_payload_deterministic(capsys):
         ["scan", "--m", "1", "--c-min", "x", "--c-max", "1"],
         ["shoot", "--m", "1", "--tol", "1e300"],
         ["shoot", "--m", "1", "--tol", "0.5"],
+        ["shoot", "--m", "1", "--tol", "1e-13"],
     ],
 )
 def test_invalid_input_is_one_line_usage_error(argv, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from hext import (
     CoeffSet,
-    KahlerClassIndex,
+    InvalidInput,
     admissible_C_max,
     coeffs_from_C,
     compute_LN,
@@ -55,8 +55,8 @@ def test_coeffset_rejects_inconsistent():
 
 
 def test_m_zero_rejected():
-    with pytest.raises(ValueError):
-        KahlerClassIndex(0)
+    with pytest.raises(InvalidInput, match="the class index m must be an integer >= 1"):
+        compute_LN(0)
     with pytest.raises(ValueError):
         coeffs_from_C(0, 2)
 

@@ -1,21 +1,39 @@
-"""Every input rule lives in the library function that takes the value and
-raises InvalidInput, a ValueError, before any work."""
+"""Every input rule is written once, in hext/errors.py, and applied by the
+library function that takes the value: a value outside the rule raises
+InvalidInput, a ValueError, and a value of a type the exact layer does not
+take raises TypeError, before any work."""
 import math
+import re
+from fractions import Fraction as F
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hext import (
+    CoeffSet,
+    GrassmannElement,
     HypersurfaceParams,
     InvalidInput,
+    LNConstants,
+    TruncatedPoly,
+    admissible_C_max,
     alpha_recursive,
+    coeffs_from_C,
+    compute_LN,
     futaki_closed,
+    futaki_localized,
     hcsck_nonexistence,
     rank1_check,
+    scalar_projector_check,
 )
 from hext.profile_ode import MAX_SCAN_STEPS, defect_scan, hcsck_coeffs, shoot
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "hext"
+
 _CALLS = {
     "shoot-tol-above-1e-3": lambda: shoot(1, defect_tol=0.5),
+    "shoot-tol-below-floor": lambda: shoot(1, defect_tol=1e-13),
     "shoot-tol-nan": lambda: shoot(1, defect_tol=math.nan),
     "shoot-c-max-nan": lambda: shoot(1, c_max=math.nan),
     "shoot-c-min-inf": lambda: shoot(1, c_min=-math.inf),
@@ -31,11 +49,16 @@ _CALLS = {
     "scan-float-steps": lambda: defect_scan(1, 2.0, 5.0, 2.5),
     "scan-bool-steps": lambda: defect_scan(1, 2.0, 5.0, True),
     "params-n-above-cap": lambda: HypersurfaceParams(9, 2),
+    "params-n-bool": lambda: HypersurfaceParams(True, 1),
+    "params-n-float": lambda: HypersurfaceParams(3.0, 2),
     "futaki-n-above-cap": lambda: futaki_closed(9, 2, 1),
     "params-d-bool": lambda: HypersurfaceParams(3, True),
+    "params-d-float": lambda: HypersurfaceParams(3, 2.0),
+    "params-d-above-n": lambda: HypersurfaceParams(3, 4),
     "futaki-d-bool": lambda: futaki_closed(3, True, 1),
     "futaki-q-bool": lambda: futaki_closed(3, 2, True),
     "futaki-q-float": lambda: futaki_closed(3, 2, 1.0),
+    "futaki-q-above-n-1": lambda: futaki_closed(3, 2, 3),
     "alpha-d-bool": lambda: alpha_recursive(3, True),
     "rank1-k-above-6": lambda: rank1_check(7),
     "rank1-k-bool": lambda: rank1_check(True),
@@ -43,6 +66,33 @@ _CALLS = {
     "nonexist-m-0": lambda: hcsck_nonexistence(0),
     "coeffs-m-0": lambda: hcsck_coeffs(0),
     "coeffs-m-minus-2": lambda: hcsck_coeffs(-2),
+    "coeffs-m-bool": lambda: coeffs_from_C(True, 2),
+    "coeffs-m-float": lambda: compute_LN(1.0),
+    "coeffset-m-bool": lambda: CoeffSet(True, F(22, 3), F(9), F(50, 3)),
+    "lnconstants-m-float": lambda: LNConstants(1.0, F(-1), F(1)),
+    "coeffs-c-nan": lambda: coeffs_from_C(1, math.nan),
+    "coeffs-c-inf": lambda: coeffs_from_C(1, np.float64(-np.inf)),
+    "grassmann-ring-bool": lambda: GrassmannElement(True),
+    "grassmann-ring-float": lambda: GrassmannElement(2.0),
+    "grassmann-ring-negative": lambda: GrassmannElement(-1),
+    "grassmann-generator-bool": lambda: GrassmannElement.generator(2, True),
+    "grassmann-generator-float": lambda: GrassmannElement.generator(2, 1.0),
+    "grassmann-generator-out-of-range": lambda: GrassmannElement.generator(2, 2),
+    "grassmann-power-bool": lambda: GrassmannElement(2, {(True, 0): 1}),
+    "grassmann-power-float": lambda: GrassmannElement(2, {(1.0, 0): 1}),
+    "grassmann-power-negative": lambda: GrassmannElement(2, {(-1, 0): 1}),
+    "grassmann-mask-bool": lambda: GrassmannElement(2, {(0, True): 1}),
+    "grassmann-mask-float": lambda: GrassmannElement(2, {(0, 1.0): 1}),
+    "grassmann-mask-out-of-range": lambda: GrassmannElement(2, {(0, 0b100): 1}),
+    "truncpoly-order-bool": lambda: TruncatedPoly(True),
+    "truncpoly-order-float": lambda: TruncatedPoly(2.0),
+    "truncpoly-order-zero": lambda: TruncatedPoly(0),
+    "truncpoly-exponent-bool": lambda: TruncatedPoly(2, {(0, True, 0): 1}),
+    "truncpoly-exponent-float": lambda: TruncatedPoly(2, {(0, 0, 1.0): 1}),
+    "truncpoly-exponent-negative": lambda: TruncatedPoly(2, {(-1, 0, 0): 1}),
+    "truncpoly-pow-bool": lambda: TruncatedPoly.t(2) ** True,
+    "truncpoly-pow-float": lambda: TruncatedPoly.t(2) ** 2.0,
+    "truncpoly-pow-negative": lambda: TruncatedPoly.t(2) ** -1,
 }
 
 
@@ -52,3 +102,45 @@ def test_library_rejects_invalid_input(call):
         call()
     assert isinstance(info.value, ValueError)
     assert "\n" not in str(info.value)
+
+
+# values of a type the exact layer does not take: a bool is no int there, and
+# only coeffs_from_C takes a float, which the integrator feeds back
+_TYPE_ERRORS = {
+    "coeffs-c-bool": lambda: coeffs_from_C(1, True),
+    "coeffs-c-str": lambda: coeffs_from_C(1, "1/3"),
+    "admissible-eps-bool": lambda: admissible_C_max(1, False),
+    "grassmann-coefficient-bool": lambda: GrassmannElement.scalar(2, True),
+    "truncpoly-coefficient-bool": lambda: TruncatedPoly.const(2, True),
+    "futaki-weight-bool": lambda: futaki_localized(2, 1, [0, True, 2]),
+    "projector-entry-bool": lambda: scalar_projector_check([[True, False], [False, False]], 1),
+    "projector-a-bool": lambda: scalar_projector_check([[1, 0], [0, 0]], True),
+}
+
+
+@pytest.mark.parametrize("call", list(_TYPE_ERRORS.values()), ids=list(_TYPE_ERRORS))
+def test_exact_layer_rejects_other_types(call):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
+def test_finite_float_c_is_its_exact_binary_value():
+    assert coeffs_from_C(1, np.float64(0.1)) == coeffs_from_C(1, F(0.1))
+    assert coeffs_from_C(1, 2.5) == coeffs_from_C(1, F(5, 2))
+
+
+# `type(x) is not int` and `isinstance(x, bool)`, the two spellings of the
+# integer rule; operand dispatch such as isinstance(other, (int, Fraction))
+# is no rule and does not match
+_INTEGER_RULE = re.compile(r"\bis (not )?int\b|isinstance\([^,]+, bool\)")
+
+
+def test_integer_rules_live_in_errors_only():
+    spelled = [
+        f"{path.relative_to(SRC)}:{n}"
+        for path in sorted(SRC.rglob("*.py")) if path.name != "errors.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _INTEGER_RULE.search(line)
+    ]
+    assert spelled == []

@@ -14,10 +14,10 @@ from hext.profile_ode import defect_scan, integrate, shoot
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every name hext.profile_ode imported eagerly before its numerical names
-# became lazy
+# became lazy, and still exports
 PROFILE_ODE_NAMES = [
     "CertificateM1", "Claim", "certify_m1",
-    "EPS_FLOOR", "CoeffSet", "KahlerClassIndex", "LNConstants",
+    "EPS_FLOOR", "CoeffSet", "LNConstants",
     "admissible_C_max", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
     "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
     "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
