@@ -50,12 +50,10 @@ from .graded_algebra import (
 )
 from . import profile_ode
 from .profile_ode import (
-    EPS_FLOOR,
     CertificateM1,
     Claim,
     CoeffSet,
     LNConstants,
-    admissible_C_max,
     certify_m1,
     coeffs_from_C,
     compute_LN,

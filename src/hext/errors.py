@@ -43,7 +43,10 @@ def _finite(x) -> bool:
 
 
 def _window(lo, hi) -> None:
-    """InvalidInput unless lo, and hi if not None, are finite and lo < hi."""
+    """InvalidInput unless lo, and hi if not None, are finite and no bool,
+    and lo < hi."""
+    if isinstance(lo, bool) or isinstance(hi, bool):
+        raise InvalidInput("a C window end must be a number, not a bool")
     if not (_finite(lo) and (hi is None or _finite(hi))):
         raise InvalidInput("the C window must be finite")
     if hi is not None and not lo < hi:
@@ -53,8 +56,9 @@ def _window(lo, hi) -> None:
 class PositivityLost(HextError):
     """The integrated quantity v reached the positivity floor at an accepted step.
 
-    This signals an inadmissible shooting parameter: below the floor the
-    square-root term is no longer Lipschitz and the run is meaningless.
+    This signals a shooting parameter C that the flow cannot carry to m+1,
+    one above the root: below the floor the square-root term is no longer
+    Lipschitz and the run is meaningless.
     """
 
     def __init__(self, gamma: float, c: float, floor: float):

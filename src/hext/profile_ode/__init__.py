@@ -5,15 +5,7 @@ __getattr__ loads it at their first use and looks them up there every time.
 """
 
 from .certificate import CertificateM1, Claim, certify_m1
-from .coeffs import (
-    EPS_FLOOR,
-    CoeffSet,
-    LNConstants,
-    admissible_C_max,
-    coeffs_from_C,
-    compute_LN,
-    hcsck_coeffs,
-)
+from .coeffs import CoeffSet, LNConstants, coeffs_from_C, compute_LN, hcsck_coeffs
 
 NUMERICAL = frozenset({
     "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",

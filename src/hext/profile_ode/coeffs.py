@@ -22,13 +22,6 @@ from ..errors import InvalidInput, _exact, _finite, _integer
 
 Rational = Union[int, float, Fraction]
 
-# the margin in L*C + N >= -2 + eps that defines the admissible C window
-# (see admissible_C_max), which bounds the top of a defect_scan window; it is
-# the m = 1 certificate's condition, and for m >= 3 the root lies above it,
-# so shoot brackets its root by [C_h, C_top] instead
-EPS_FLOOR = Fraction(1, 100)
-
-
 @dataclass(frozen=True)
 class CoeffSet:
     """The shooting parameter C together with the induced linear coefficients.
@@ -152,15 +145,3 @@ def compute_LN(m: int) -> LNConstants:
     L = a1 * i5 + b1 * i4 + i2
     N = a0 * i5 + b0 * i4
     return LNConstants(m=m, L=L, N=N)
-
-
-def admissible_C_max(m: int, eps: Union[int, Fraction]) -> Fraction:
-    """Largest C with L*C + N >= -2 + eps (L < 0 reverses the inequality).
-
-    eps = 0 gives the closure of the admissible window and is accepted.
-    """
-    eps = _exact(eps)
-    if eps < 0 or eps >= 2:
-        raise InvalidInput(f"the window margin eps must lie in [0, 2), got {eps}")
-    ln = compute_LN(m)
-    return (-2 + eps - ln.N) / ln.L

@@ -29,16 +29,7 @@ from ..errors import (
     _integer,
     _window,
 )
-from .coeffs import (
-    EPS_FLOOR,
-    CoeffSet,
-    Rational,
-    _linear_maps,
-    admissible_C_max,
-    coeffs_from_C,
-    compute_LN,
-    hcsck_coeffs,
-)
+from .coeffs import CoeffSet, Rational, _linear_maps, coeffs_from_C, compute_LN, hcsck_coeffs
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -73,12 +64,14 @@ SCAN_CONFIG = replace(DEFAULT_CONFIG, rel_tol=1e-8, abs_tol=1e-10)
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
 
-# a scan holds one v per point in one solve: 4096 points take about 4 s at
-# m = 1 when every C overflows, and far more would not fit in memory
+# a scan holds one v per point in one solve: 4096 points at m = 8 take about
+# 14 s over [-10, 8] and 24 s over [2.2, 50], where every C lies above the
+# root (2-vCPU Xeon), and far more would not fit in memory
 MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at an accepted step raises PositivityLost;
-# admissible C (L*C + N >= -2 + EPS_FLOOR) keeps v well above it
+# v decreases in C and is at least 2*gamma^2 at the root, so only a C above
+# the root can reach it
 V_FLOOR = 1e-9
 
 
@@ -194,7 +187,7 @@ def integrate_v(m: int, C: Rational, config: Optional[IntegratorConfig] = None) 
 
     v is sampled from the dense output on GRID_POINTS uniform points, except
     v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
-    reaches V_FLOOR (the signature of an inadmissible C), even when the
+    reaches V_FLOOR (a C the flow cannot carry to m+1), even when the
     solver gave up later, and StepFailure if the solver gives up before.
     """
     cs, sol = _integrate(m, C, config or DEFAULT_CONFIG, dense_output=True)
@@ -288,16 +281,12 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
-    """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi whose
-    top lies in the admissible window, solved as one batch at SCAN_CONFIG;
-    requires 2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded
-    per point, not raised."""
-    c_max = float(admissible_C_max(m, EPS_FLOOR))  # validates m
+    """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi,
+    solved as one batch at SCAN_CONFIG; requires 2 <= steps <= MAX_SCAN_STEPS.
+    Integrator errors are recorded per point, not raised: a C whose v
+    reaches V_FLOOR, which lies above the root, is a PositivityLost point."""
+    _integer("the class index m", m, 1)
     _window(C_lo, C_hi)
-    if C_hi > c_max + 1e-9:
-        raise InvalidInput(
-            f"the C window's upper end {C_hi:g} exceeds the admissible maximum {c_max:.12g}"
-        )
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
     cs = np.linspace(C_lo, C_hi, steps)
     return ScanResult(m=m, points=_solve_defects(m, cs, SCAN_CONFIG))

@@ -1,9 +1,18 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from hext import shoot
+from hext import compute_LN, shoot
 from hext.profile_ode import integrate
+
+
+def c_top(m: int, eps: Fraction) -> Fraction:
+    """The largest C with L*C + N >= -2 + eps (L < 0 reverses the inequality):
+    the top of the C window the m = 1 certificate's condition allows, the
+    draw range of the property tests."""
+    ln = compute_LN(m)
+    return (-2 + eps - ln.N) / ln.L
 
 
 @pytest.fixture(scope="session")

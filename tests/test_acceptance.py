@@ -16,7 +16,6 @@ import numpy as np
 
 from hext import (
     IntegratorConfig,
-    admissible_C_max,
     alpha_closed,
     alpha_recursive,
     alpha_series,
@@ -32,6 +31,8 @@ from hext import (
     scalar_projector_check,
     shoot,
 )
+
+from conftest import c_top
 
 
 @contextlib.contextmanager
@@ -94,7 +95,7 @@ def test_criterion_4_ode_property_suite():
         pairs = []
         while len(pairs) < 50:
             m = rng.randint(1, 10)
-            cmax = admissible_C_max(m, F(1, 100))
+            cmax = c_top(m, F(1, 100))
             c = cmax - F(rng.randint(0, 5000), 100)
             pairs.append((m, c))
         for m, c in pairs:

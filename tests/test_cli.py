@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import shlex
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,14 @@ from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    """Each line of the sh block under README's "## CLI" heading, split as sh does."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    argvs = [shlex.split(line, comments=True) for line in block.split("```", 1)[0].splitlines()]
+    return [argv for argv in argvs if argv]
 
 
 def _payload(report_text):
@@ -125,8 +134,17 @@ def test_scan_cli(tmp_path, capsys):
     lines = (out / "scan.csv").read_text().splitlines()
     assert lines[0] == "C,defect,error"
     assert len(lines) == 11
-    # beyond the admissible maximum: usage error
-    assert main(["scan", "--m", "1", "--c-min", "2", "--c-max", "9", "--steps", "4"]) == EXIT_USAGE
+    # above the certificate's window L*C + N >= -2 + 1/100: the top is free
+    assert main(["scan", "--m", "1", "--c-min", "2", "--c-max", "9", "--steps", "4"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: argv[1])
+def test_readme_cli_examples_run(argv, tmp_path):
+    assert argv[0] == "hext"
+    if "--out" in argv:  # every artifact goes to tmp_path
+        i = argv.index("--out")
+        argv = argv[:i] + argv[i + 2:]
+    assert main(argv[1:] + ["--out", str(tmp_path)]) == EXIT_OK
 
 
 def test_nonexist_cli(capsys):

@@ -1,4 +1,5 @@
-"""Exact coefficient algebra: boundary identities, L/N split, admissibility."""
+"""Exact coefficient algebra: boundary identities, the L/N split, and the C
+window L*C + N >= -2 + eps of the m = 1 certificate's condition."""
 import random
 from fractions import Fraction as F
 
@@ -7,12 +8,13 @@ import pytest
 from hext import (
     CoeffSet,
     InvalidInput,
-    admissible_C_max,
     coeffs_from_C,
     compute_LN,
     hcsck_coeffs,
 )
 from hext import ratpoly as rp
+
+from conftest import c_top
 
 
 def _solve_2x2(m, C):
@@ -129,20 +131,16 @@ def test_two_L_plus_N_closed_form():
 
 
 def test_admissible_C_max():
-    assert admissible_C_max(1, 0) == F(90, 11)
+    assert c_top(1, 0) == F(90, 11)
     # C = 22/3 sits inside the admissible window
     ln = compute_LN(1)
     assert ln.lc_plus_n(F(22, 3)) > -2
-    assert F(22, 3) < admissible_C_max(1, 0)
+    assert F(22, 3) < c_top(1, 0)
     # C <= 2 is admissible for every m (integral stays positive there)
     for m in range(1, 11):
         ln = compute_LN(m)
         assert ln.lc_plus_n(2) > F(2, 5)
-        assert 2 < admissible_C_max(m, F(2, 5))
-    with pytest.raises(ValueError):
-        admissible_C_max(1, 2)
-    with pytest.raises(ValueError):
-        admissible_C_max(1, F(-1, 10))
+        assert 2 < c_top(m, F(2, 5))
 
 
 def test_C_below_max_is_admissible():
@@ -150,7 +148,7 @@ def test_C_below_max_is_admissible():
     for _ in range(30):
         m = rng.randint(1, 10)
         eps = F(rng.randint(1, 100), 100)
-        cmax = admissible_C_max(m, eps)
+        cmax = c_top(m, eps)
         c = cmax - F(rng.randint(0, 500), 100)
         assert compute_LN(m).lc_plus_n(c) >= -2 + eps
 

@@ -9,7 +9,7 @@ import pytest
 from hext import (
     GrassmannElement,
     TruncatedPoly,
-    admissible_C_max,
+    futaki_localized,
     rank1_check,
     rank1_identities,
     scalar_projector_check,
@@ -224,7 +224,7 @@ def test_integer_arguments_are_ints(build):
         lambda: TruncatedPoly.const(2, 0.5),
         lambda: scalar_projector_check([[0.5, 0.5], [0.5, 0.5]], 1.0),
         lambda: scalar_projector_check([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], 1.0),
-        lambda: admissible_C_max(1, 0.1),
+        lambda: futaki_localized(2, 1, [0, 0.5, 2]),
     ],
 )
 def test_floats_do_not_enter_the_exact_layer(build):

@@ -11,7 +11,6 @@ import pytest
 from hext import (
     IntegratorConfig,
     Trajectory,
-    admissible_C_max,
     coeffs_from_C,
     compute_LN,
     defect_scan,
@@ -20,6 +19,8 @@ from hext import (
 )
 from hext.errors import PositivityLost, StepFailure
 from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _solve_defects
+
+from conftest import c_top
 
 
 def test_initial_condition_exact():
@@ -62,7 +63,7 @@ def test_positivity_floor_random_admissible():
     for _ in range(12):
         m = rng.randint(1, 10)
         ln = compute_LN(m)
-        cmax = admissible_C_max(m, F(1, 100))
+        cmax = c_top(m, F(1, 100))
         c = cmax - F(rng.randint(0, 5000), 100)
         traj = integrate_v(m, c)
         floor = 2.0 + min(0.0, float(ln.lc_plus_n(c))) - 1e-6
@@ -185,7 +186,7 @@ def test_integration_deterministic():
 
 
 def test_defect_scan_contract():
-    scan = defect_scan(1, -50.0, float(admissible_C_max(1, F(1, 100))), 64)
+    scan = defect_scan(1, -50.0, float(c_top(1, F(1, 100))), 64)
     cs = [p.c for p in scan.points]
     assert cs == sorted(cs)
     assert len(scan.points) == 64
@@ -200,16 +201,17 @@ def test_defect_scan_contract():
     assert lo < 22 / 3
 
 
-def test_defect_scan_rejects_inadmissible_top():
-    with pytest.raises(ValueError):
-        defect_scan(1, 0.0, 9.0, 8)
+def test_defect_scan_takes_any_window_top():
+    # C = 9 lies above the certificate's window L*C + N >= -2 + 1/100 for
+    # m = 1: the window top is free
+    assert len(defect_scan(1, 0.0, 9.0, 8).points) == 8
     with pytest.raises(ValueError):
         defect_scan(1, 5.0, 2.0, 8)
 
 
 @pytest.mark.parametrize("m", [1, 8])
 def test_batched_scan_matches_per_point_solves(m):
-    scan = defect_scan(m, -50.0, float(admissible_C_max(m, F(1, 100))), 64)
+    scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 64)
     for p in scan.points:
         d = integrate_v(m, p.c, SCAN_CONFIG).defect
         assert (p.defect > 0) == (d > 0)
@@ -221,7 +223,7 @@ def test_scan_defects_carry_the_full_solve_signs(m):
     # the scan loosens only the tolerances, never the step cap; measured worst
     # case 2.5e-9 from the halved-cap full solve (m = 1..8)
     assert SCAN_CONFIG.max_step_divisor <= DEFAULT_CONFIG.max_step_divisor
-    scan = defect_scan(m, -50.0, float(admissible_C_max(m, F(1, 100))), 16)
+    scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 16)
     for p in scan.points:
         d = integrate_v(m, p.c, DEFAULT_CONFIG.halved()).defect
         assert abs(p.defect - d) < 1e-8

@@ -17,7 +17,6 @@ from hext import (
     InvalidInput,
     LNConstants,
     TruncatedPoly,
-    admissible_C_max,
     alpha_recursive,
     coeffs_from_C,
     compute_LN,
@@ -41,8 +40,12 @@ _CALLS = {
     "shoot-c-max-huge-int": lambda: shoot(1, c_max=10**400),
     "shoot-tol-huge-int": lambda: shoot(1, defect_tol=10**400),
     "shoot-empty-window": lambda: shoot(1, c_min=3.0, c_max=3.0),
+    "shoot-c-min-bool": lambda: shoot(1, c_min=False),
+    "shoot-c-max-bool": lambda: shoot(1, c_max=True),
     "scan-infinite-window": lambda: defect_scan(1, -math.inf, 1.0, 8),
     "scan-huge-int-window": lambda: defect_scan(1, -10**400, 1.0, 8),
+    "scan-bool-window-bottom": lambda: defect_scan(1, False, 1.0, 2),
+    "scan-bool-window-top": lambda: defect_scan(1, -1.0, True, 2),
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),
     "scan-huge-steps": lambda: defect_scan(1, 0.0, 1.0, 10**30),
     "scan-one-step": lambda: defect_scan(1, 0.0, 1.0, 1),
@@ -109,7 +112,6 @@ def test_library_rejects_invalid_input(call):
 _TYPE_ERRORS = {
     "coeffs-c-bool": lambda: coeffs_from_C(1, True),
     "coeffs-c-str": lambda: coeffs_from_C(1, "1/3"),
-    "admissible-eps-bool": lambda: admissible_C_max(1, False),
     "grassmann-coefficient-bool": lambda: GrassmannElement.scalar(2, True),
     "truncpoly-coefficient-bool": lambda: TruncatedPoly.const(2, True),
     "futaki-weight-bool": lambda: futaki_localized(2, 1, [0, True, 2]),

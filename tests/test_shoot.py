@@ -9,6 +9,7 @@ from scipy.integrate import simpson, solve_ivp
 from hext import (
     coeffs_from_C,
     compute_LN,
+    defect_scan,
     hcsck_coeffs,
     hcsck_nonexistence,
     integrate_v,
@@ -93,6 +94,19 @@ def test_c_star_matches_mpmath_reference(m):
     assert abs(res.defect) < 1e-8
     assert res.bracket[0] < res.c_star < res.bracket[1]
     assert res.not_hcsck
+
+
+@pytest.mark.parametrize("m", sorted(C_STAR_REF))
+def test_scan_reaches_the_root(m):
+    # the window's top lies above C* for every m; a C the flow cannot carry
+    # is a per-point error, and since the defect decreases in C it lies above C*
+    scan = defect_scan(m, -10.0, 8.0, 64)
+    c_star = C_STAR_REF[m]
+    assert len(scan.brackets) == 1
+    lo, hi = scan.brackets[0]
+    assert lo < c_star < hi
+    assert all(p.c > c_star for p in scan.points if p.error is not None)
+    assert all((p.defect > 0) == (p.c < c_star) for p in scan.points if p.defect is not None)
 
 
 def test_not_hcsck_is_the_exact_side_of_c_h():
