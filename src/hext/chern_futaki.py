@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import List, Tuple
 
-from .errors import InvalidInput, SeriesMismatch, _exact, _integer
+from .errors import SeriesMismatch, _integer, _weights
 from .graded_algebra import TruncatedPoly
 from .ratpoly import _frac_str
 
@@ -229,9 +229,7 @@ def _fixed_points(n: int, d: int, weights) -> List[Tuple[List[Fraction], Fractio
     coefficient of prod_{j!=i}(1 + t(w_j - w_i)) / (1 + t e_i), e_i = d(w_0 - w_i)
     and D_i = prod_{j!=i}(w_j - w_i).  p_0 is not on X (e_0 = 0)."""
     HypersurfaceParams(n, d)
-    w = [_exact(x) for x in weights]
-    if len(w) != n + 1 or len(set(w)) != n + 1:
-        raise InvalidInput(f"need {n + 1} distinct weights, one per coordinate of CP^{n}")
+    w = _weights(n, weights)
     points = []
     for i in range(1, n + 1):
         e = d * (w[0] - w[i])

@@ -13,16 +13,17 @@ argparse only parses (numbers, choices, required flags); every rule on a
 value is written once, in errors.py, and applied by the library function
 that takes it, which raises InvalidInput before any work.  A usage error is
 one line on stderr, with no report and no artifacts: a flag argparse cannot
-parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol not
-in [1e-10, 1e-3], an empty C window, more than MAX_SCAN_STEPS scan points,
-n above MAX_N, ...), or an --out that exists and is not a directory.  A
-library error ends every subcommand in one report form: summary
-{"pass": false, "reason": "error"} (exit 1), or "no-bracket" (exit 2) when
---c-min and --c-max clip shoot's root bracket to a window without a sign
-change, with the message in outputs.message.  A check that runs and fails is
-no error: a failed certificate claim, rank-one identity or non-positive
-hcscK margin comes back from the library as data, and its report keeps the
-full outputs with "pass": false (certify names its failed_claim), exit 1.
+parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
+outside the range its help names, an empty C window, more than
+MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that exists
+and is not a directory.  A library error ends every subcommand in one
+report form: summary {"pass": false, "reason": "error"} (exit 1), or
+"no-bracket" (exit 2) when --c-min and --c-max clip shoot's root bracket to
+a window without a sign change, with the message in outputs.message.  A
+check that runs and fails is no error: a failed certificate claim, rank-one
+identity or non-positive hcscK margin comes back from the library as data,
+and its report keeps the full outputs with "pass": false (certify names its
+failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from .chern_futaki import ALPHA_METHODS, futaki_closed
-from .errors import HextError, InvalidInput, NoBracket
+from .errors import DEFECT_TOL_RANGE, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from . import profile_ode
 from .profile_ode import certify_m1
@@ -224,7 +225,7 @@ _COMMANDS = {
         "solve the boundary value problem by shooting on C",
         (
             _M,
-            _flag("--tol", float, default=1e-8, help="defect tolerance, in [1e-10, 1e-3]"),
+            _flag("--tol", float, default=1e-8, help="defect tolerance, in [%g, %g]" % DEFECT_TOL_RANGE),
             _flag("--c-min", float, default=-50.0,
                   help="lower clip of the root bracket [C_h, C_top] (default: -50, no clip)"),
             _flag("--c-max", float, default=None,

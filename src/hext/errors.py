@@ -1,6 +1,6 @@
 """Exception types shared across the toolkit, and the argument rules
-(_integer, _exact, _finite, _window) that public functions apply before any
-work; no other module spells such a rule.
+(_integer, _exact, _shooting_c, _window, _defect_tol, _weights) that public
+functions apply before any work; no other module spells such a rule.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -8,7 +8,7 @@ NonexistenceReport), and the CLI turns it into a failed summary.
 """
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
 
 class HextError(Exception):
@@ -34,6 +34,16 @@ def _exact(c) -> Fraction:
     return Fraction(c)
 
 
+def _shooting_c(c) -> Fraction:
+    """C as a Fraction: a finite float gives its exact binary value, the C the
+    shooting loop feeds back, any other float InvalidInput; else as _exact."""
+    if isinstance(c, float):
+        if not math.isfinite(c):
+            raise InvalidInput(f"C must be finite, got {c!r}")
+        return Fraction(c)
+    return _exact(c)
+
+
 def _finite(x) -> bool:
     """math.isfinite, with an int too large for a float counted as not finite."""
     try:
@@ -51,6 +61,27 @@ def _window(lo, hi) -> None:
         raise InvalidInput("the C window must be finite")
     if hi is not None and not lo < hi:
         raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is empty")
+
+
+# shoot's defect tolerance: every m = 1..8 converges at 1e-2 and some fail at
+# 0.1; above the defects at the bracket edges a tolerance would accept an edge
+# as the root.  A solve is good to 8.8e-11; at 1e-11 the shoot for m = 32 fails
+DEFECT_TOL_RANGE = (1e-10, 1e-3)
+
+
+def _defect_tol(x) -> None:
+    """InvalidInput unless x lies in DEFECT_TOL_RANGE (a NaN does not)."""
+    if not DEFECT_TOL_RANGE[0] <= x <= DEFECT_TOL_RANGE[1]:
+        raise InvalidInput("the defect tolerance must lie in [%g, %g], got %r"
+                           % (*DEFECT_TOL_RANGE, x))
+
+
+def _weights(n: int, weights) -> List[Fraction]:
+    """n + 1 distinct torus weights as Fractions (as _exact), or InvalidInput."""
+    w = [_exact(x) for x in weights]
+    if len(w) != n + 1 or len(set(w)) != n + 1:
+        raise InvalidInput(f"need {n + 1} distinct weights, one per coordinate of CP^{n}")
+    return w
 
 
 class PositivityLost(HextError):

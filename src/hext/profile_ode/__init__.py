@@ -8,7 +8,7 @@ from .certificate import CertificateM1, Claim, certify_m1
 from .coeffs import CoeffSet, LNConstants, coeffs_from_C, compute_LN, hcsck_coeffs
 
 NUMERICAL = frozenset({
-    "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
+    "MAX_SCAN_STEPS", "NonexistenceReport",
     "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
     "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
 })

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Tuple, Union
 
 from .. import ratpoly
-from ..errors import InvalidInput, _exact, _finite, _integer
+from ..errors import _integer, _shooting_c
 
 Rational = Union[int, float, Fraction]
 
@@ -112,11 +112,7 @@ def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
     """Resolve the boundary constraints p(1) = 2, p(m+1) = -2 for C, an int,
     a Fraction or a finite float (a bool or another type raises TypeError)."""
     _integer("the class index m", m, 1)
-    if isinstance(C, float) and not _finite(C):
-        raise InvalidInput(f"C must be finite, got {C!r}")
-    # Fraction(float) is the exact binary value, which is what the shooting
-    # loop wants when it feeds a float C back into the exact layer.
-    C = Fraction(C) if isinstance(C, float) else _exact(C)
+    C = _shooting_c(C)
     a1, a0, b1, b0 = _linear_maps(m)
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
 

@@ -12,9 +12,9 @@ parameter is C.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -22,10 +22,10 @@ from scipy.optimize import brentq
 
 from ..errors import (
     EndpointSingularity,
-    InvalidInput,
     NoBracket,
     PositivityLost,
     StepFailure,
+    _defect_tol,
     _integer,
     _window,
 )
@@ -33,46 +33,45 @@ from .coeffs import CoeffSet, Rational, _linear_maps, coeffs_from_C, compute_LN,
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Tolerances and step cap of the DOP853 v-integration.
-
-    The step is capped at m/max_step_divisor; halved() doubles the divisor.
-    The cap keeps the defect refinement-stable.  shoot solves one C at a time
-    at DEFAULT_CONFIG; only defect_scan solves at SCAN_CONFIG, a batch that
-    shares the cap and loosens the tolerances.  Left to the
-    tolerance alone, DOP853 takes 7-13 steps and the defect is off by more
-    than 10*rel_tol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10, C=-20 even at
-    rel_tol=1e-13, against a solve capped at m/128).  With m/32 the defect at the tested points (m, C) = (1, 22/3),
-    (1, 2), (5, 2), (7, 2), (10, -20) is within 8.8e-11 of a 30-digit mpmath
-    solve and within 8.7e-11 of its halved-cap value, at a few ms a solve.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step_divisor: int = 32
-
-    def halved(self) -> "IntegratorConfig":
-        return replace(self, max_step_divisor=self.max_step_divisor * 2)
-
-
-DEFAULT_CONFIG = IntegratorConfig()
-
-# defect_scan's: the same step cap with looser tolerances reads off defect signs
-SCAN_CONFIG = replace(DEFAULT_CONFIG, rel_tol=1e-8, abs_tol=1e-10)
+# Every DOP853 solve (Hairer, Norsett & Wanner, Solving Ordinary Differential
+# Equations I) caps its step at m/_STEP_DIVISOR, which keeps the defect
+# refinement-stable.  Left to the tolerance alone, DOP853 takes 7-13 steps and
+# the defect is off by more than 10*rtol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10,
+# C=-20 even at rtol=1e-13, against a solve capped at m/128).  With m/32 the
+# defect at (m, C) = (1, 22/3), (1, 2), (5, 2), (7, 2), (10, -20) is within
+# 8.8e-11 of a 30-digit mpmath solve and 8.7e-11 of its value at m/64.
+_STEP_DIVISOR = 32
+_TOLS = dict(rtol=1e-10, atol=1e-12)  # every scalar solve's
+# defect_scan's batch reads off defect signs at looser tolerances: at _TOLS
+# its lost points force many more steps, and 64 points over [-10, 8] take
+# 120 ms against 84 at m = 3, 225 against 137 at m = 8
+_SCAN_TOLS = dict(rtol=1e-8, atol=1e-10)
+_CURVE_MARGIN = 1e-3  # cut from each end of a profile curve, where s diverges
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
 
-# a scan holds one v per point in one solve: 4096 points at m = 8 take about
-# 14 s over [-10, 8] and 24 s over [2.2, 50], where every C lies above the
-# root (2-vCPU Xeon), and far more would not fit in memory
+# a scan holds one v per point in one solve, and its lost points shrink the
+# shared step (see _solve_defects): 4096 points at m = 8 take about 14 s over
+# [-10, 8] and 24 s over [2.2, 50], where all C lie above the root and are
+# lost (2-vCPU Xeon), and far more would not fit in memory
 MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at an accepted step raises PositivityLost;
 # v decreases in C and is at least 2*gamma^2 at the root, so only a C above
 # the root can reach it
 V_FLOOR = 1e-9
+
+
+def _target(m: int) -> float:
+    """The closing value v(m+1) = 2*(m+1)^2 of a smooth profile."""
+    return 2.0 * (m + 1) ** 2
+
+
+def _q(a, b, c):
+    """gamma -> q(gamma) in floats, for coefficients or arrays of one per C:
+    every solve and Trajectory.q_values round q alike."""
+    a3, b2 = a / 3.0, b / 2.0
+    return lambda t: ((a3 * t + b2) * t * t + c) * t
 
 
 class Trajectory:
@@ -109,9 +108,7 @@ class Trajectory:
         return np.sqrt(2.0 * self.v) - 2.0 * self.grid
 
     def q_values(self) -> np.ndarray:
-        a, b, c = self.meta.float_abc()
-        g = self.grid
-        return ((a / 3.0 * g + b / 2.0) * g * g + c) * g
+        return _q(*self.meta.float_abc())(self.grid)
 
     @property
     def phi_prime(self) -> np.ndarray:
@@ -120,12 +117,11 @@ class Trajectory:
 
     @property
     def lambda_values(self) -> np.ndarray:
-        a, b, _ = self.meta.float_abc()
-        return a * self.grid + b
+        return self.meta.lambda_at(self.grid)
 
     @property
     def defect(self) -> float:
-        return float(self.v[-1] - 2.0 * (self.m + 1) ** 2)
+        return float(self.v[-1] - _target(self.m))
 
     def interior_positive(self) -> bool:
         """phi > 0 at all interior grid points, equivalently v > 2*gamma^2."""
@@ -144,13 +140,13 @@ def _csv(header: str, cols) -> str:
     return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
-def _solve(rhs, m: int, v0, cfg: IntegratorConfig, dense_output: bool = False):
-    """DOP853 from gamma = 1 to m+1 under the tolerances and step cap of cfg.
-    An overflowing C fails its solve, which is reported: numpy need not warn."""
+def _solve(rhs, m: int, v0, tols: Dict[str, float], dense_output: bool = False):
+    """DOP853 from gamma = 1 to m+1 at tols (rtol and atol), the step capped
+    at m/_STEP_DIVISOR.  An overflowing C fails its solve, which is reported:
+    numpy need not warn."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", rtol=cfg.rel_tol,
-                         atol=cfg.abs_tol, max_step=m / cfg.max_step_divisor,
-                         dense_output=dense_output)
+        return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", max_step=m / _STEP_DIVISOR,
+                         dense_output=dense_output, **tols)
 
 
 def _lost(sol, i: int, c: float) -> None:
@@ -162,27 +158,28 @@ def _lost(sol, i: int, c: float) -> None:
         raise PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(c), floor=V_FLOOR)
 
 
-def _integrate(m: int, C: Rational, cfg: IntegratorConfig, dense_output: bool):
-    """integrate_v's coefficients and checked solve; dense output leaves the steps as they are."""
+def _integrate(m: int, C: Rational, dense_output: bool):
+    """integrate_v's coefficients and checked solve at _TOLS; dense output
+    leaves the steps as they are."""
     cs = coeffs_from_C(m, C)  # validates m
     try:
-        a, b, c = cs.float_abc()
+        q = _q(*cs.float_abc())
     except OverflowError:
         raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
 
     def rhs(t, y):
         v = y[0]
         root = math.sqrt(v) if v > 0.0 else 0.0
-        return (TWO_SQRT2 * root + ((a / 3.0 * t + b / 2.0) * t * t + c) * t,)
+        return (TWO_SQRT2 * root + q(t),)
 
-    sol = _solve(rhs, m, [2.0], cfg, dense_output)
-    _lost(sol, 0, c)
+    sol = _solve(rhs, m, [2.0], _TOLS, dense_output)
+    _lost(sol, 0, cs.C)
     if sol.status < 0:
         raise StepFailure(f"integration failed: {sol.message}")
     return cs, sol
 
 
-def integrate_v(m: int, C: Rational, config: Optional[IntegratorConfig] = None) -> Trajectory:
+def integrate_v(m: int, C: Rational) -> Trajectory:
     """Integrate v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 to gamma = m+1.
 
     v is sampled from the dense output on GRID_POINTS uniform points, except
@@ -190,7 +187,7 @@ def integrate_v(m: int, C: Rational, config: Optional[IntegratorConfig] = None) 
     reaches V_FLOOR (a C the flow cannot carry to m+1), even when the
     solver gave up later, and StepFailure if the solver gives up before.
     """
-    cs, sol = _integrate(m, C, config or DEFAULT_CONFIG, dense_output=True)
+    cs, sol = _integrate(m, C, dense_output=True)
     grid = np.linspace(1.0, float(m + 1), GRID_POINTS)
     v = sol.sol(grid)[0]
     v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
@@ -220,6 +217,7 @@ class ScanPoint:
     c: float
     defect: Optional[float]
     error: Optional[str] = None
+    lost: bool = False  # the error is PositivityLost
 
 
 @dataclass(frozen=True)
@@ -229,44 +227,50 @@ class ScanResult:
 
     @property
     def brackets(self) -> List[Tuple[float, float]]:
-        """Adjacent C pairs whose defects change sign."""
+        """Adjacent C pairs whose defects change sign, and adjacent pairs of a
+        defect >= 0 and a lost point: by F2 a lost C lies above the root.  A
+        point that failed otherwise closes no bracket."""
         return [
             (lo.c, hi.c)
             for lo, hi in zip(self.points, self.points[1:])
-            if lo.defect is not None and hi.defect is not None
-            and (lo.defect == 0.0 or lo.defect * hi.defect < 0.0)
+            if lo.defect is not None and (
+                lo.defect >= 0.0 and hi.lost
+                or hi.defect is not None and (lo.defect == 0.0 or lo.defect * hi.defect < 0.0))
         ]
 
 
-def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanPoint, ...]:
-    """Defects at every C in `cs` from one solve_ivp call holding one v per C.
+def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
+    """Defects at every C in `cs` from one solve_ivp call at _SCAN_TOLS
+    holding one v per C.
 
     Positivity is checked per component by _lost: a C whose v reaches
-    V_FLOOR is reported as that point's error.  Below zero the square root
-    is taken of 0, so such a v stays smooth and does not shrink the shared
-    step.  A failed solve, or a C whose exact A or B does not fit a float, is
-    split in halves until it is down to single C.
+    V_FLOOR is a lost point.  Below zero the square root is taken of 0, but
+    it is not Lipschitz near v = 0, so lost points shrink the shared step:
+    [-10, 8] x 64 at m = 8, 20 points lost, takes 352 accepted steps against
+    32 at m = 1 with none, and [2.2, 50] x 256 at m = 8 takes 2,264.  Setting
+    v' = 0 once v reaches V_FLOOR was tried and doubles these (710, 5,612).
+    A failed solve, or a C whose exact A or B does not fit a float, is split
+    in halves until it is down to single C.
     """
     # the exact affine maps C -> A, B of coeffs_from_C, rounded once per C
     a1, a0, b1, b0 = _linear_maps(m)
     exact = [Fraction(float(x)) for x in cs]
-    c = np.array([float(x) for x in exact])
 
     def rhs(t, v):
-        q = ((a3 * t + b2) * t * t + c) * t
-        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q
+        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q(t)
 
     try:
-        a3 = np.array([float(a1 * x + a0) for x in exact]) / 3.0
-        b2 = np.array([float(b1 * x + b0) for x in exact]) / 2.0
+        q = _q(np.array([float(a1 * x + a0) for x in exact]),
+               np.array([float(b1 * x + b0) for x in exact]),
+               np.array([float(x) for x in exact]))
     except OverflowError:
         error = f"m={m}, C={cs[0]}: the coefficients do not fit a float"
     else:
-        sol = _solve(rhs, m, np.full(len(cs), 2.0), cfg)
+        sol = _solve(rhs, m, np.full(len(cs), 2.0), _SCAN_TOLS)
         error = f"integration failed: {sol.message}" if sol.status < 0 else None
     if error and len(cs) > 1:  # halve the batch to isolate the failing C
         half = len(cs) // 2
-        return _solve_defects(m, cs[:half], cfg) + _solve_defects(m, cs[half:], cfg)
+        return _solve_defects(m, cs[:half]) + _solve_defects(m, cs[half:])
     if error:
         return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
     points = []
@@ -274,28 +278,28 @@ def _solve_defects(m: int, cs: np.ndarray, cfg: IntegratorConfig) -> Tuple[ScanP
         try:
             _lost(sol, i, x)
         except PositivityLost as exc:
-            points.append(ScanPoint(c=float(x), defect=None, error=str(exc)))
+            points.append(ScanPoint(c=float(x), defect=None, error=str(exc), lost=True))
         else:
-            points.append(ScanPoint(c=float(x), defect=float(sol.y[i, -1] - 2.0 * (m + 1) ** 2)))
+            points.append(ScanPoint(c=float(x), defect=float(sol.y[i, -1] - _target(m))))
     return tuple(points)
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi,
-    solved as one batch at SCAN_CONFIG; requires 2 <= steps <= MAX_SCAN_STEPS.
+    solved as one batch at _SCAN_TOLS; requires 2 <= steps <= MAX_SCAN_STEPS.
     Integrator errors are recorded per point, not raised: a C whose v
     reaches V_FLOOR, which lies above the root, is a PositivityLost point."""
     _integer("the class index m", m, 1)
     _window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
     cs = np.linspace(C_lo, C_hi, steps)
-    return ScanResult(m=m, points=_solve_defects(m, cs, SCAN_CONFIG))
+    return ScanResult(m=m, points=_solve_defects(m, cs))
 
 
 def _defect(m: int, C: Rational) -> float:
-    """v(m+1) - 2*(m+1)^2 from one endpoint-only solve at DEFAULT_CONFIG."""
-    _, sol = _integrate(m, C, DEFAULT_CONFIG, dense_output=False)
-    return float(sol.y[0, -1] - 2.0 * (m + 1) ** 2)  # as Trajectory.defect
+    """v(m+1) - 2*(m+1)^2 from one endpoint-only solve, as Trajectory.defect."""
+    _, sol = _integrate(m, C, dense_output=False)
+    return float(sol.y[0, -1] - _target(m))
 
 
 @dataclass
@@ -323,19 +327,15 @@ def shoot(
     negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
     c_min and c_max only clip that bracket; NoBracket is raised when the
     clipped bracket is empty or its ends' defects share a sign.  Every solve
-    is scalar, endpoint-only and at DEFAULT_CONFIG.  Brent's method stops once
+    is scalar, endpoint-only and at _TOLS.  Brent's method stops once
     |defect| < defect_tol, or the bracket is narrower than 1e-12, or after 60
     iterations; c_star is the solved C of least |defect|, and StepFailure is
     raised unless |defect| < defect_tol there.  `iterations` counts the
     solves, the C_h one included, and `scan` holds the solves in the clipped
-    bracket in C order.  Requires 1e-10 <= defect_tol <= 1e-3, finite
-    c_min < c_max.
+    bracket in C order.  Requires defect_tol in DEFECT_TOL_RANGE, [1e-10,
+    1e-3], and finite c_min < c_max.
     """
-    # every m = 1..8 converges at 1e-2 and some fail at 0.1; above the defects
-    # at the bracket edges a tolerance would accept an edge as the root.  A
-    # solve is good to 8.8e-11, and at 1e-11 the shoot for m = 32 fails
-    if not 1e-10 <= defect_tol <= 1e-3:
-        raise InvalidInput(f"the defect tolerance must lie in [1e-10, 1e-3], got {defect_tol!r}")
+    _defect_tol(defect_tol)
     _window(c_min, c_max)
     c_h = float(hcsck_coeffs(m).C)  # validates m
     solves = {c_h: _defect(m, c_h)}  # C -> defect of every endpoint solve
@@ -423,7 +423,7 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
         coeffs=cs,
         integral=integral,
         margin=margin,
-        target=2.0 * (m + 1) ** 2,
+        target=_target(m),
         alt_B=alt_B,
         alt_C=alt_C,
         alt_integral=Fraction(2),
@@ -431,21 +431,20 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     )
 
 
+@dataclass(eq=False)
 class ProfileCurve:
     """The profile curve in the arc coordinate s with ds/dgamma = 1/phi.
 
-    s is anchored to zero at gamma_mid = 1 + m/2.  The quadrature excludes a
-    margin at each endpoint where 1/phi has a logarithmic singularity (phi
-    vanishes linearly there); that divergence is the cylindrical geometry of
-    the ends, not an error.
+    s is anchored to zero at gamma_mid = 1 + m/2.  The quadrature excludes
+    _CURVE_MARGIN at each endpoint, where 1/phi has a logarithmic singularity
+    (phi vanishes linearly there); that divergence is the cylindrical
+    geometry of the ends, not an error.
     """
 
-    def __init__(self, m: int, gamma: np.ndarray, s: np.ndarray, phi: np.ndarray, margin: float):
-        self.m = m
-        self.gamma = gamma
-        self.s = s
-        self.phi = phi
-        self.margin = margin
+    m: int
+    gamma: np.ndarray
+    s: np.ndarray
+    phi: np.ndarray
 
     @property
     def tau(self) -> np.ndarray:
@@ -472,15 +471,13 @@ class ProfileCurve:
         return _csv("gamma,tau,s,phi", (self.gamma, self.tau, self.s, self.phi))
 
 
-def reconstruct_curve(t: Trajectory, margin: float = 1e-3) -> ProfileCurve:
+def reconstruct_curve(t: Trajectory) -> ProfileCurve:
     """Composite-trapezoid quadrature of s(gamma) = int dgamma/phi on the
-    interior grid, excluding `margin` at both endpoints."""
+    interior grid, excluding _CURVE_MARGIN at both endpoints."""
     if not t.interior_positive():
         raise ValueError("profile curve needs phi > 0 on the open interval")
-    if margin <= 0:
-        raise ValueError("endpoint margin must be positive")
     g = t.grid
-    mask = (g >= 1.0 + margin) & (g <= (t.m + 1) - margin)
+    mask = (g >= 1.0 + _CURVE_MARGIN) & (g <= (t.m + 1) - _CURVE_MARGIN)
     if mask.sum() < 3:
         raise ValueError("margin leaves too few interior points")
     gamma = g[mask]
@@ -490,4 +487,4 @@ def reconstruct_curve(t: Trajectory, margin: float = 1e-3) -> ProfileCurve:
     s = np.concatenate(([0.0], np.cumsum(ds)))
     gamma_mid = 1.0 + t.m / 2.0
     s = s - np.interp(gamma_mid, gamma, s)
-    return ProfileCurve(m=t.m, gamma=gamma, s=s, phi=phi, margin=margin)
+    return ProfileCurve(m=t.m, gamma=gamma, s=s, phi=phi)

@@ -13,9 +13,9 @@ from math import comb
 
 import mpmath
 import numpy as np
+import pytest
 
 from hext import (
-    IntegratorConfig,
     alpha_closed,
     alpha_recursive,
     alpha_series,
@@ -31,6 +31,7 @@ from hext import (
     scalar_projector_check,
     shoot,
 )
+from hext.profile_ode import integrate
 
 from conftest import c_top
 
@@ -109,12 +110,14 @@ def test_criterion_4_ode_property_suite():
                 lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1]
             )
             assert abs(float(val) - float(ln.lc_plus_n(c))) < 1e-10
-        # grid-refinement stability
-        cfg = IntegratorConfig()
-        for m, c in ((1, F(22, 3)), (1, 2), (7, 2)):
-            d1 = integrate_v(m, c, cfg).defect
-            d2 = integrate_v(m, c, cfg.halved()).defect
-            assert abs(d1 - d2) < 10 * cfg.rel_tol
+        # grid-refinement stability: the same solves at the step cap halved
+        points = ((1, F(22, 3)), (1, 2), (7, 2))
+        d1 = [integrate_v(m, c).defect for m, c in points]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate, "_STEP_DIVISOR", 64)
+            d2 = [integrate_v(m, c).defect for m, c in points]
+        for x, y in zip(d1, d2):
+            assert abs(x - y) < 10 * integrate._TOLS["rtol"]
 
 
 def test_criterion_5_alpha_tables():

@@ -138,6 +138,14 @@ def test_scan_cli(tmp_path, capsys):
     assert main(["scan", "--m", "1", "--c-min", "2", "--c-max", "9", "--steps", "4"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("m", ["5", "6"])
+def test_scan_cli_counts_a_root_next_to_a_lost_point(m, capsys):
+    # the last positive point is followed directly by a lost one
+    argv = ["scan", "--m", m, "--c-min", "-50", "--c-max", "12", "--steps", "64", "--json"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["summary"]["sign_changes"] == 1
+
+
 @pytest.mark.parametrize("argv", _readme_cli_lines(), ids=lambda argv: argv[1])
 def test_readme_cli_examples_run(argv, tmp_path):
     assert argv[0] == "hext"

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from hext import integrate_v, reconstruct_curve
+from hext import Trajectory, coeffs_from_C, integrate_v, reconstruct_curve
 from hext.errors import EndpointSingularity
+from hext.profile_ode import integrate
 
 
 def test_curve_monotone_and_anchored(shot_m1):
@@ -38,8 +39,9 @@ def test_s_at_rejects_nan(shot_m1):
         curve.s_at(float("nan"))
 
 
-def test_margin_excludes_endpoints(shot_m1):
-    curve = reconstruct_curve(shot_m1.trajectory, margin=1e-2)
+def test_margin_excludes_endpoints(shot_m1, monkeypatch):
+    monkeypatch.setattr(integrate, "_CURVE_MARGIN", 1e-2)
+    curve = reconstruct_curve(shot_m1.trajectory)
     assert curve.gamma[0] >= 1.0 + 1e-2
     assert curve.gamma[-1] <= 2.0 - 1e-2
 
@@ -48,8 +50,10 @@ def test_requires_interior_positive():
     traj = integrate_v(1, 2)  # positive defect, fine
     curve = reconstruct_curve(traj)
     assert np.all(np.diff(curve.s) > 0)
-    with pytest.raises(ValueError):
-        reconstruct_curve(traj, margin=-1.0)
+    # v = 2*gamma^2 is phi = 0 throughout
+    grid = np.linspace(1.0, 2.0, 11)
+    with pytest.raises(ValueError, match="phi > 0"):
+        reconstruct_curve(Trajectory(grid, 2.0 * grid ** 2, coeffs_from_C(1, 2)))
 
 
 def test_curve_csv(shot_m1):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from hext import (
-    IntegratorConfig,
     Trajectory,
     coeffs_from_C,
     compute_LN,
@@ -18,7 +17,8 @@ from hext import (
     residual_check,
 )
 from hext.errors import PositivityLost, StepFailure
-from hext.profile_ode.integrate import DEFAULT_CONFIG, SCAN_CONFIG, _solve_defects
+from hext.profile_ode import integrate
+from hext.profile_ode.integrate import ScanPoint, ScanResult, _solve_defects
 
 from conftest import c_top
 
@@ -91,20 +91,21 @@ def test_quadrature_agrees_with_LN_split():
         assert abs(float(val) - float(ln.lc_plus_n(c))) < 1e-10
 
 
-def test_grid_refinement_stability():
-    cfg = IntegratorConfig()
-    for m, c in ((1, F(22, 3)), (1, 2), (5, 2), (10, -20)):
-        d1 = integrate_v(m, c, cfg).defect
-        d2 = integrate_v(m, c, cfg.halved()).defect
-        assert abs(d1 - d2) < 10 * cfg.rel_tol
+def test_grid_refinement_stability(monkeypatch):
+    points = ((1, F(22, 3)), (1, 2), (5, 2), (10, -20))
+    d1 = [integrate_v(m, c).defect for m, c in points]
+    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)  # the step cap halved
+    d2 = [integrate_v(m, c).defect for m, c in points]
+    for x, y in zip(d1, d2):
+        assert abs(x - y) < 10 * integrate._TOLS["rtol"]
 
 
-def test_residual_small_and_refinement_invariant():
-    cfg = IntegratorConfig()
-    traj = integrate_v(1, F(22, 3), cfg)
+def test_residual_small_and_refinement_invariant(monkeypatch):
+    traj = integrate_v(1, F(22, 3))
     r1 = residual_check(traj)
     assert r1 < 1e-6
-    r2 = residual_check(integrate_v(1, F(22, 3), cfg.halved()))
+    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)
+    r2 = residual_check(integrate_v(1, F(22, 3)))
     assert abs(r1 - r2) < 1e-6
 
 
@@ -209,65 +210,99 @@ def test_defect_scan_takes_any_window_top():
         defect_scan(1, 5.0, 2.0, 8)
 
 
+@pytest.fixture
+def scan_tols(monkeypatch):
+    """Scalar solves at the scan batch's tolerances."""
+    monkeypatch.setattr(integrate, "_TOLS", integrate._SCAN_TOLS)
+
+
 @pytest.mark.parametrize("m", [1, 8])
-def test_batched_scan_matches_per_point_solves(m):
+def test_batched_scan_matches_per_point_solves(m, scan_tols):
     scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 64)
     for p in scan.points:
-        d = integrate_v(m, p.c, SCAN_CONFIG).defect
+        d = integrate_v(m, p.c).defect
         assert (p.defect > 0) == (d > 0)
         assert abs(p.defect - d) < 1e-7
 
 
 @pytest.mark.parametrize("m", [1, 4, 8])
-def test_scan_defects_carry_the_full_solve_signs(m):
+def test_scan_defects_carry_the_full_solve_signs(m, monkeypatch):
     # the scan loosens only the tolerances, never the step cap; measured worst
-    # case 2.5e-9 from the halved-cap full solve (m = 1..8)
-    assert SCAN_CONFIG.max_step_divisor <= DEFAULT_CONFIG.max_step_divisor
+    # case 2.5e-9 from the full solve at the step cap halved (m = 1..8)
     scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 16)
+    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)
     for p in scan.points:
-        d = integrate_v(m, p.c, DEFAULT_CONFIG.halved()).defect
+        d = integrate_v(m, p.c).defect
         assert abs(p.defect - d) < 1e-8
         assert (p.defect > 0) == (d > 0)
 
 
-def test_batch_positivity_is_per_point():
+def test_batch_positivity_is_per_point(scan_tols):
     # C = 20 is inadmissible for m = 1; its neighbours are not
     cs = np.array([4.0, 20.0, 5.0])
-    points = _solve_defects(1, cs, SCAN_CONFIG)
+    points = _solve_defects(1, cs)
     assert [p.c for p in points] == list(cs)
     assert points[1].defect is None and "floor" in points[1].error
+    assert [p.lost for p in points] == [False, True, False]
     with pytest.raises(PositivityLost) as info:
-        integrate_v(1, 20.0, SCAN_CONFIG)
+        integrate_v(1, 20.0)
     assert f"C={info.value.c:.12g}" in points[1].error
     for p in (points[0], points[2]):
         assert p.error is None
-        assert abs(p.defect - integrate_v(1, p.c, SCAN_CONFIG).defect) < 1e-7
-    # one positivity rule for both solve paths: the same step, the same text
+        assert abs(p.defect - integrate_v(1, p.c).defect) < 1e-7
+
+
+@pytest.mark.parametrize("tols", ["_TOLS", "_SCAN_TOLS"])
+def test_one_positivity_rule_for_both_solve_paths(tols, monkeypatch):
+    # the same step, the same text, at either tolerance pair
+    monkeypatch.setattr(integrate, "_TOLS", getattr(integrate, tols))
+    monkeypatch.setattr(integrate, "_SCAN_TOLS", getattr(integrate, tols))
     for m, c in [(1, 20.0), (2, 30.0), (3, 12.5)]:
-        for cfg in (DEFAULT_CONFIG, SCAN_CONFIG):
-            with pytest.raises(PositivityLost) as info:
-                integrate_v(m, c, cfg)
-            assert str(info.value) == _solve_defects(m, np.array([c]), cfg)[0].error
+        with pytest.raises(PositivityLost) as info:
+            integrate_v(m, c)
+        assert str(info.value) == _solve_defects(m, np.array([c]))[0].error
 
 
-def test_batch_solver_failure_is_per_point():
+def test_batch_solver_failure_is_per_point(scan_tols):
     # v overflows at C = -1e300, which fails the whole solve; the batch is
     # split until the failure is isolated
     with np.errstate(all="ignore"):
-        bad, good = _solve_defects(1, np.array([-1e300, 4.0]), SCAN_CONFIG)
+        bad, good = _solve_defects(1, np.array([-1e300, 4.0]))
     assert bad.defect is None and bad.error.startswith("integration failed")
+    assert not bad.lost
     assert good.error is None
-    assert abs(good.defect - integrate_v(1, 4.0, SCAN_CONFIG).defect) < 1e-7
+    assert abs(good.defect - integrate_v(1, 4.0).defect) < 1e-7
 
 
-def test_coefficients_beyond_the_float_range_fail_per_point():
+def test_coefficients_beyond_the_float_range_fail_per_point(scan_tols):
     # the exact A and B of m = 1 at C = -1e308 do not fit a float: a
     # StepFailure naming m and C for a scalar solve, that point's error in a batch
     message = "m=1, C=-1e+308: the coefficients do not fit a float"
     with pytest.raises(StepFailure) as info:
         integrate_v(1, -1e308)
     assert str(info.value) == message
-    bad, good = _solve_defects(1, np.array([-1e308, 4.0]), SCAN_CONFIG)
+    bad, good = _solve_defects(1, np.array([-1e308, 4.0]))
     assert bad.defect is None and bad.error == message
+    assert not bad.lost
     assert good.error is None
-    assert abs(good.defect - integrate_v(1, 4.0, SCAN_CONFIG).defect) < 1e-7
+    assert abs(good.defect - integrate_v(1, 4.0).defect) < 1e-7
+
+
+@pytest.mark.parametrize("m, c_ref", [(5, 2.2371), (6, 2.1779)])
+def test_scan_brackets_a_root_followed_by_a_lost_point(m, c_ref):
+    # the last positive point, C = 2.1587, is followed directly by a lost one,
+    # C = 3.1429; by F2 a lost C lies above the root
+    scan = defect_scan(m, -50.0, 12.0, 64)
+    [(lo, hi)] = scan.brackets
+    assert lo < c_ref < hi
+    after = next(p for p in scan.points if p.c == hi)
+    assert after.lost and after.defect is None
+
+
+def test_only_a_lost_point_closes_a_bracket_without_a_defect():
+    lost = ScanPoint(3.0, None, "v fell below floor", lost=True)
+    failed = ScanPoint(3.0, None, "integration failed: overflow")
+    for lo, closed in ((ScanPoint(1.0, 0.5), True), (ScanPoint(1.0, 0.0), True),
+                       (ScanPoint(1.0, -0.5), False)):
+        assert ScanResult(1, (lo, lost)).brackets == ([(1.0, 3.0)] if closed else [])
+        assert ScanResult(1, (lo, failed)).brackets == []

@@ -18,7 +18,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 PROFILE_ODE_NAMES = [
     "CertificateM1", "Claim", "certify_m1",
     "CoeffSet", "LNConstants", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
-    "DEFAULT_CONFIG", "MAX_SCAN_STEPS", "IntegratorConfig", "NonexistenceReport",
+    "MAX_SCAN_STEPS", "NonexistenceReport",
     "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
     "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
 ]

@@ -33,6 +33,15 @@ def test_trace_summaries_read_real_results(monkeypatch):
     assert info == {"points": 4, "failed": 0}
 
 
+def test_integrate_summary_counts_a_full_solve(monkeypatch):
+    # every integrate_v call is a full solve: the tracer's integrate_v.steps_full
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    from hext import integrate_v
+
+    assert tracing._integrate_info(integrate_v(1, 2), (1, 2), {}) == {"steps": 1024, "full": True}
+
+
 def test_benchmark_selftest_passes():
     done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)

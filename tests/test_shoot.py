@@ -18,7 +18,7 @@ from hext import (
     shoot,
 )
 from hext.errors import NoBracket, StepFailure
-from hext.profile_ode.integrate import DEFAULT_CONFIG, Trajectory, _csv, _integrate
+from hext.profile_ode.integrate import Trajectory, _csv, _integrate
 
 # C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
 # table that perfbench/make_reference.py writes to perfbench/reference.json
@@ -215,8 +215,8 @@ def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
     res = shots[m]
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
     assert res.defect == res.trajectory.defect
-    _, endpoint_only = _integrate(m, res.c_star, DEFAULT_CONFIG, dense_output=False)
-    _, dense = _integrate(m, res.c_star, DEFAULT_CONFIG, dense_output=True)
+    _, endpoint_only = _integrate(m, res.c_star, dense_output=False)
+    _, dense = _integrate(m, res.c_star, dense_output=True)
     assert endpoint_only.t.tobytes() == dense.t.tobytes()
     assert endpoint_only.y.tobytes() == dense.y.tobytes()
     assert endpoint_only.y[0, -1] == res.trajectory.v[-1]
