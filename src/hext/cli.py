@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from .chern_futaki import ALPHA_METHODS, futaki_closed
-from .errors import DEFECT_TOL_RANGE, HextError, InvalidInput, NoBracket
+from .errors import DEFECT_TOL_RANGE, SHOOT_C_MIN, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from . import profile_ode
 from .profile_ode import certify_m1
@@ -225,9 +225,10 @@ _COMMANDS = {
         "solve the boundary value problem by shooting on C",
         (
             _M,
-            _flag("--tol", float, default=1e-8, help="defect tolerance, in [%g, %g]" % DEFECT_TOL_RANGE),
-            _flag("--c-min", float, default=-50.0,
-                  help="lower clip of the root bracket [C_h, C_top] (default: -50, no clip)"),
+            _flag("--tol", float, default=SHOOT_DEFECT_TOL,
+                  help="defect tolerance, in [%g, %g]" % DEFECT_TOL_RANGE),
+            _flag("--c-min", float, default=SHOOT_C_MIN,
+                  help="lower clip of the root bracket [C_h, C_top] (default: %g, no clip)" % SHOOT_C_MIN),
             _flag("--c-max", float, default=None,
                   help="upper clip of the root bracket [C_h, C_top] (default: none)"),
         ),

@@ -69,6 +69,12 @@ def _window(lo, hi) -> None:
 DEFECT_TOL_RANGE = (1e-10, 1e-3)
 
 
+# shoot's defaults, which the CLI's --tol and --c-min take: C_h > 2 for every
+# m, so by default the root bracket [C_h, C_top] is not clipped
+SHOOT_DEFECT_TOL = 1e-8
+SHOOT_C_MIN = -50.0
+
+
 def _defect_tol(x) -> None:
     """InvalidInput unless x lies in DEFECT_TOL_RANGE (a NaN does not)."""
     if not DEFECT_TOL_RANGE[0] <= x <= DEFECT_TOL_RANGE[1]:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from .. import ratpoly
 from ..ratpoly import _frac_str
-from .coeffs import coeffs_from_C, compute_LN
+from .coeffs import _hcsck_denominator, coeffs_from_C, compute_LN
 
 _CMP = {
     "==": lambda a, b: a == b,
@@ -120,8 +120,7 @@ def certify_m1() -> CertificateM1:
     delta_prime = Fraction(-33, 20) / ln.L
     claims.append(_claim("delta_prime", delta_prime, "==", Fraction(4)))
 
-    s1 = Fraction((m + 1) ** 2 - 1)
-    C = 2 + 4 / s1 + delta_prime
+    C = 2 + 4 / _hcsck_denominator(m) + delta_prime
     claims.append(_claim("C_value", C, "==", Fraction(22, 3)))
     claims.append(_claim("LCplusN", ln.lc_plus_n(C), "==", Fraction(-33, 20)))
 

@@ -117,6 +117,11 @@ def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
 
 
+def _hcsck_denominator(m: int) -> Fraction:
+    """(m+1)^2 - 1, the denominator of C_h = 2 + 4/((m+1)^2 - 1)."""
+    return Fraction((m + 1) ** 2 - 1)
+
+
 def hcsck_coeffs(m: int) -> CoeffSet:
     """The unique coefficient set with A == 0 (constant lambda).
 
@@ -124,8 +129,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
     boundary constraints.
     """
     _integer("the class index m", m, 1)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
-    s1 = Fraction((m + 1) ** 2 - 1)
-    cs = coeffs_from_C(m, 2 + 4 / s1)
+    cs = coeffs_from_C(m, 2 + 4 / _hcsck_denominator(m))
     assert cs.A == 0
     return cs
 

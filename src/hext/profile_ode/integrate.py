@@ -14,13 +14,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.common import select_initial_step
+from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from ..errors import (
+    SHOOT_C_MIN,
+    SHOOT_DEFECT_TOL,
     EndpointSingularity,
     NoBracket,
     PositivityLost,
@@ -29,7 +33,8 @@ from ..errors import (
     _integer,
     _window,
 )
-from .coeffs import CoeffSet, Rational, _linear_maps, coeffs_from_C, compute_LN, hcsck_coeffs
+from .coeffs import (CoeffSet, Rational, _hcsck_denominator, _linear_maps, coeffs_from_C, compute_LN,
+                     hcsck_coeffs)
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -140,13 +145,14 @@ def _csv(header: str, cols) -> str:
     return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
-def _solve(rhs, m: int, v0, tols: Dict[str, float], dense_output: bool = False):
-    """DOP853 from gamma = 1 to m+1 at tols (rtol and atol), the step capped
-    at m/_STEP_DIVISOR.  An overflowing C fails its solve, which is reported:
-    numpy need not warn."""
+def _solve(rhs, m: int, v0):
+    """solve_ivp's DOP853 from gamma = 1 to m+1 at _SCAN_TOLS, the step
+    capped at m/_STEP_DIVISOR: defect_scan's batch, where numpy's per-step
+    cost is shared by every C (scalar solves run _dop853).  An overflowing C
+    fails its solve, which is reported: numpy need not warn."""
     with np.errstate(over="ignore", invalid="ignore"):
         return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", max_step=m / _STEP_DIVISOR,
-                         dense_output=dense_output, **tols)
+                         **_SCAN_TOLS)
 
 
 def _lost(sol, i: int, c: float) -> None:
@@ -158,25 +164,132 @@ def _lost(sol, i: int, c: float) -> None:
         raise PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(c), floor=V_FLOOR)
 
 
-def _integrate(m: int, C: Rational, dense_output: bool):
-    """integrate_v's coefficients and checked solve at _TOLS; dense output
-    leaves the steps as they are."""
+# scipy's DOP853 tableau (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, II.5): per stage s, its row of A and its node
+_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_stages)]
+_DENSE_STAGES = [(s, a[:s], float(c)) for s, (a, c)
+                 in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
+_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class _Solve:
+    """One scalar solve as solve_ivp reports it: the accepted t, v as y of
+    shape (1, len(t)), and message, None unless the solve failed.  Each
+    accepted step's stages are kept, so dense output costs nothing unless
+    sampled."""
+
+    rhs: Callable[[float, float], float]
+    t: np.ndarray
+    y: np.ndarray
+    stages: List[np.ndarray]
+    message: Optional[str]
+
+    def sample(self, grid: np.ndarray) -> np.ndarray:
+        """v on an increasing grid in [t[0], t[-1]] from scipy's DOP853 dense
+        output (Dop853DenseOutput), a grid point on a step boundary taken
+        from the earlier step, as OdeSolution does: the same values bit for
+        bit, in one pass over the grid."""
+        t, v, rhs = self.t, self.y[0], self.rhs
+        F = np.empty((len(self.stages), 7))  # per step, the interpolant's coefficients
+        for i, K in enumerate(self.stages):
+            h, t_old, v_old = t[i + 1] - t[i], t[i], v[i]
+            for s, a, c in _DENSE_STAGES:
+                K[s] = rhs(t_old + c * h, v_old + K[:s].T.dot(a)[0] * h)
+            dv, f_old, f_new = v[i + 1] - v_old, K[0, 0], K[DOP853.n_stages, 0]
+            F[i, :3] = dv, h * f_old - dv, 2 * dv - h * (f_new + f_old)
+            F[i, 3:] = h * np.dot(DOP853.D, K)[:, 0]
+        seg = np.clip(np.searchsorted(t, grid, side="left") - 1, 0, len(F) - 1)
+        x = (grid - t[seg]) / (t[seg + 1] - t[seg])
+        y = np.zeros_like(x)
+        for i, f in enumerate(F[seg, ::-1].T):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return y + v[seg]
+
+
+def _dop853(rhs: Callable[[float, float], float], m: int) -> _Solve:
+    """solve_ivp(rhs, (1, m+1), [2.0], method="DOP853") at _TOLS, the step
+    capped at m/_STEP_DIVISOR, for one v held as a float: scipy's tableau,
+    initial step and step control, so the same steps and values bit for bit.
+    Each stage sum is the same np.dot call as scipy's, on a view of one
+    stage buffer; the rest is scalar arithmetic, without the array work per
+    step that takes about two thirds of solve_ivp's time on one v."""
+    rtol, atol = _TOLS["rtol"], _TOLS["atol"]
+    t, t_end, v = 1.0, float(m + 1), 2.0
+    max_step = m / _STEP_DIVISOR
+    # scipy's K_extended: the 12 stages, f at the new point, 3 dense stages
+    K = np.empty((16, 1))
+    k = K[:, 0]
+    stage_dots = [(s, K[:s].T.dot, a, c) for s, a, c in _STAGES]
+    b_dot, e_dot = K[:DOP853.n_stages].T.dot, K[:DOP853.n_stages + 1].T.dot
+    ts, vs, stages = [t], [v], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = rhs(t, v)
+        h_abs = select_initial_step(lambda t, y: np.array([rhs(t, y[0])]), t, np.array([v]), t_end,
+                                    max_step, np.array([f]), 1.0, DOP853.error_estimator_order,
+                                    rtol, atol)
+        while t < t_end:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            if h_abs > max_step:
+                h_abs = max_step
+            elif h_abs < min_step:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return _Solve(rhs, np.array(ts), np.array([vs]), stages, DOP853.TOO_SMALL_STEP)
+                t_new = min(t + h_abs, t_end)
+                h = t_new - t
+                h_abs = abs(h)
+                k[0] = f
+                for s, dot, a, c in stage_dots:
+                    k[s] = rhs(t + c * h, v + dot(a)[0] * h)
+                v_new = v + h * b_dot(DOP853.B)[0]
+                f_new = k[DOP853.n_stages] = rhs(t + h, v_new)
+                # a NaN v_new gives a NaN scale, as np.maximum does
+                scale = atol + max(abs(v_new), abs(v)) * rtol
+                # np.linalg.norm(x)**2 of one component is sqrt(x*x)**2
+                e5 = math.sqrt((x := e_dot(DOP853.E5)[0] / scale) * x) ** 2
+                e3 = math.sqrt((x := e_dot(DOP853.E3)[0] / scale) * x) ** 2
+                error = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt(e5 + 0.01 * e3)
+                if error < 1:
+                    factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+                rejected = True
+            stages.append(K.copy())
+            t, v, f = t_new, v_new, f_new
+            ts.append(t)
+            vs.append(v)
+    return _Solve(rhs, np.array(ts), np.array([vs]), stages, None)
+
+
+def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Solve]:
+    """integrate_v's coefficients and checked solve."""
     cs = coeffs_from_C(m, C)  # validates m
     try:
         q = _q(*cs.float_abc())
     except OverflowError:
         raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
 
-    def rhs(t, y):
-        v = y[0]
-        root = math.sqrt(v) if v > 0.0 else 0.0
-        return (TWO_SQRT2 * root + q(t),)
+    def rhs(t, v):
+        return TWO_SQRT2 * (math.sqrt(v) if v > 0.0 else 0.0) + q(t)
 
-    sol = _solve(rhs, m, [2.0], _TOLS, dense_output)
+    sol = _dop853(rhs, m)
     _lost(sol, 0, cs.C)
-    if sol.status < 0:
+    if sol.message is not None:
         raise StepFailure(f"integration failed: {sol.message}")
     return cs, sol
+
+
+def _trajectory(cs: CoeffSet, sol: _Solve) -> Trajectory:
+    """The Trajectory of a checked solve, as integrate_v describes it."""
+    grid = np.linspace(1.0, float(cs.m + 1), GRID_POINTS)
+    v = sol.sample(grid)
+    v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
+    return Trajectory(grid=grid, v=v, meta=cs)
 
 
 def integrate_v(m: int, C: Rational) -> Trajectory:
@@ -187,11 +300,7 @@ def integrate_v(m: int, C: Rational) -> Trajectory:
     reaches V_FLOOR (a C the flow cannot carry to m+1), even when the
     solver gave up later, and StepFailure if the solver gives up before.
     """
-    cs, sol = _integrate(m, C, dense_output=True)
-    grid = np.linspace(1.0, float(m + 1), GRID_POINTS)
-    v = sol.sol(grid)[0]
-    v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
-    return Trajectory(grid=grid, v=v, meta=cs)
+    return _trajectory(*_integrate(m, C))
 
 
 def residual_check(t: Trajectory) -> float:
@@ -266,7 +375,7 @@ def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
     except OverflowError:
         error = f"m={m}, C={cs[0]}: the coefficients do not fit a float"
     else:
-        sol = _solve(rhs, m, np.full(len(cs), 2.0), _SCAN_TOLS)
+        sol = _solve(rhs, m, np.full(len(cs), 2.0))
         error = f"integration failed: {sol.message}" if sol.status < 0 else None
     if error and len(cs) > 1:  # halve the batch to isolate the failing C
         half = len(cs) // 2
@@ -296,10 +405,9 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     return ScanResult(m=m, points=_solve_defects(m, cs))
 
 
-def _defect(m: int, C: Rational) -> float:
-    """v(m+1) - 2*(m+1)^2 from one endpoint-only solve, as Trajectory.defect."""
-    _, sol = _integrate(m, C, dense_output=False)
-    return float(sol.y[0, -1] - _target(m))
+def _defect(cs: CoeffSet, sol: _Solve) -> float:
+    """v(m+1) - 2*(m+1)^2 at the endpoint of sol, as Trajectory.defect."""
+    return float(sol.y[0, -1] - _target(cs.m))
 
 
 @dataclass
@@ -317,7 +425,8 @@ class ShootResult:
 
 
 def shoot(
-    m: int, defect_tol: float = 1e-8, c_min: float = -50.0, c_max: Optional[float] = None
+    m: int, defect_tol: float = SHOOT_DEFECT_TOL, c_min: float = SHOOT_C_MIN,
+    c_max: Optional[float] = None,
 ) -> ShootResult:
     """Find the C with v(m+1) = 2*(m+1)^2 by Brent's method on the defect.
 
@@ -327,7 +436,8 @@ def shoot(
     negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
     c_min and c_max only clip that bracket; NoBracket is raised when the
     clipped bracket is empty or its ends' defects share a sign.  Every solve
-    is scalar, endpoint-only and at _TOLS.  Brent's method stops once
+    is scalar and at _TOLS, and the trajectory is sampled from the solve at
+    c_star, with no solve of its own.  Brent's method stops once
     |defect| < defect_tol, or the bracket is narrower than 1e-12, or after 60
     iterations; c_star is the solved C of least |defect|, and StepFailure is
     raised unless |defect| < defect_tol there.  `iterations` counts the
@@ -338,32 +448,38 @@ def shoot(
     _defect_tol(defect_tol)
     _window(c_min, c_max)
     c_h = float(hcsck_coeffs(m).C)  # validates m
-    solves = {c_h: _defect(m, c_h)}  # C -> defect of every endpoint solve
-    c_top = c_h + solves[c_h] / -float(compute_LN(m).L)
+    solves = {}  # C -> (defect, coefficients, solve) of every solve
+
+    def defect(c: float) -> float:
+        if c not in solves:
+            cs, sol = _integrate(m, c)
+            solves[c] = (_defect(cs, sol), cs, sol)
+        return solves[c][0]
+
+    c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
     lo, hi = max(c_min, c_h), c_top if c_max is None else min(c_max, c_top)
 
     def defect_at(c: float) -> float:
-        if c not in solves:
-            solves[c] = _defect(m, c)
         # brentq returns at once on an exact zero: that is how defect_tol
         # ends the search
-        return 0.0 if abs(solves[c]) < defect_tol else solves[c]
+        return 0.0 if abs(defect(c)) < defect_tol else defect(c)
 
     def scan() -> ScanResult:
         return ScanResult(m=m, points=tuple(
-            ScanPoint(c=c, defect=d) for c, d in sorted(solves.items()) if lo <= c <= hi))
+            ScanPoint(c=c, defect=s[0]) for c, s in sorted(solves.items()) if lo <= c <= hi))
 
     if not lo < hi or defect_at(lo) * defect_at(hi) > 0.0:
         raise NoBracket(f"no defect sign change for m={m} in C range [{lo:.6g}, {hi:.6g}], "
                         f"the root bracket [{c_h:.6g}, {c_top:.6g}] clipped by c_min and c_max",
                         scan=scan())
     brentq(defect_at, lo, hi, xtol=1e-12, maxiter=60, disp=False)
-    c_star, defect = min(solves.items(), key=lambda s: abs(s[1]))
+    c_star = min(solves, key=lambda c: abs(solves[c][0]))
+    d_star, cs, sol = solves[c_star]
     # Brent's method also stops on xtol, or unconverged after 60 iterations
-    if not abs(defect) < defect_tol:
+    if not abs(d_star) < defect_tol:
         raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
-                          f"{abs(defect):g} after {len(solves)} solves, not below {defect_tol:g}")
-    traj = integrate_v(m, c_star)
+                          f"{abs(d_star):g} after {len(solves)} solves, not below {defect_tol:g}")
+    traj = _trajectory(cs, sol)
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
     return ShootResult(
@@ -412,9 +528,9 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     """
     cs = hcsck_coeffs(m)
     integral = compute_LN(m).lc_plus_n(cs.C)
-    margin = _defect(m, cs.C)
+    margin = _defect(*_integrate(m, cs.C))
 
-    s1 = Fraction((m + 1) ** 2 - 1)
+    s1 = _hcsck_denominator(m)
     alt_B = -12 / s1
     alt_C = 4 + 8 / s1
     alt_boundary_ok = (alt_B / 2 + alt_C) == 2

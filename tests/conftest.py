@@ -7,6 +7,20 @@ from hext import compute_LN, shoot
 from hext.profile_ode import integrate
 
 
+# C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
+# table that perfbench/make_reference.py writes to perfbench/reference.json
+C_STAR_REF = {
+    1: 4.126269829713513,
+    2: 2.887105996252412,
+    3: 2.5075511798715646,
+    4: 2.3333414347427235,
+    5: 2.2371370935797725,
+    6: 2.177875481997457,
+    7: 2.1385968007529557,
+    8: 2.1111469195527324,
+}
+
+
 def c_top(m: int, eps: Fraction) -> Fraction:
     """The largest C with L*C + N >= -2 + eps (L < 0 reverses the inequality):
     the top of the C window the m = 1 certificate's condition allows, the
@@ -28,8 +42,8 @@ def defect_padded(monkeypatch):
     Brent's method to its C tolerance and ends in StepFailure."""
     real = integrate._defect
 
-    def padded(m, C):
-        d = real(m, C)
+    def padded(cs, sol):
+        d = real(cs, sol)
         return d + math.copysign(1e-9, d)
 
     monkeypatch.setattr(integrate, "_defect", padded)

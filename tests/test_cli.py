@@ -168,7 +168,7 @@ def test_nonexist_cli(capsys):
 def test_nonexist_verdict_can_fail(monkeypatch, capsys):
     # by F1 the margin is 2*int(phi_h) > 0, so only a patched solve reaches
     # this: the report keeps every output and its verdict fails
-    monkeypatch.setattr(integrate, "_defect", lambda m, C: -1.0)
+    monkeypatch.setattr(integrate, "_defect", lambda cs, sol: -1.0)
     assert main(["nonexist", "--m", "1", "--json"]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"pass": False}

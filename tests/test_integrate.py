@@ -1,5 +1,6 @@
-"""Integrator contracts: initial condition, certified bounds, positivity,
-refinement stability, residuals, and the CSV surface."""
+"""Integrator contracts: the scalar loop against solve_ivp, initial
+condition, certified bounds, positivity, refinement stability, residuals,
+and the CSV surface."""
 import math
 import random
 from fractions import Fraction as F
@@ -7,12 +8,14 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hext import (
     Trajectory,
     coeffs_from_C,
     compute_LN,
     defect_scan,
+    hcsck_coeffs,
     integrate_v,
     residual_check,
 )
@@ -20,7 +23,57 @@ from hext.errors import PositivityLost, StepFailure
 from hext.profile_ode import integrate
 from hext.profile_ode.integrate import ScanPoint, ScanResult, _solve_defects
 
-from conftest import c_top
+from conftest import C_STAR_REF, c_top
+
+
+def _scalar_rhs(m, c):
+    q = integrate._q(*coeffs_from_C(m, c).float_abc())
+    return lambda t, v: integrate.TWO_SQRT2 * (math.sqrt(v) if v > 0.0 else 0.0) + q(t)
+
+
+def _both_solves(m, c):
+    """The scalar loop's solve of (m, c) and solve_ivp's, with dense output,
+    at the same tolerances and step cap."""
+    rhs = _scalar_rhs(m, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(lambda t, y: (rhs(t, y[0]),), (1.0, float(m + 1)), [2.0],
+                        method="DOP853", max_step=m / integrate._STEP_DIVISOR,
+                        dense_output=True, **integrate._TOLS)
+    return integrate._dop853(rhs, m), ref
+
+
+@pytest.mark.parametrize("m", sorted(C_STAR_REF))
+def test_scalar_loop_is_solve_ivp_bit_for_bit(m):
+    # the loop reads scipy's private DOP853 tableau: a change there shows here
+    grid = np.linspace(1.0, float(m + 1), integrate.GRID_POINTS)
+    for c in (float(hcsck_coeffs(m).C), C_STAR_REF[m], -20.0):
+        sol, ref = _both_solves(m, c)
+        assert ref.status == 0 and sol.message is None
+        assert sol.t.tobytes() == ref.t.tobytes()
+        assert sol.y.tobytes() == ref.y.tobytes()
+        assert sol.sample(grid).tobytes() == ref.sol(grid)[0].tobytes()
+
+
+@pytest.mark.parametrize("m, c", [(1, 20.0), (2, 30.0), (3, 12.5)])
+def test_scalar_loop_loses_positivity_where_solve_ivp_does(m, c):
+    sol, ref = _both_solves(m, c)
+    assert sol.t.tobytes() == ref.t.tobytes() and sol.y.tobytes() == ref.y.tobytes()
+    with pytest.raises(PositivityLost) as lost:
+        integrate._lost(ref, 0, c)
+    with pytest.raises(PositivityLost) as info:
+        integrate_v(m, c)
+    assert str(info.value) == str(lost.value)
+
+
+@pytest.mark.parametrize("m, c", [(1, -1e300), (4, -3e298), (1, -1e30)])
+def test_scalar_loop_fails_where_solve_ivp_fails(m, c):
+    # the step needed at these C falls below 10 ulp of gamma
+    sol, ref = _both_solves(m, c)
+    assert ref.status == -1 and sol.message == ref.message
+    assert sol.t.tobytes() == ref.t.tobytes() and sol.y.tobytes() == ref.y.tobytes()
+    with pytest.raises(StepFailure) as info:
+        integrate_v(m, c)
+    assert str(info.value) == f"integration failed: {ref.message}"
 
 
 def test_initial_condition_exact():

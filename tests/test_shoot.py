@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 
 from hext import (
     coeffs_from_C,
@@ -18,20 +18,10 @@ from hext import (
     shoot,
 )
 from hext.errors import NoBracket, StepFailure
-from hext.profile_ode.integrate import Trajectory, _csv, _integrate
+from hext.profile_ode import integrate
+from hext.profile_ode.integrate import Trajectory, _csv, _dop853, _integrate
 
-# C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
-# table that perfbench/make_reference.py writes to perfbench/reference.json
-C_STAR_REF = {
-    1: 4.126269829713513,
-    2: 2.887105996252412,
-    3: 2.5075511798715646,
-    4: 2.3333414347427235,
-    5: 2.2371370935797725,
-    6: 2.177875481997457,
-    7: 2.1385968007529557,
-    8: 2.1111469195527324,
-}
+from conftest import C_STAR_REF
 
 
 def test_m1_solution(shot_m1):
@@ -121,25 +111,30 @@ def test_not_hcsck_is_the_exact_side_of_c_h():
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
 def test_every_solve_is_scalar_and_inside_the_root_bracket(m, monkeypatch):
     # F1 and F2 put the root in [C_h, C_top] with C_top = C_h + margin/|L|:
-    # shoot solves one v at a time, only at C in that bracket, and last of
-    # all densely at c_star
+    # shoot solves one v at a time, only at C in that bracket, and samples
+    # its trajectory from the solve at c_star: one solve per iteration
     c_h = float(hcsck_coeffs(m).C)
     c_top = c_h + hcsck_nonexistence(m).margin / -float(compute_LN(m).L)
     sizes, cs = [], []
 
-    def counted(rhs, t_span, y0, **kwargs):
-        sizes.append(len(y0))
-        return solve_ivp(rhs, t_span, y0, **kwargs)
+    def counted(rhs, m):
+        sol = _dop853(rhs, m)
+        sizes.append(sol.y.shape[0])
+        return sol
 
-    def recorded(m, C, *args, **kwargs):
+    def recorded(m, C):
         cs.append(C)
-        return _integrate(m, C, *args, **kwargs)
+        return _integrate(m, C)
 
-    monkeypatch.setattr("hext.profile_ode.integrate.solve_ivp", counted)
-    monkeypatch.setattr("hext.profile_ode.integrate._integrate", recorded)
+    def batch(*args, **kwargs):
+        raise AssertionError("shoot called solve_ivp")
+
+    monkeypatch.setattr(integrate, "_dop853", counted)
+    monkeypatch.setattr(integrate, "_integrate", recorded)
+    monkeypatch.setattr(integrate, "solve_ivp", batch)
     res = shoot(m)
-    assert sizes == [1] * (res.iterations + 1) and len(cs) == len(sizes)
-    assert all(c_h <= c <= c_top + 1e-12 for c in cs) and cs[-1] == res.c_star
+    assert sizes == [1] * res.iterations and len(cs) == len(sizes)
+    assert all(c_h <= c <= c_top + 1e-12 for c in cs) and res.c_star in cs
     assert [p.c for p in res.scan.points] == sorted(set(cs))
 
 
@@ -210,16 +205,16 @@ def shots():
 
 @pytest.mark.parametrize("m", [1, 4, 8])
 def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
-    # Brent's solves read only the endpoint; dense output is built once, at
-    # c_star, and leaves the solver's steps as they are
+    # dense output is built once, from Brent's own solve at c_star, and
+    # leaves the solver's steps as they are
     res = shots[m]
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
     assert res.defect == res.trajectory.defect
-    _, endpoint_only = _integrate(m, res.c_star, dense_output=False)
-    _, dense = _integrate(m, res.c_star, dense_output=True)
-    assert endpoint_only.t.tobytes() == dense.t.tobytes()
-    assert endpoint_only.y.tobytes() == dense.y.tobytes()
-    assert endpoint_only.y[0, -1] == res.trajectory.v[-1]
+    _, sol = _integrate(m, res.c_star)
+    steps = sol.t.tobytes(), sol.y.tobytes()
+    sol.sample(res.trajectory.grid)
+    assert (sol.t.tobytes(), sol.y.tobytes()) == steps
+    assert sol.y[0, -1] == res.trajectory.v[-1]
 
 
 def _csv_per_value(header, cols):
