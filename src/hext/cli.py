@@ -59,16 +59,22 @@ class RunReport:
     summary: Dict
     wall_time_s: float
 
-    def to_json(self, include_wall_time: bool = True) -> str:
-        """The payload (command, parameters, outputs, summary), its sha256,
-        and the wall time unless left out."""
+    def payload_json(self) -> str:
+        """report.json's text: the payload (command, parameters, outputs,
+        summary) and its sha256, indented, keys sorted."""
         doc = {"command": self.command, "parameters": self.parameters,
                "outputs": self.outputs, "summary": self.summary}
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         doc["payload_sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        if include_wall_time:
-            doc["wall_time_s"] = self.wall_time_s
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def with_wall_time(self, payload: str) -> str:
+        """--json's text: payload_json() with "wall_time_s" as its last member.
+        That key sorts after every payload key, so these are the bytes of
+        json.dumps(indent=2, sort_keys=True) on the whole report, without
+        encoding the payload again: an indented dump takes json's
+        pure-Python encoder, about 0.4 ms on a 64-point scan report."""
+        return f'{payload[:-3]},\n  "wall_time_s": {json.dumps(self.wall_time_s)}\n}}\n'
 
 
 @dataclass
@@ -175,15 +181,16 @@ def _scan_csv(points) -> str:
 
 def _scan(a) -> _Outcome:
     scan = profile_ode.defect_scan(a.m, a.c_min, a.c_max, a.steps)
+    brackets = scan.brackets  # a property that walks every point
     outputs = {
         "points": [{"C": p.c, "defect": p.defect, "error": p.error} for p in scan.points],
-        "brackets": [list(b) for b in scan.brackets],
+        "brackets": [list(b) for b in brackets],
     }
     human = [
         f"m={a.m}: scanned {a.steps} values of C in [{a.c_min:g}, {a.c_max:g}]",
-        f"defect sign changes: {len(scan.brackets)}",
-    ] + [f"  bracket: C in ({lo:.8g}, {hi:.8g})" for lo, hi in scan.brackets]
-    summary = {"pass": True, "sign_changes": len(scan.brackets)}
+        f"defect sign changes: {len(brackets)}",
+    ] + [f"  bracket: C in ({lo:.8g}, {hi:.8g})" for lo, hi in brackets]
+    summary = {"pass": True, "sign_changes": len(brackets)}
     return _Outcome(outputs, human, summary, [("scan_csv", "scan.csv", lambda: _scan_csv(scan.points))])
 
 
@@ -282,11 +289,13 @@ def _run(args) -> int:
     dests = [flag[2:].replace("-", "_") for flag, _ in flags]
     parameters = {d: getattr(args, d) for d in dests}
     report = RunReport(args.command, parameters, done.outputs, done.summary, time.perf_counter() - started)
-    if args.out:
-        _write_text(Path(args.out), "report.json", report.to_json(include_wall_time=False))
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
+    if args.out or args.json:
+        payload = report.payload_json()  # encoded once for report.json and --json
+        if args.out:
+            _write_text(Path(args.out), "report.json", payload)
+        if args.json:
+            sys.stdout.write(report.with_wall_time(payload))
+    if not args.json:
         for line in done.human:
             print(line)
     return code

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, artifacts, determinism, JSON reports."""
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -254,6 +255,84 @@ def test_every_subcommand_honors_json(capsys):
         doc = json.loads(capsys.readouterr().out)  # stdout is the report alone
         assert {"command", "parameters", "outputs", "summary", "payload_sha256", "wall_time_s"} <= set(doc)
         assert doc["command"] == argv[0]
+
+
+def _canonical(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# one report of each form: every subcommand, then an error report (every
+# defect padded past --tol, as in test_shoot_fails_when_the_defect_misses_the_tolerance)
+# and a no-bracket report
+_REPORT_FORMS = [
+    ["shoot", "--m", "1"],
+    ["certify"],
+    ["nonexist", "--m", "2"],
+    ["scan", "--m", "1", "--c-min", "-1e308", "--c-max", "9", "--steps", "6"],
+    ["alpha", "--n", "3", "--d", "2"],
+    ["futaki", "--n", "3", "--d", "2", "--q", "1"],
+    ["grassmann", "--k", "2"],
+    ["shoot", "--m", "16", "--tol", "1e-10"],
+    ["shoot", "--m", "1", "--c-min", "9"],
+]
+
+
+@pytest.mark.parametrize("argv,code", zip(_REPORT_FORMS, [EXIT_OK] * 7 + [EXIT_FAIL, EXIT_NO_BRACKET]),
+                         ids=[argv[0] for argv in _REPORT_FORMS[:7]] + ["error", "no-bracket"])
+def test_report_bytes_are_json_dumps(argv, code, request, tmp_path, capsys):
+    # report.json and --json are written from one encoding of the payload;
+    # both must stay the bytes json.dumps(indent=2, sort_keys=True) gives
+    if code == EXIT_FAIL:
+        request.getfixturevalue("defect_padded")
+    out = tmp_path / "out"
+    assert main(argv + ["--json", "--out", str(out)]) == code
+    stdout = capsys.readouterr().out
+    saved = (out / "report.json").read_text(encoding="utf-8")
+    doc = json.loads(saved)
+    assert saved == _canonical(doc)
+    printed = json.loads(stdout)
+    assert stdout == _canonical({**doc, "wall_time_s": printed["wall_time_s"]})
+    # the unhashed keys sort after every payload key
+    assert min(set(printed) - set(doc)) > max(doc)
+
+
+_AWKWARD = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\u2028", "é", "ü", "日", "\U0001f600", "a", " ", "}", ","]),
+                   max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _AWKWARD,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_AWKWARD, inner, max_size=3),
+    max_leaves=12,
+)
+_OBJECT = st.dictionaries(_AWKWARD, _JSON, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_AWKWARD, _OBJECT, _OBJECT, _OBJECT, st.floats())
+def test_report_text_is_json_dumps_of_any_payload(command, parameters, outputs, summary, wall):
+    report = cli.RunReport(command, parameters, outputs, summary, wall)
+    doc = {"command": command, "parameters": parameters, "outputs": outputs, "summary": summary}
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    doc["payload_sha256"] = hashlib.sha256(blob).hexdigest()
+    payload = report.payload_json()
+    assert payload == _canonical(doc)
+    assert report.with_wall_time(payload) == _canonical({**doc, "wall_time_s": wall})
+
+
+@pytest.mark.parametrize("argv", _REPORT_FORMS[:7], ids=lambda argv: argv[0])
+def test_one_indented_report_encoding_per_call(argv, monkeypatch, tmp_path, capsys):
+    # an indented json.dumps takes json's pure-Python encoder: a report is
+    # encoded once for report.json and --json together
+    real, encoded = json.dumps, []
+
+    def counting(obj, *args, **kwargs):
+        if kwargs.get("indent") is not None and isinstance(obj, dict) and "payload_sha256" in obj:
+            encoded.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", counting)
+    assert main(argv + ["--json", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(encoded) == 1
+    capsys.readouterr()
 
 
 def test_shoot_m3_never_crashes():

@@ -21,6 +21,7 @@ from hext import (
 )
 from hext.errors import PositivityLost, StepFailure
 from hext.profile_ode import integrate
+from hext.profile_ode.coeffs import _linear_maps
 from hext.profile_ode.integrate import ScanPoint, ScanResult, _solve_defects
 
 from conftest import C_STAR_REF, c_top
@@ -339,6 +340,28 @@ def test_coefficients_beyond_the_float_range_fail_per_point(scan_tols):
     assert not bad.lost
     assert good.error is None
     assert abs(good.defect - integrate_v(1, 4.0).defect) < 1e-7
+
+
+@pytest.mark.parametrize("m", [1, 3, 100])
+def test_scan_coefficients_are_the_exact_maps_rounded_once(m, monkeypatch):
+    # _solve_defects rounds A(C) and B(C) by integer division: the float of
+    # the exact Fraction for negative, subnormal, signed-zero and large C,
+    # and the same overflow failure where that float does not exist
+    cs = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -3.7, 2.5, -1e300, 1e300, -1.7e308, 1.7e308]
+    batches, real_q = [], integrate._q
+    monkeypatch.setattr(integrate, "_q", lambda a, b, c: batches.append((a, b, c)) or real_q(a, b, c))
+    with np.errstate(all="ignore"):
+        points = _solve_defects(m, np.array(cs))
+    solved = {c: (a, b) for batch in batches for a, b, c in zip(*(x.tolist() for x in batch))}
+    assert not any(math.copysign(1.0, c) < 0 for batch in batches for c in batch[2].tolist() if c == 0)
+    a1, a0, b1, b0 = _linear_maps(m)
+    for c, point in zip(cs, points):
+        try:
+            exact = float(a1 * F(c) + a0), float(b1 * F(c) + b0)
+        except OverflowError:
+            assert point.error == f"m={m}, C={c}: the coefficients do not fit a float"
+        else:
+            assert solved[c] == exact
 
 
 @pytest.mark.parametrize("m, c_ref", [(5, 2.2371), (6, 2.1779)])
