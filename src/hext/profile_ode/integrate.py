@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401  called nowhere; perfbench's tracer wraps it
 from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
@@ -49,16 +49,18 @@ _STEP_DIVISOR = 32
 _TOLS = dict(rtol=1e-10, atol=1e-12)  # every scalar solve's
 # defect_scan's batch reads off defect signs at looser tolerances: at _TOLS
 # its lost points force many more steps, and 64 points over [-10, 8] take
-# 120 ms against 84 at m = 3, 225 against 137 at m = 8
+# 65 ms against 29 at m = 3 (375 steps against 250), 102 against 46 at m = 8
+# (556 against 352), best of 7 on a 2-vCPU Xeon VM
 _SCAN_TOLS = dict(rtol=1e-8, atol=1e-10)
 _CURVE_MARGIN = 1e-3  # cut from each end of a profile curve, where s diverges
 
 GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
 
 # a scan holds one v per point in one solve, and its lost points shrink the
-# shared step (see _solve_defects): 4096 points at m = 8 take about 14 s over
-# [-10, 8] and 24 s over [2.2, 50], where all C lie above the root and are
-# lost (2-vCPU Xeon), and far more would not fit in memory
+# shared step (see _solve_defects): 4096 points at m = 8 take about 11 s and
+# 0.6 GB over [-10, 8] and 21 s and 1.0 GB over [2.2, 50], where all C lie
+# above the root and are lost (2-vCPU Xeon VM), and far more would not fit
+# in memory
 MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at an accepted step raises PositivityLost;
@@ -152,16 +154,6 @@ def _csv(header: str, cols) -> str:
     return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
-def _solve(rhs, m: int, v0):
-    """solve_ivp's DOP853 from gamma = 1 to m+1 at _SCAN_TOLS, the step
-    capped at m/_STEP_DIVISOR: defect_scan's batch, where numpy's per-step
-    cost is shared by every C (scalar solves run _dop853).  An overflowing C
-    fails its solve, which is reported: numpy need not warn."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(rhs, (1.0, float(m + 1)), v0, method="DOP853", max_step=m / _STEP_DIVISOR,
-                         **_SCAN_TOLS)
-
-
 def _lost(sol, i: int, c: float) -> None:
     """Raise PositivityLost at the first accepted step where component i of
     sol is at or below V_FLOOR.  A floor event would catch no more: scipy
@@ -177,12 +169,57 @@ _STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_s
 _DENSE_STAGES = [(s, a[:s], float(c)) for s, (a, c)
                  in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
 _ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
+# the nodes of the stages after the first, then 1 for f at the step's end: a
+# batch step of size h evaluates q at t + _NODES*h
+_NODES = np.append(DOP853.C[1:], 1.0)[:, None]
+# a batch of up to this many C evaluates q on its (12, n) grid of stage times
+# at once, a larger one a row at a time, which stays in cache: q per step
+# takes 9 us against 50 row by row at n = 64, 35 against 52 at 512, 126
+# against 93 at 2048 and 356 against 141 at 4096 (2-vCPU Xeon VM)
+_Q_GRID_MAX = 1024
+
+
+def _march(trial, m: int, v, f, h_abs: float, K: Optional[np.ndarray] = None):
+    """scipy's DOP853 step control (RungeKutta._step_impl) from gamma = 1,
+    where v has derivative f and the first step is h_abs, to m+1, the step
+    capped at m/_STEP_DIVISOR.  trial(t, h, v, f) takes one step and returns
+    v and f at t + h and the error norm.  Returns the accepted t and v, a
+    copy of the stage buffer K per accepted step if one is given, and the
+    failure message: None unless the step fell below 10 ulp of t."""
+    t, t_end, max_step = 1.0, float(m + 1), m / _STEP_DIVISOR
+    ts, vs, stages = [t], [v], []
+    while t < t_end:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return ts, vs, stages, DOP853.TOO_SMALL_STEP
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            v_new, f_new, error = trial(t, h, v, f)
+            if error < 1:
+                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        if K is not None:
+            stages.append(K.copy())
+        t, v, f = t_new, v_new, f_new
+        ts.append(t)
+        vs.append(v)
+    return ts, vs, stages, None
 
 
 @dataclass(frozen=True, eq=False)
 class _Solve:
-    """One scalar solve as solve_ivp reports it: the accepted t, v as y of
-    shape (1, len(t)), and message, None unless the solve failed.  Each
+    """One scalar solve: the accepted t, v as y of shape (1, len(t)) and
+    message, None unless the solve failed, as solve_ivp reports them.  Each
     accepted step's stages are kept, so dense output costs nothing unless
     sampled."""
 
@@ -216,61 +253,80 @@ class _Solve:
 
 
 def _dop853(rhs: Callable[[float, float], float], m: int) -> _Solve:
-    """solve_ivp(rhs, (1, m+1), [2.0], method="DOP853") at _TOLS, the step
-    capped at m/_STEP_DIVISOR, for one v held as a float: scipy's tableau,
-    initial step and step control, so the same steps and values bit for bit.
-    Each stage sum is the same np.dot call as scipy's, on a view of one
-    stage buffer; the rest is scalar arithmetic, without the array work per
-    step that takes about two thirds of solve_ivp's time on one v."""
+    """v' = rhs(gamma, v) from v(1) = 2 to m+1 by _march at _TOLS, v held as
+    a float: scipy's tableau, initial step and step control, so the steps
+    and values of solve_ivp's DOP853 bit for bit.  Each stage sum is the
+    same np.dot call as scipy's, on a view of one stage buffer; the rest is
+    scalar arithmetic, without the array work per step that takes about two
+    thirds of solve_ivp's time on one v."""
     rtol, atol = _TOLS["rtol"], _TOLS["atol"]
-    t, t_end, v = 1.0, float(m + 1), 2.0
-    max_step = m / _STEP_DIVISOR
     # scipy's K_extended: the 12 stages, f at the new point, 3 dense stages
     K = np.empty((16, 1))
     k = K[:, 0]
     stage_dots = [(s, K[:s].T.dot, a, c) for s, a, c in _STAGES]
     b_dot, e_dot = K[:DOP853.n_stages].T.dot, K[:DOP853.n_stages + 1].T.dot
-    ts, vs, stages = [t], [v], []
+
+    def trial(t, h, v, f):
+        k[0] = f
+        for s, dot, a, c in stage_dots:
+            k[s] = rhs(t + c * h, v + dot(a)[0] * h)
+        v_new = v + h * b_dot(DOP853.B)[0]
+        f_new = k[DOP853.n_stages] = rhs(t + h, v_new)
+        # a NaN v_new gives a NaN scale, as np.maximum does
+        scale = atol + max(abs(v_new), abs(v)) * rtol
+        # np.linalg.norm(x)**2 of one component is sqrt(x*x)**2
+        e5 = math.sqrt((x := e_dot(DOP853.E5)[0] / scale) * x) ** 2
+        e3 = math.sqrt((x := e_dot(DOP853.E3)[0] / scale) * x) ** 2
+        return v_new, f_new, 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / math.sqrt(e5 + 0.01 * e3)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        f = rhs(t, v)
-        h_abs = select_initial_step(lambda t, y: np.array([rhs(t, y[0])]), t, np.array([v]), t_end,
-                                    max_step, np.array([f]), 1.0, DOP853.error_estimator_order,
-                                    rtol, atol)
-        while t < t_end:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
-            rejected = False
-            while True:
-                if h_abs < min_step:
-                    return _Solve(rhs, np.array(ts), np.array([vs]), stages, DOP853.TOO_SMALL_STEP)
-                t_new = min(t + h_abs, t_end)
-                h = t_new - t
-                h_abs = abs(h)
-                k[0] = f
-                for s, dot, a, c in stage_dots:
-                    k[s] = rhs(t + c * h, v + dot(a)[0] * h)
-                v_new = v + h * b_dot(DOP853.B)[0]
-                f_new = k[DOP853.n_stages] = rhs(t + h, v_new)
-                # a NaN v_new gives a NaN scale, as np.maximum does
-                scale = atol + max(abs(v_new), abs(v)) * rtol
-                # np.linalg.norm(x)**2 of one component is sqrt(x*x)**2
-                e5 = math.sqrt((x := e_dot(DOP853.E5)[0] / scale) * x) ** 2
-                e3 = math.sqrt((x := e_dot(DOP853.E3)[0] / scale) * x) ** 2
-                error = 0.0 if e5 == 0 and e3 == 0 else h_abs * e5 / math.sqrt(e5 + 0.01 * e3)
-                if error < 1:
-                    factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
-                    h_abs *= min(1, factor) if rejected else factor
-                    break
-                h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
-                rejected = True
-            stages.append(K.copy())
-            t, v, f = t_new, v_new, f_new
-            ts.append(t)
-            vs.append(v)
-    return _Solve(rhs, np.array(ts), np.array([vs]), stages, None)
+        f = rhs(1.0, 2.0)
+        h_abs = select_initial_step(lambda t, y: np.array([rhs(t, y[0])]), 1.0, np.array([2.0]),
+                                    float(m + 1), m / _STEP_DIVISOR, np.array([f]), 1.0,
+                                    DOP853.error_estimator_order, rtol, atol)
+        ts, vs, stages, message = _march(trial, m, 2.0, f, h_abs, K)
+    return _Solve(rhs, np.array(ts), np.array([vs]), stages, message)
+
+
+def _dop853_batch(q, m: int, n: int) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
+    """v' = 2*sqrt(2)*sqrt(max(v, 0)) + q(gamma) from v(1) = 2 to m+1 by
+    _march at _SCAN_TOLS, for q of n coefficient sets and one v per set:
+    t, y of shape (n, len(t)) and the failure message, None unless the
+    solve failed, those of solve_ivp's DOP853 bit for bit.  Each trial step
+    evaluates q once, at all its stage times, so a stage adds only the
+    square-root term to its row; the stage sums and the error norm are
+    scipy's numpy calls on a (13, n) stage buffer.  An overflowing C fails
+    its solve, which is reported: numpy need not warn."""
+    rtol, atol = _SCAN_TOLS["rtol"], _SCAN_TOLS["atol"]
+    K = np.empty((DOP853.n_stages + 1, n))  # the 12 stages, f at the new point
+    # per stage after the first: its sum's np.dot, its row of A, its row of K
+    stage_sums = [(K[:s].T.dot, a, K[s]) for s, a, _ in _STAGES]
+    b_sum, e_sum = K[:-1].T, K.T
+
+    def root(v):
+        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0))
+
+    def trial(t, h, v, f):
+        T = t + _NODES * h
+        Q = q(T) if n <= _Q_GRID_MAX else [q(x) for x in T[:, 0].tolist()]
+        K[0] = f
+        for (dot, a, k), q_s in zip(stage_sums, Q):
+            np.add(root(v + dot(a) * h), q_s, out=k)
+        v_new = v + h * np.dot(b_sum, DOP853.B)
+        f_new = K[-1] = root(v_new) + Q[-1]
+        # DOP853._estimate_error_norm
+        scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
+        e5 = np.linalg.norm(np.dot(e_sum, DOP853.E5) / scale) ** 2
+        e3 = np.linalg.norm(np.dot(e_sum, DOP853.E3) / scale) ** 2
+        return v_new, f_new, 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.full(n, 2.0)
+        f = root(v) + q(1.0)
+        h_abs = select_initial_step(lambda t, y: root(y) + q(t), 1.0, v, float(m + 1),
+                                    m / _STEP_DIVISOR, f, 1.0, DOP853.error_estimator_order, rtol, atol)
+        ts, vs, _, message = _march(trial, m, v, f, h_abs)
+    return np.array(ts), np.array(vs).T, message
 
 
 def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Solve]:
@@ -356,15 +412,16 @@ class ScanResult:
 
 
 def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
-    """Defects at every C in `cs` from one solve_ivp call at _SCAN_TOLS
-    holding one v per C.
+    """Defects at every C in `cs` from one _dop853_batch solve holding one v
+    per C.
 
-    Positivity is checked per component by _lost: a C whose v reaches
-    V_FLOOR is a lost point.  Below zero the square root is taken of 0, but
-    it is not Lipschitz near v = 0, so lost points shrink the shared step:
-    [-10, 8] x 64 at m = 8, 20 points lost, takes 352 accepted steps against
-    32 at m = 1 with none, and [2.2, 50] x 256 at m = 8 takes 2,264.  Setting
-    v' = 0 once v reaches V_FLOOR was tried and doubles these (710, 5,612).
+    A C whose v reaches V_FLOOR at an accepted step is a lost point, with the
+    PositivityLost text of a scalar solve.  Below zero the square root is
+    taken of 0, but it is not Lipschitz near v = 0, so lost points shrink the
+    shared step: [-10, 8] x 64 at m = 8, 20 points lost, takes 352 accepted
+    steps against 32 at m = 1 with none, and [2.2, 50] x 256 at m = 8 takes
+    2,264.  Setting v' = 0 once v reaches V_FLOOR was tried and doubles
+    these (710, 5,612).
     A failed solve, or a C whose exact A or B does not fit a float, is split
     in halves until it is down to single C.
     """
@@ -381,31 +438,26 @@ def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
         w = k1.denominator * k0.denominator
         return np.array([(u1 * p + u0 * r) / (w * r) for p, r in ratios])
 
-    def rhs(t, v):
-        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q(t)
-
     a1, a0, b1, b0 = _linear_maps(m)
     try:
         q = _q(affine(a1, a0), affine(b1, b0), np.array([p / r for p, r in ratios]))
     except OverflowError:
         error = f"m={m}, C={cs[0]}: the coefficients do not fit a float"
     else:
-        sol = _solve(rhs, m, np.full(len(cs), 2.0))
-        error = f"integration failed: {sol.message}" if sol.status < 0 else None
+        t, y, message = _dop853_batch(q, m, len(cs))
+        error = None if message is None else f"integration failed: {message}"
     if error and len(cs) > 1:  # halve the batch to isolate the failing C
         half = len(cs) // 2
         return _solve_defects(m, cs[:half]) + _solve_defects(m, cs[half:])
     if error:
         return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
-    points = []
-    for i, x in enumerate(cs):
-        try:
-            _lost(sol, i, x)
-        except PositivityLost as exc:
-            points.append(ScanPoint(c=float(x), defect=None, error=str(exc), lost=True))
-        else:
-            points.append(ScanPoint(c=float(x), defect=float(sol.y[i, -1] - _target(m))))
-    return tuple(points)
+    lost = y <= V_FLOOR
+    gammas = t[lost.argmax(axis=1)].tolist()  # per C, the first lost gamma if it has one
+    defects = (y[:, -1] - _target(m)).tolist()
+    return tuple(
+        ScanPoint(c=c, defect=None, error=str(PositivityLost(gamma=g, c=c, floor=V_FLOOR)), lost=True)
+        if hit else ScanPoint(c=c, defect=d)
+        for c, hit, g, d in zip(cs.tolist(), lost.any(axis=1).tolist(), gammas, defects))
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:

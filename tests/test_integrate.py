@@ -1,9 +1,11 @@
-"""Integrator contracts: the scalar loop against solve_ivp, initial
-condition, certified bounds, positivity, refinement stability, residuals,
-and the CSV surface."""
+"""Integrator contracts: the scalar and batch loops against solve_ivp,
+initial condition, certified bounds, positivity, refinement stability,
+residuals, and the CSV surface."""
+import ast
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -75,6 +77,59 @@ def test_scalar_loop_fails_where_solve_ivp_fails(m, c):
     with pytest.raises(StepFailure) as info:
         integrate_v(m, c)
     assert str(info.value) == f"integration failed: {ref.message}"
+
+
+def _batch_rhs(q):
+    return lambda t, v: integrate.TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q(t)
+
+
+# (m, C window, points): one workload-style window per m, two windows with
+# lost points (250 and 352 steps), one whose C all lie above the root, and
+# one that fails at its first step
+_BATCH_WINDOWS = [(m, -60.0 + 7 * m, float(c_top(m, F(1, 100))) - 0.5, 64) for m in range(1, 9)] + [
+    (3, -10.0, 8.0, 64), (8, -10.0, 8.0, 64), (8, 2.2, 2.3, 64), (1, -1e30, -1e29, 64)]
+
+
+@pytest.mark.parametrize("m, lo, hi, n", _BATCH_WINDOWS)
+@pytest.mark.parametrize("q_grid_max", [integrate._Q_GRID_MAX, 0], ids=["q-grid", "q-rows"])
+def test_batch_loop_is_solve_ivp_bit_for_bit(m, lo, hi, n, q_grid_max, monkeypatch):
+    # q on the whole grid of stage times or row by row, as a larger batch
+    # takes it; no np.errstate around the loop: a warning it lets out fails
+    monkeypatch.setattr(integrate, "_Q_GRID_MAX", q_grid_max)
+    q = integrate._q(*np.array([coeffs_from_C(m, c).float_abc() for c in np.linspace(lo, hi, n)]).T)
+    t, y, message = integrate._dop853_batch(q, m, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = solve_ivp(_batch_rhs(q), (1.0, float(m + 1)), np.full(n, 2.0), method="DOP853",
+                        max_step=m / integrate._STEP_DIVISOR, **integrate._SCAN_TOLS)
+    assert (message is None, message) == (ref.status == 0, None if ref.status == 0 else ref.message)
+    assert t.tobytes() == ref.t.tobytes() and y.tobytes() == ref.y.tobytes()
+    if lo == -1e30:
+        assert message is not None and len(t) == 1
+
+
+def test_scan_never_calls_solve_ivp(monkeypatch):
+    # a window with lost points, one with failed solves that are halved
+    windows = [(3, -10.0, 8.0, 64), (1, -1e300, 8.0, 8)]
+    expected = [defect_scan(*w).points for w in windows]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("defect_scan called solve_ivp")
+
+    monkeypatch.setattr(integrate, "solve_ivp", refuse)
+    assert [defect_scan(*w).points for w in windows] == expected
+    assert any(p.lost for p in expected[0]) and any(p.error and not p.lost for p in expected[1])
+
+
+def test_no_module_calls_solve_ivp():
+    src = Path(integrate.__file__).resolve().parents[1]
+    calls = [
+        (f"{path.relative_to(src)}", node.lineno)
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and "solve_ivp" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None))
+    ]
+    assert calls == []
 
 
 def test_initial_condition_exact():
