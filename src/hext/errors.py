@@ -65,7 +65,7 @@ def _window(lo, hi) -> None:
 
 # shoot's defect tolerance: every m = 1..8 converges at 1e-2 and some fail at
 # 0.1; above the defects at the bracket edges a tolerance would accept an edge
-# as the root.  A solve is good to 8.8e-11; at 1e-11 the shoot for m = 32 fails
+# as the root.  The floor predates the Taylor solve, which meets 1e-11 at m = 32
 DEFECT_TOL_RANGE = (1e-10, 1e-3)
 
 
@@ -91,7 +91,7 @@ def _weights(n: int, weights) -> List[Fraction]:
 
 
 class PositivityLost(HextError):
-    """The integrated quantity v reached the positivity floor at an accepted step.
+    """The integrated quantity v reached the positivity floor at a node of a solve.
 
     This signals a shooting parameter C that the flow cannot carry to m+1,
     one above the root: below the floor the square-root term is no longer

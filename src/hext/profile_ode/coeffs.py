@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple, Union
 
 from .. import ratpoly
@@ -97,8 +98,9 @@ class LNConstants:
         return self.L * Fraction(C) + self.N
 
 
+@lru_cache(maxsize=128)
 def _linear_maps(m: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """A(C) = a1*C + a0 and B(C) = b1*C + b0."""
+    """A(C) = a1*C + a0 and B(C) = b1*C + b0, computed once per m."""
     s = Fraction((m + 1) ** 2)
     mm = Fraction(m)
     a1 = 3 / mm * (1 - 1 / s)

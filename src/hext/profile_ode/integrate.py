@@ -14,12 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401  called nowhere; perfbench's tracer wraps it
-from scipy.integrate._ivp.common import select_initial_step
-from scipy.integrate._ivp.rk import DOP853, MAX_FACTOR, MIN_FACTOR, SAFETY
 from scipy.optimize import brentq
 
 from ..errors import (
@@ -38,34 +36,24 @@ from .coeffs import (CoeffSet, Rational, _hcsck_denominator, _linear_maps, coeff
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
-# Every DOP853 solve (Hairer, Norsett & Wanner, Solving Ordinary Differential
-# Equations I) caps its step at m/_STEP_DIVISOR, which keeps the defect
-# refinement-stable.  Left to the tolerance alone, DOP853 takes 7-13 steps and
-# the defect is off by more than 10*rtol (1.2e-9 at m=7, C=2; 9.3e-9 at m=10,
-# C=-20 even at rtol=1e-13, against a solve capped at m/128).  With m/32 the
-# defect at (m, C) = (1, 22/3), (1, 2), (5, 2), (7, 2), (10, -20) is within
-# 8.8e-11 of a 30-digit mpmath solve and 8.7e-11 of its value at m/64.
-_STEP_DIVISOR = 32
-_TOLS = dict(rtol=1e-10, atol=1e-12)  # every scalar solve's
-# defect_scan's batch reads off defect signs at looser tolerances: at _TOLS
-# its lost points force many more steps, and 64 points over [-10, 8] take
-# 65 ms against 29 at m = 3 (375 steps against 250), 102 against 46 at m = 8
-# (556 against 352), best of 7 on a 2-vCPU Xeon VM
-_SCAN_TOLS = dict(rtol=1e-8, atol=1e-10)
+# Every solve is a Taylor method (Jorba & Zou, Exp. Math. 14 (2005)): at each
+# node v is expanded to order _ORDER, and the step is _SAFETY times the
+# smaller of the two at which the last two terms reach _TOL * max(1, |v|).
+# At C*_ref for m = 1..8 a solve takes 6-12 steps, |defect| <= 1.2e-13.
+_ORDER = 20
+_TOL = 1e-12
+_SAFETY = 0.7
 _CURVE_MARGIN = 1e-3  # cut from each end of a profile curve, where s diverges
 
-GRID_POINTS = 1025  # uniform samples of the dense output in a Trajectory
+GRID_POINTS = 1025  # uniform samples of the step polynomials in a Trajectory
 
-# a scan holds one v per point in one solve, and its lost points shrink the
-# shared step (see _solve_defects): 4096 points at m = 8 take about 11 s and
-# 0.6 GB over [-10, 8] and 21 s and 1.0 GB over [2.2, 50], where all C lie
-# above the root and are lost (2-vCPU Xeon VM), and far more would not fit
-# in memory
+# a scan holds per C only its node, v and v's Taylor coefficients there:
+# 4096 points at m = 8 take 0.08 s over [-10, 8] and 0.09 s over [2.2, 50]
+# (all C above the root) and allocate at most 9.6 MB, on a 2-vCPU Xeon VM
 MAX_SCAN_STEPS = 4096
 
-# a solve whose v reaches this floor at an accepted step raises PositivityLost;
-# v decreases in C and is at least 2*gamma^2 at the root, so only a C above
-# the root can reach it
+# a solve whose v reaches this floor at a node raises PositivityLost; as v
+# decreases in C and is >= 2*gamma^2 at the root, only a C above it can
 V_FLOOR = 1e-9
 
 
@@ -74,11 +62,86 @@ def _target(m: int) -> float:
     return 2.0 * (m + 1) ** 2
 
 
-def _q(a, b, c):
-    """gamma -> q(gamma) in floats, for coefficients or arrays of one per C:
-    every solve and Trajectory.q_values round q alike."""
+def _q(a, b, c, t):
+    """q_k / (k+1), k = 0..4, for the Taylor coefficients q_k at gamma = t of
+    q = a/3*gamma^4 + b/2*gamma^3 + c*gamma (the first is q(t)), in floats or
+    arrays of one per C: every solve and Trajectory.q_values round q alike."""
     a3, b2 = a / 3.0, b / 2.0
-    return lambda t: ((a3 * t + b2) * t * t + c) * t
+    u = 2.0 * a3 * t
+    return [((a3 * t + b2) * t * t + c) * t, ((u + 1.5 * b2) * t) * t + 0.5 * c, (u + b2) * t,
+            a3 * t + 0.25 * b2, a3 / 5.0]
+
+
+# v_{k+1} = _RISE[k]*s_k + q_k/(k+1): the factor 2*sqrt(2)/(k+1) of s_k
+_RISE = [TWO_SQRT2 / (k + 1) for k in range(_ORDER)]
+
+
+def _taylor(v0: float, q: List[float]) -> List[float]:
+    """v's Taylor coefficients v_0.._ORDER at a node where v = v0 > 0 and _q
+    gives q: s = sqrt(v) has s_k = (v_k - sum_{j=1}^{k-1} s_j s_{k-j})/(2 s_0),
+    and the equation gives v_{k+1} = (2*sqrt(2)*s_k + q_k)/(k+1)."""
+    s = [math.sqrt(v0)]
+    v = [v0, _RISE[0] * s[0] + q[0]]
+    two_s0 = s[0] + s[0]
+    for k in range(1, _ORDER):
+        total = v[k]
+        for j in range(1, k):
+            total = total - s[j] * s[k - j]
+        s.append(total / two_s0)
+        v.append(_RISE[k] * s[k] + q[k] if k < len(q) else _RISE[k] * s[k])
+    return v
+
+
+# _taylor_batch keeps v_k in row _ROW[k], above k-1 rows for the products
+# s_j*s_{k-j}; per k the slices of v_k and them, of them, and of their s
+_ROW = [0] + [1 + k * (k - 1) // 2 for k in range(1, _ORDER + 1)]
+_SLICES = [(slice(_ROW[k], _ROW[k] + k), slice(_ROW[k] + 1, _ROW[k] + k), slice(1, k), slice(k - 1, 0, -1))
+           for k in range(1, _ORDER)]
+
+
+def _taylor_batch(v0: np.ndarray, q: List[np.ndarray]) -> np.ndarray:
+    """_taylor for arrays of one node per C, as rows.  subtract.reduce takes
+    the products off v_k in the scalar's order (numpy adds pairwise), so a
+    column is its scalar recursion bit for bit."""
+    s, z = np.empty((_ORDER, len(v0))), np.empty((_ROW[-1] + 1, len(v0)))
+    z[0], s[0] = v0, np.sqrt(v0)
+    z[1] = _RISE[0] * s[0] + q[0]
+    two_s0 = s[0] + s[0]
+    for k, (block, products, lo, hi) in enumerate(_SLICES, 1):
+        s_k, v_next = s[k], z[_ROW[k + 1]]
+        np.multiply(s[lo], s[hi], z[products])
+        np.subtract.reduce(z[block], 0, None, s_k)
+        np.divide(s_k, two_s0, s_k)
+        np.multiply(s_k, _RISE[k], v_next)
+        if k < len(q):
+            np.add(v_next, q[k], v_next)
+    return z[_ROW]
+
+
+# a node's step is _SAFETY times the least (|v_k| / tol)^(-1/k), k = K-1, K,
+# tol = _TOL * max(1, v_0); both solves take numpy's power, not Python's,
+# which differs in the last bit
+_POWERS = np.array([-1.0 / (_ORDER - 1), -1.0 / _ORDER])
+
+
+def _horner(v, h):
+    """sum_k v[k] * h^k by Horner's rule, for floats or arrays."""
+    y = v[-1] * h
+    for x in v[-2:0:-1]:
+        y += x
+        y *= h
+    return y + v[0]
+
+
+def _checked(v: float, gamma: float, c: float) -> float:
+    """v where a solve of C = c stopped, at gamma, unless it is at or below
+    V_FLOOR (PositivityLost) or not finite, as a failed step leaves it."""
+    if v <= V_FLOOR:
+        raise PositivityLost(gamma=gamma, c=c, floor=V_FLOOR)
+    if not v < math.inf:
+        raise StepFailure(f"integration failed at gamma={gamma:.12g} (C={c:.12g}): "
+                          "v is not finite or its step is below 10 ulp")
+    return v
 
 
 class Trajectory:
@@ -115,7 +178,7 @@ class Trajectory:
         return np.sqrt(2.0 * self.v) - 2.0 * self.grid
 
     def q_values(self) -> np.ndarray:
-        return _q(*self.meta.float_abc())(self.grid)
+        return _q(*self.meta.float_abc(), self.grid)[0]
 
     @property
     def phi_prime(self) -> np.ndarray:
@@ -154,214 +217,92 @@ def _csv(header: str, cols) -> str:
     return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
 
 
-def _lost(sol, i: int, c: float) -> None:
-    """Raise PositivityLost at the first accepted step where component i of
-    sol is at or below V_FLOOR.  A floor event would catch no more: scipy
-    finds events only from the signs at consecutive accepted steps."""
-    lost = sol.y[i] <= V_FLOOR
-    if lost.any():
-        raise PositivityLost(gamma=float(sol.t[lost.argmax()]), c=float(c), floor=V_FLOOR)
+class _Steps(NamedTuple):
+    """A scalar solve: its nodes t, v's coefficients at each step's first
+    node, and v at the last node, where the solve stopped."""
+    t: List[float]
+    coeffs: List[List[float]]
+    v_end: float
 
 
-# scipy's DOP853 tableau (Hairer, Norsett & Wanner, Solving Ordinary
-# Differential Equations I, II.5): per stage s, its row of A and its node
-_STAGES = [(s, DOP853.A[s, :s], float(DOP853.C[s])) for s in range(1, DOP853.n_stages)]
-_DENSE_STAGES = [(s, a[:s], float(c)) for s, (a, c)
-                 in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA), start=DOP853.n_stages + 1)]
-_ERROR_EXPONENT = -1 / (DOP853.error_estimator_order + 1)
-# the nodes of the stages after the first, then 1 for f at the step's end: a
-# batch step of size h evaluates q at t + _NODES*h
-_NODES = np.append(DOP853.C[1:], 1.0)[:, None]
-# a batch of up to this many C evaluates q on its (12, n) grid of stage times
-# at once, a larger one a row at a time, which stays in cache: q per step
-# takes 9 us against 50 row by row at n = 64, 35 against 52 at 512, 126
-# against 93 at 2048 and 356 against 141 at 4096 (2-vCPU Xeon VM)
-_Q_GRID_MAX = 1024
-
-
-def _march(trial, m: int, v, f, h_abs: float, K: Optional[np.ndarray] = None):
-    """scipy's DOP853 step control (RungeKutta._step_impl) from gamma = 1,
-    where v has derivative f and the first step is h_abs, to m+1, the step
-    capped at m/_STEP_DIVISOR.  trial(t, h, v, f) takes one step and returns
-    v and f at t + h and the error norm.  Returns the accepted t and v, a
-    copy of the stage buffer K per accepted step if one is given, and the
-    failure message: None unless the step fell below 10 ulp of t."""
-    t, t_end, max_step = 1.0, float(m + 1), m / _STEP_DIVISOR
-    ts, vs, stages = [t], [v], []
-    while t < t_end:
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return ts, vs, stages, DOP853.TOO_SMALL_STEP
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = abs(h)
-            v_new, f_new, error = trial(t, h, v, f)
-            if error < 1:
-                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
+def _solve(m: int, a: float, b: float, c: float) -> _Steps:
+    """v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 in floats, q of float
+    coefficients a, b, c, until m+1 or a node where v is not in (V_FLOOR,
+    inf); a step below 10 ulp of gamma stops it with v = NaN."""
+    t, v, t_end = 1.0, 2.0, float(m + 1)
+    ts, coeffs = [t], []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while V_FLOOR < v < math.inf and t < t_end:
+            k = _taylor(v, _q(a, b, c, t))
+            tol = _TOL * max(1.0, v)
+            h1, h2 = np.power([abs(k[-2]) / tol, abs(k[-1]) / tol], _POWERS).tolist()
+            h = _SAFETY * (h1 if h1 <= h2 else h2 if h2 <= h1 else math.nan)  # NaN as np.minimum
+            if not h >= 10 * (math.nextafter(t, math.inf) - t):
+                v = math.nan
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        if K is not None:
-            stages.append(K.copy())
-        t, v, f = t_new, v_new, f_new
-        ts.append(t)
-        vs.append(v)
-    return ts, vs, stages, None
+            h, t = (t_end - t, t_end) if h >= t_end - t else (h, t + h)
+            v = _horner(k, h)
+            ts.append(t)
+            coeffs.append(k)
+    return _Steps(ts, coeffs, v)
 
 
-@dataclass(frozen=True, eq=False)
-class _Solve:
-    """One scalar solve: the accepted t, v as y of shape (1, len(t)) and
-    message, None unless the solve failed, as solve_ivp reports them.  Each
-    accepted step's stages are kept, so dense output costs nothing unless
-    sampled."""
-
-    rhs: Callable[[float, float], float]
-    t: np.ndarray
-    y: np.ndarray
-    stages: List[np.ndarray]
-    message: Optional[str]
-
-    def sample(self, grid: np.ndarray) -> np.ndarray:
-        """v on an increasing grid in [t[0], t[-1]] from scipy's DOP853 dense
-        output (Dop853DenseOutput), a grid point on a step boundary taken
-        from the earlier step, as OdeSolution does: the same values bit for
-        bit, in one pass over the grid."""
-        t, v, rhs = self.t, self.y[0], self.rhs
-        F = np.empty((len(self.stages), 7))  # per step, the interpolant's coefficients
-        for i, K in enumerate(self.stages):
-            h, t_old, v_old = t[i + 1] - t[i], t[i], v[i]
-            for s, a, c in _DENSE_STAGES:
-                K[s] = rhs(t_old + c * h, v_old + K[:s].T.dot(a)[0] * h)
-            dv, f_old, f_new = v[i + 1] - v_old, K[0, 0], K[DOP853.n_stages, 0]
-            F[i, :3] = dv, h * f_old - dv, 2 * dv - h * (f_new + f_old)
-            F[i, 3:] = h * np.dot(DOP853.D, K)[:, 0]
-        seg = np.clip(np.searchsorted(t, grid, side="left") - 1, 0, len(F) - 1)
-        x = (grid - t[seg]) / (t[seg + 1] - t[seg])
-        y = np.zeros_like(x)
-        for i, f in enumerate(F[seg, ::-1].T):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        return y + v[seg]
+def _solve_batch(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """_solve for arrays of coefficient sets, each column on its own nodes
+    with its scalar solve's operations: per column v and gamma where it stops."""
+    n, t_end = len(c), float(m + 1)
+    v_at, t_at = np.full(n, np.nan), np.full(n, np.nan)
+    col, t, v = np.arange(n), np.ones(n), np.full(n, 2.0)
+    with np.errstate(all="ignore"):
+        while col.size:
+            stop = ~((V_FLOOR < v) & (v < np.inf) & (t < t_end))
+            if stop.any():
+                v_at[col[stop]], t_at[col[stop]] = v[stop], t[stop]
+                col, t, v, a, b, c = (x[~stop] for x in (col, t, v, a, b, c))
+            k = _taylor_batch(v, _q(a, b, c, t))
+            tol = _TOL * np.maximum(1.0, v)
+            h = _SAFETY * np.minimum(np.power(np.abs(k[-2]) / tol, _POWERS[0]),
+                                     np.power(np.abs(k[-1]) / tol, _POWERS[1]))
+            failed = ~(h >= 10 * (np.nextafter(t, np.inf) - t))
+            h[failed] = 0.0  # the column stops at this node with v = NaN, as _solve does
+            room = t_end - t
+            last = h >= room
+            t = np.where(last, t_end, t + h)
+            v = _horner(k, np.where(last, room, h))
+            v[failed] = np.nan
+    return v_at, t_at
 
 
-def _dop853(rhs: Callable[[float, float], float], m: int) -> _Solve:
-    """v' = rhs(gamma, v) from v(1) = 2 to m+1 by _march at _TOLS, v held as
-    a float: scipy's tableau, initial step and step control, so the steps
-    and values of solve_ivp's DOP853 bit for bit.  Each stage sum is the
-    same np.dot call as scipy's, on a view of one stage buffer; the rest is
-    scalar arithmetic, without the array work per step that takes about two
-    thirds of solve_ivp's time on one v."""
-    rtol, atol = _TOLS["rtol"], _TOLS["atol"]
-    # scipy's K_extended: the 12 stages, f at the new point, 3 dense stages
-    K = np.empty((16, 1))
-    k = K[:, 0]
-    stage_dots = [(s, K[:s].T.dot, a, c) for s, a, c in _STAGES]
-    b_dot, e_dot = K[:DOP853.n_stages].T.dot, K[:DOP853.n_stages + 1].T.dot
-
-    def trial(t, h, v, f):
-        k[0] = f
-        for s, dot, a, c in stage_dots:
-            k[s] = rhs(t + c * h, v + dot(a)[0] * h)
-        v_new = v + h * b_dot(DOP853.B)[0]
-        f_new = k[DOP853.n_stages] = rhs(t + h, v_new)
-        # a NaN v_new gives a NaN scale, as np.maximum does
-        scale = atol + max(abs(v_new), abs(v)) * rtol
-        # np.linalg.norm(x)**2 of one component is sqrt(x*x)**2
-        e5 = math.sqrt((x := e_dot(DOP853.E5)[0] / scale) * x) ** 2
-        e3 = math.sqrt((x := e_dot(DOP853.E3)[0] / scale) * x) ** 2
-        return v_new, f_new, 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / math.sqrt(e5 + 0.01 * e3)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = rhs(1.0, 2.0)
-        h_abs = select_initial_step(lambda t, y: np.array([rhs(t, y[0])]), 1.0, np.array([2.0]),
-                                    float(m + 1), m / _STEP_DIVISOR, np.array([f]), 1.0,
-                                    DOP853.error_estimator_order, rtol, atol)
-        ts, vs, stages, message = _march(trial, m, 2.0, f, h_abs, K)
-    return _Solve(rhs, np.array(ts), np.array([vs]), stages, message)
-
-
-def _dop853_batch(q, m: int, n: int) -> Tuple[np.ndarray, np.ndarray, Optional[str]]:
-    """v' = 2*sqrt(2)*sqrt(max(v, 0)) + q(gamma) from v(1) = 2 to m+1 by
-    _march at _SCAN_TOLS, for q of n coefficient sets and one v per set:
-    t, y of shape (n, len(t)) and the failure message, None unless the
-    solve failed, those of solve_ivp's DOP853 bit for bit.  Each trial step
-    evaluates q once, at all its stage times, so a stage adds only the
-    square-root term to its row; the stage sums and the error norm are
-    scipy's numpy calls on a (13, n) stage buffer.  An overflowing C fails
-    its solve, which is reported: numpy need not warn."""
-    rtol, atol = _SCAN_TOLS["rtol"], _SCAN_TOLS["atol"]
-    K = np.empty((DOP853.n_stages + 1, n))  # the 12 stages, f at the new point
-    # per stage after the first: its sum's np.dot, its row of A, its row of K
-    stage_sums = [(K[:s].T.dot, a, K[s]) for s, a, _ in _STAGES]
-    b_sum, e_sum = K[:-1].T, K.T
-
-    def root(v):
-        return TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0))
-
-    def trial(t, h, v, f):
-        T = t + _NODES * h
-        Q = q(T) if n <= _Q_GRID_MAX else [q(x) for x in T[:, 0].tolist()]
-        K[0] = f
-        for (dot, a, k), q_s in zip(stage_sums, Q):
-            np.add(root(v + dot(a) * h), q_s, out=k)
-        v_new = v + h * np.dot(b_sum, DOP853.B)
-        f_new = K[-1] = root(v_new) + Q[-1]
-        # DOP853._estimate_error_norm
-        scale = atol + np.maximum(np.abs(v), np.abs(v_new)) * rtol
-        e5 = np.linalg.norm(np.dot(e_sum, DOP853.E5) / scale) ** 2
-        e3 = np.linalg.norm(np.dot(e_sum, DOP853.E3) / scale) ** 2
-        return v_new, f_new, 0.0 if e5 == 0 and e3 == 0 else abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * n)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.full(n, 2.0)
-        f = root(v) + q(1.0)
-        h_abs = select_initial_step(lambda t, y: root(y) + q(t), 1.0, v, float(m + 1),
-                                    m / _STEP_DIVISOR, f, 1.0, DOP853.error_estimator_order, rtol, atol)
-        ts, vs, _, message = _march(trial, m, v, f, h_abs)
-    return np.array(ts), np.array(vs).T, message
-
-
-def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Solve]:
+def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Steps]:
     """integrate_v's coefficients and checked solve."""
     cs = coeffs_from_C(m, C)  # validates m
     try:
-        q = _q(*cs.float_abc())
+        a, b, c = cs.float_abc()
     except OverflowError:
         raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
-
-    def rhs(t, v):
-        return TWO_SQRT2 * (math.sqrt(v) if v > 0.0 else 0.0) + q(t)
-
-    sol = _dop853(rhs, m)
-    _lost(sol, 0, cs.C)
-    if sol.message is not None:
-        raise StepFailure(f"integration failed: {sol.message}")
+    sol = _solve(m, a, b, c)
+    _checked(sol.v_end, sol.t[-1], c)
     return cs, sol
 
 
-def _trajectory(cs: CoeffSet, sol: _Solve) -> Trajectory:
+def _trajectory(cs: CoeffSet, sol: _Steps) -> Trajectory:
     """The Trajectory of a checked solve, as integrate_v describes it."""
     grid = np.linspace(1.0, float(cs.m + 1), GRID_POINTS)
-    v = sol.sample(grid)
-    v[0], v[-1] = 2.0, sol.y[0, -1]  # the exact initial value, the solver's endpoint
+    t = np.array(sol.t)
+    # a grid point on a node is taken from the step ending there
+    seg = np.clip(np.searchsorted(t, grid, side="left") - 1, 0, len(sol.coeffs) - 1)
+    v = _horner(np.array(sol.coeffs)[seg].T, grid - t[seg])
+    v[0], v[-1] = 2.0, sol.v_end  # the exact initial value, the solver's endpoint
     return Trajectory(grid=grid, v=v, meta=cs)
 
 
 def integrate_v(m: int, C: Rational) -> Trajectory:
     """Integrate v' = 2*sqrt(2)*sqrt(v) + q(gamma) from v(1) = 2 to gamma = m+1.
 
-    v is sampled from the dense output on GRID_POINTS uniform points, except
-    v(m+1), the solver's own endpoint value.  Raises PositivityLost if v
-    reaches V_FLOOR (a C the flow cannot carry to m+1), even when the
-    solver gave up later, and StepFailure if the solver gives up before.
+    v is sampled from the step polynomials on GRID_POINTS uniform points,
+    except v(m+1), the solver's own endpoint value.  Raises PositivityLost
+    if v reaches V_FLOOR at a node (a C the flow cannot carry to m+1), and
+    StepFailure if v is not finite at a node or its step falls below 10 ulp.
     """
     return _trajectory(*_integrate(m, C))
 
@@ -412,59 +353,46 @@ class ScanResult:
 
 
 def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
-    """Defects at every C in `cs` from one _dop853_batch solve holding one v
-    per C.
-
-    A C whose v reaches V_FLOOR at an accepted step is a lost point, with the
-    PositivityLost text of a scalar solve.  Below zero the square root is
-    taken of 0, but it is not Lipschitz near v = 0, so lost points shrink the
-    shared step: [-10, 8] x 64 at m = 8, 20 points lost, takes 352 accepted
-    steps against 32 at m = 1 with none, and [2.2, 50] x 256 at m = 8 takes
-    2,264.  Setting v' = 0 once v reaches V_FLOOR was tried and doubles
-    these (710, 5,612).
-    A failed solve, or a C whose exact A or B does not fit a float, is split
-    in halves until it is down to single C.
+    """Defects at every C in `cs` from one _solve_batch: a lost or failed C
+    leaves the batch without changing another C's steps, so every point is
+    its scalar solve bit for bit, with that solve's error text if it is lost
+    (v reaches V_FLOOR at a node) or failed, or if A or B does not fit a float.
     """
-    # the exact affine maps C -> A, B of coeffs_from_C, rounded once per C:
-    # at C = p/r, k1*C + k0 is one int / int, which Python rounds correctly,
-    # so it is the float of the Fraction and raises the same OverflowError
-    # past the float range; for 64 C this takes 0.14 ms against 0.82 ms in
-    # Fractions.  p / r is C itself, except 0.0 for -0.0, as
-    # float(Fraction(-0.0)) gives.
-    ratios = [float(x).as_integer_ratio() for x in cs]
-
-    def affine(k1: Fraction, k0: Fraction) -> np.ndarray:
-        u1, u0 = k1.numerator * k0.denominator, k0.numerator * k1.denominator
-        w = k1.denominator * k0.denominator
-        return np.array([(u1 * p + u0 * r) / (w * r) for p, r in ratios])
-
+    # coeffs_from_C's exact maps C -> A, B, rounded once per C: at C = p/r,
+    # k1*C + k0 is one int / int, which Python rounds correctly, so it is the
+    # float of the Fraction, with the same OverflowError past the float range
+    # (0.14 ms for 64 C against 0.82 ms in Fractions); p / r is C, or 0.0 for
+    # -0.0 as float(Fraction(-0.0)) gives.
     a1, a0, b1, b0 = _linear_maps(m)
-    try:
-        q = _q(affine(a1, a0), affine(b1, b0), np.array([p / r for p, r in ratios]))
-    except OverflowError:
-        error = f"m={m}, C={cs[0]}: the coefficients do not fit a float"
-    else:
-        t, y, message = _dop853_batch(q, m, len(cs))
-        error = None if message is None else f"integration failed: {message}"
-    if error and len(cs) > 1:  # halve the batch to isolate the failing C
-        half = len(cs) // 2
-        return _solve_defects(m, cs[:half]) + _solve_defects(m, cs[half:])
-    if error:
-        return (ScanPoint(c=float(cs[0]), defect=None, error=error),)
-    lost = y <= V_FLOOR
-    gammas = t[lost.argmax(axis=1)].tolist()  # per C, the first lost gamma if it has one
-    defects = (y[:, -1] - _target(m)).tolist()
-    return tuple(
-        ScanPoint(c=c, defect=None, error=str(PositivityLost(gamma=g, c=c, floor=V_FLOOR)), lost=True)
-        if hit else ScanPoint(c=c, defect=d)
-        for c, hit, g, d in zip(cs.tolist(), lost.any(axis=1).tolist(), gammas, defects))
+    maps = [(k1.numerator * k0.denominator, k0.numerator * k1.denominator,
+             k1.denominator * k0.denominator) for k1, k0 in ((a1, a0), (b1, b0))]
+    abc = np.full((len(cs), 3), np.nan)  # A, B and C, a NaN row where A or B does not fit
+    for i, (p, r) in enumerate(float(x).as_integer_ratio() for x in cs):
+        try:
+            abc[i] = [(u1 * p + u0 * r) / (w * r) for u1, u0, w in maps] + [p / r]
+        except OverflowError:
+            pass
+    fits = ~np.isnan(abc[:, 2])
+    v, gamma = np.full((2, len(cs)), np.nan)
+    v[fits], gamma[fits] = _solve_batch(m, *abc[fits].T)
+
+    def point(x, fit, v, gamma):
+        try:
+            if not fit:
+                raise StepFailure(f"m={m}, C={x}: the coefficients do not fit a float")
+            return ScanPoint(c=x, defect=_checked(v, gamma, x) - _target(m))
+        except (PositivityLost, StepFailure) as exc:
+            return ScanPoint(c=x, defect=None, error=str(exc), lost=isinstance(exc, PositivityLost))
+
+    return tuple(map(point, cs.tolist(), fits.tolist(), v.tolist(), gamma.tolist()))
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi,
-    solved as one batch at _SCAN_TOLS; requires 2 <= steps <= MAX_SCAN_STEPS.
-    Integrator errors are recorded per point, not raised: a C whose v
-    reaches V_FLOOR, which lies above the root, is a PositivityLost point."""
+    solved as one batch with the solver of every scalar solve; requires
+    2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded per point,
+    not raised: a C whose v reaches V_FLOOR, which lies above the root, is a
+    PositivityLost point."""
     _integer("the class index m", m, 1)
     _window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
@@ -472,9 +400,9 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     return ScanResult(m=m, points=_solve_defects(m, cs))
 
 
-def _defect(cs: CoeffSet, sol: _Solve) -> float:
+def _defect(cs: CoeffSet, sol: _Steps) -> float:
     """v(m+1) - 2*(m+1)^2 at the endpoint of sol, as Trajectory.defect."""
-    return float(sol.y[0, -1] - _target(cs.m))
+    return float(sol.v_end - _target(cs.m))
 
 
 @dataclass
@@ -503,8 +431,8 @@ def shoot(
     negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
     c_min and c_max only clip that bracket; NoBracket is raised when the
     clipped bracket is empty or its ends' defects share a sign.  Every solve
-    is scalar and at _TOLS, and the trajectory is sampled from the solve at
-    c_star, with no solve of its own.  Brent's method stops once
+    is scalar, and the trajectory is sampled from the step polynomials of
+    the solve at c_star, with no solve of its own.  Brent's method stops once
     |defect| < defect_tol, or the bracket is narrower than 1e-12, or after 60
     iterations; c_star is the solved C of least |defect|, and StepFailure is
     raised unless |defect| < defect_tol there.  `iterations` counts the

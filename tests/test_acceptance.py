@@ -110,14 +110,14 @@ def test_criterion_4_ode_property_suite():
                 lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1]
             )
             assert abs(float(val) - float(ln.lc_plus_n(c))) < 1e-10
-        # grid-refinement stability: the same solves at the step cap halved
+        # grid-refinement stability: the same solves at a tolerance 100 times tighter
         points = ((1, F(22, 3)), (1, 2), (7, 2))
         d1 = [integrate_v(m, c).defect for m, c in points]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrate, "_STEP_DIVISOR", 64)
+            mp.setattr(integrate, "_TOL", integrate._TOL / 100)
             d2 = [integrate_v(m, c).defect for m, c in points]
         for x, y in zip(d1, d2):
-            assert abs(x - y) < 10 * integrate._TOLS["rtol"]
+            assert abs(x - y) < 1e-9
 
 
 def test_criterion_5_alpha_tables():

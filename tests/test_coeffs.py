@@ -13,6 +13,7 @@ from hext import (
     hcsck_coeffs,
 )
 from hext import ratpoly as rp
+from hext.profile_ode.coeffs import _linear_maps
 
 from conftest import c_top
 
@@ -49,6 +50,22 @@ def test_boundary_identities_random():
         s = m + 1
         assert cs.A * s ** 3 / 3 + cs.B * s ** 2 / 2 + cs.C == -2
         assert (cs.A, cs.B) == _solve_2x2(m, C)
+
+
+def test_linear_maps_are_computed_once_per_m():
+    # every solve calls coeffs_from_C; the maps behind it are built once per m
+    _linear_maps.cache_clear()
+    for c in (2, F(22, 3), -5.5):
+        coeffs_from_C(3, c)
+    info = _linear_maps.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert _linear_maps(3) == _solve_2x2_maps(3)
+
+
+def _solve_2x2_maps(m):
+    """a1, a0, b1, b0 from the Cramer oracle at C = 0 and C = 1."""
+    (a0, b0), (a_1, b_1) = _solve_2x2(m, F(0)), _solve_2x2(m, F(1))
+    return a_1 - a0, a0, b_1 - b0, b0
 
 
 def test_coeffset_rejects_inconsistent():

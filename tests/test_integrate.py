@@ -1,9 +1,11 @@
-"""Integrator contracts: the scalar and batch loops against solve_ivp,
-initial condition, certified bounds, positivity, refinement stability,
-residuals, and the CSV surface."""
+"""Integrator contracts: each scan point against its scalar solve, the
+scalar solve against C*_ref and solve_ivp, initial condition, certified
+bounds, positivity, refinement stability, residuals, memory, and the CSV
+surface."""
 import ast
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from hext import (
     coeffs_from_C,
     compute_LN,
     defect_scan,
-    hcsck_coeffs,
     integrate_v,
     residual_check,
 )
@@ -29,86 +30,114 @@ from hext.profile_ode.integrate import ScanPoint, ScanResult, _solve_defects
 from conftest import C_STAR_REF, c_top
 
 
-def _scalar_rhs(m, c):
-    q = integrate._q(*coeffs_from_C(m, c).float_abc())
-    return lambda t, v: integrate.TWO_SQRT2 * (math.sqrt(v) if v > 0.0 else 0.0) + q(t)
+def _scalar(m, c):
+    """integrate_v's outcome at (m, c): defect bytes, lost flag, error text."""
+    try:
+        return np.float64(integrate_v(m, c).defect).tobytes(), False, None
+    except PositivityLost as exc:
+        return None, True, str(exc)
+    except StepFailure as exc:
+        return None, False, str(exc)
 
 
-def _both_solves(m, c):
-    """The scalar loop's solve of (m, c) and solve_ivp's, with dense output,
-    at the same tolerances and step cap."""
-    rhs = _scalar_rhs(m, c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = solve_ivp(lambda t, y: (rhs(t, y[0]),), (1.0, float(m + 1)), [2.0],
-                        method="DOP853", max_step=m / integrate._STEP_DIVISOR,
-                        dense_output=True, **integrate._TOLS)
-    return integrate._dop853(rhs, m), ref
+# (m, C window, points): one workload-style window per m, two windows with
+# lost points, one whose C all lie above the root, one whose solves fail
+# and one whose coefficients do not fit a float
+_BATCH_WINDOWS = [(m, -60.0 + 7 * m, float(c_top(m, F(1, 100))) - 0.5, 64) for m in range(1, 9)] + [
+    (3, -10.0, 8.0, 64), (8, -10.0, 8.0, 64), (8, 2.2, 50.0, 256), (1, -1e300, 8.0, 8), (1, -1e308, 4.0, 4)]
+
+
+@pytest.mark.parametrize("m, lo, hi, n", _BATCH_WINDOWS)
+def test_batch_column_is_its_scalar_solve_bit_for_bit(m, lo, hi, n):
+    # each C steps on its own nodes with the scalar's operations in the
+    # scalar's order, and a lost or failed C leaves the others alone
+    points = defect_scan(m, lo, hi, n).points
+    batch = [(None if p.defect is None else np.float64(p.defect).tobytes(), p.lost, p.error)
+             for p in points]
+    assert batch == [_scalar(m, p.c) for p in points]
+    if lo <= -1e300:
+        assert any(p.error and not p.lost for p in points)
+
+
+# per window, the brackets and the number of lost points, all at the top,
+# that the scan gave when it ran on DOP853 solves
+_DOP853_SCANS = [
+    (1, -10.0, 8.0, 64, [(4.0, 4.285714285714285)], 0),
+    (2, -10.0, 8.0, 64, [(2.857142857142856, 3.1428571428571423)], 7),
+    (3, -10.0, 8.0, 64, [(2.2857142857142847, 2.571428571428571)], 14),
+    (4, -10.0, 8.0, 64, [(2.2857142857142847, 2.571428571428571)], 17),
+    (5, -10.0, 8.0, 64, [(2.0, 2.2857142857142847)], 19),
+    (6, -10.0, 8.0, 64, [(2.0, 2.2857142857142847)], 19),
+    (7, -10.0, 8.0, 64, [(2.0, 2.2857142857142847)], 20),
+    (8, -10.0, 8.0, 64, [(2.0, 2.2857142857142847)], 20),
+    (8, 2.2, 50.0, 256, [], 255),
+]
+
+
+@pytest.mark.parametrize("m, lo, hi, n, brackets, n_lost", _DOP853_SCANS)
+def test_scan_keeps_the_dop853_brackets_and_lost_points(m, lo, hi, n, brackets, n_lost):
+    scan = defect_scan(m, lo, hi, n)
+    assert scan.brackets == brackets
+    assert [p.lost for p in scan.points] == [False] * (n - n_lost) + [True] * n_lost
+
+
+def test_scan_of_coefficients_that_never_fit_a_float():
+    # no C reaches the batch
+    points = defect_scan(1, -1.7e308, -1.6e308, 3).points
+    assert [p.error for p in points] == [f"m=1, C={p.c}: the coefficients do not fit a float" for p in points]
+
+
+def test_solve_carries_c_where_dop853_failed():
+    # at m = 1, C = -1e30 DOP853's step fell below 10 ulp; here v(2) = 4.1e29
+    # and, by F1, the defect is L*C + N + 2*int(phi) with 2*int(phi) ~ 1e15
+    ln = compute_LN(1)
+    defect = integrate_v(1, -1e30).defect
+    assert 0 < defect - float(ln.lc_plus_n(-10 ** 30)) < 1e-13 * defect
 
 
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
-def test_scalar_loop_is_solve_ivp_bit_for_bit(m):
-    # the loop reads scipy's private DOP853 tableau: a change there shows here
-    grid = np.linspace(1.0, float(m + 1), integrate.GRID_POINTS)
-    for c in (float(hcsck_coeffs(m).C), C_STAR_REF[m], -20.0):
-        sol, ref = _both_solves(m, c)
-        assert ref.status == 0 and sol.message is None
-        assert sol.t.tobytes() == ref.t.tobytes()
-        assert sol.y.tobytes() == ref.y.tobytes()
-        assert sol.sample(grid).tobytes() == ref.sol(grid)[0].tobytes()
+def test_scalar_defect_at_c_star_ref(m):
+    # C*_ref comes from a 30-digit mpmath solve; measured 1.2e-13 at most
+    assert abs(integrate_v(m, C_STAR_REF[m]).defect) < 1e-11
+
+
+def _solve_ivp(m, c):
+    """solve_ivp's DOP853 on (m, c) with the tolerances hext used before its
+    Taylor solve: an integrator independent of hext's."""
+    a, b, cc = coeffs_from_C(m, c).float_abc()
+
+    def rhs(t, y):
+        v = y[0]
+        return (integrate.TWO_SQRT2 * (math.sqrt(v) if v > 0.0 else 0.0)
+                + (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t,)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(rhs, (1.0, float(m + 1)), [2.0], method="DOP853", max_step=m / 32,
+                         rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("m, c", [(1, 20.0), (2, 30.0), (3, 12.5)])
 def test_scalar_loop_loses_positivity_where_solve_ivp_does(m, c):
-    sol, ref = _both_solves(m, c)
-    assert sol.t.tobytes() == ref.t.tobytes() and sol.y.tobytes() == ref.y.tobytes()
-    with pytest.raises(PositivityLost) as lost:
-        integrate._lost(ref, 0, c)
+    ref = _solve_ivp(m, c)
+    lost = ref.y[0] <= integrate.V_FLOOR
+    assert lost.any()
     with pytest.raises(PositivityLost) as info:
         integrate_v(m, c)
-    assert str(info.value) == str(lost.value)
+    # both solvers' steps shrink as v nears 0: they reach the floor at one
+    # gamma, to 1e-7 (measured)
+    assert abs(info.value.gamma - ref.t[lost.argmax()]) < 1e-6
 
 
-@pytest.mark.parametrize("m, c", [(1, -1e300), (4, -3e298), (1, -1e30)])
+@pytest.mark.parametrize("m, c", [(1, -1e300), (4, -3e298)])
 def test_scalar_loop_fails_where_solve_ivp_fails(m, c):
     # the step needed at these C falls below 10 ulp of gamma
-    sol, ref = _both_solves(m, c)
-    assert ref.status == -1 and sol.message == ref.message
-    assert sol.t.tobytes() == ref.t.tobytes() and sol.y.tobytes() == ref.y.tobytes()
-    with pytest.raises(StepFailure) as info:
+    assert _solve_ivp(m, c).status == -1
+    with pytest.raises(StepFailure, match=r"^integration failed at gamma=1 "):
         integrate_v(m, c)
-    assert str(info.value) == f"integration failed: {ref.message}"
-
-
-def _batch_rhs(q):
-    return lambda t, v: integrate.TWO_SQRT2 * np.sqrt(np.maximum(v, 0.0)) + q(t)
-
-
-# (m, C window, points): one workload-style window per m, two windows with
-# lost points (250 and 352 steps), one whose C all lie above the root, and
-# one that fails at its first step
-_BATCH_WINDOWS = [(m, -60.0 + 7 * m, float(c_top(m, F(1, 100))) - 0.5, 64) for m in range(1, 9)] + [
-    (3, -10.0, 8.0, 64), (8, -10.0, 8.0, 64), (8, 2.2, 2.3, 64), (1, -1e30, -1e29, 64)]
-
-
-@pytest.mark.parametrize("m, lo, hi, n", _BATCH_WINDOWS)
-@pytest.mark.parametrize("q_grid_max", [integrate._Q_GRID_MAX, 0], ids=["q-grid", "q-rows"])
-def test_batch_loop_is_solve_ivp_bit_for_bit(m, lo, hi, n, q_grid_max, monkeypatch):
-    # q on the whole grid of stage times or row by row, as a larger batch
-    # takes it; no np.errstate around the loop: a warning it lets out fails
-    monkeypatch.setattr(integrate, "_Q_GRID_MAX", q_grid_max)
-    q = integrate._q(*np.array([coeffs_from_C(m, c).float_abc() for c in np.linspace(lo, hi, n)]).T)
-    t, y, message = integrate._dop853_batch(q, m, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = solve_ivp(_batch_rhs(q), (1.0, float(m + 1)), np.full(n, 2.0), method="DOP853",
-                        max_step=m / integrate._STEP_DIVISOR, **integrate._SCAN_TOLS)
-    assert (message is None, message) == (ref.status == 0, None if ref.status == 0 else ref.message)
-    assert t.tobytes() == ref.t.tobytes() and y.tobytes() == ref.y.tobytes()
-    if lo == -1e30:
-        assert message is not None and len(t) == 1
 
 
 def test_scan_never_calls_solve_ivp(monkeypatch):
-    # a window with lost points, one with failed solves that are halved
+    # a window with lost points, one with failed solves
     windows = [(3, -10.0, 8.0, 64), (1, -1e300, 8.0, 8)]
     expected = [defect_scan(*w).points for w in windows]
 
@@ -153,7 +182,7 @@ def test_positive_defect_probe_at_2():
 
 
 def test_independent_integrator_agreement():
-    """Cross-check scipy against mpmath's Taylor-series method."""
+    """Cross-check the float Taylor solve against mpmath's Taylor-series method."""
     mpmath.mp.dps = 25
     cs = coeffs_from_C(1, F(22, 3))
     a, b, c = [mpmath.mpf(x.numerator) / x.denominator for x in (cs.A, cs.B, cs.C)]
@@ -203,17 +232,17 @@ def test_quadrature_agrees_with_LN_split():
 def test_grid_refinement_stability(monkeypatch):
     points = ((1, F(22, 3)), (1, 2), (5, 2), (10, -20))
     d1 = [integrate_v(m, c).defect for m, c in points]
-    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)  # the step cap halved
+    monkeypatch.setattr(integrate, "_TOL", integrate._TOL / 100)  # smaller steps
     d2 = [integrate_v(m, c).defect for m, c in points]
     for x, y in zip(d1, d2):
-        assert abs(x - y) < 10 * integrate._TOLS["rtol"]
+        assert abs(x - y) < 1e-9
 
 
 def test_residual_small_and_refinement_invariant(monkeypatch):
     traj = integrate_v(1, F(22, 3))
     r1 = residual_check(traj)
     assert r1 < 1e-6
-    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)
+    monkeypatch.setattr(integrate, "_TOL", integrate._TOL / 100)
     r2 = residual_check(integrate_v(1, F(22, 3)))
     assert abs(r1 - r2) < 1e-6
 
@@ -319,14 +348,8 @@ def test_defect_scan_takes_any_window_top():
         defect_scan(1, 5.0, 2.0, 8)
 
 
-@pytest.fixture
-def scan_tols(monkeypatch):
-    """Scalar solves at the scan batch's tolerances."""
-    monkeypatch.setattr(integrate, "_TOLS", integrate._SCAN_TOLS)
-
-
 @pytest.mark.parametrize("m", [1, 8])
-def test_batched_scan_matches_per_point_solves(m, scan_tols):
+def test_batched_scan_matches_per_point_solves(m):
     scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 64)
     for p in scan.points:
         d = integrate_v(m, p.c).defect
@@ -336,17 +359,16 @@ def test_batched_scan_matches_per_point_solves(m, scan_tols):
 
 @pytest.mark.parametrize("m", [1, 4, 8])
 def test_scan_defects_carry_the_full_solve_signs(m, monkeypatch):
-    # the scan loosens only the tolerances, never the step cap; measured worst
-    # case 2.5e-9 from the full solve at the step cap halved (m = 1..8)
+    # against solves at a tolerance 100 times tighter
     scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 16)
-    monkeypatch.setattr(integrate, "_STEP_DIVISOR", 64)
+    monkeypatch.setattr(integrate, "_TOL", integrate._TOL / 100)
     for p in scan.points:
         d = integrate_v(m, p.c).defect
         assert abs(p.defect - d) < 1e-8
         assert (p.defect > 0) == (d > 0)
 
 
-def test_batch_positivity_is_per_point(scan_tols):
+def test_batch_positivity_is_per_point():
     # C = 20 is inadmissible for m = 1; its neighbours are not
     cs = np.array([4.0, 20.0, 5.0])
     points = _solve_defects(1, cs)
@@ -361,29 +383,24 @@ def test_batch_positivity_is_per_point(scan_tols):
         assert abs(p.defect - integrate_v(1, p.c).defect) < 1e-7
 
 
-@pytest.mark.parametrize("tols", ["_TOLS", "_SCAN_TOLS"])
-def test_one_positivity_rule_for_both_solve_paths(tols, monkeypatch):
-    # the same step, the same text, at either tolerance pair
-    monkeypatch.setattr(integrate, "_TOLS", getattr(integrate, tols))
-    monkeypatch.setattr(integrate, "_SCAN_TOLS", getattr(integrate, tols))
+def test_one_positivity_rule_for_both_solve_paths():
+    # the same node, the same text
     for m, c in [(1, 20.0), (2, 30.0), (3, 12.5)]:
         with pytest.raises(PositivityLost) as info:
             integrate_v(m, c)
         assert str(info.value) == _solve_defects(m, np.array([c]))[0].error
 
 
-def test_batch_solver_failure_is_per_point(scan_tols):
-    # v overflows at C = -1e300, which fails the whole solve; the batch is
-    # split until the failure is isolated
-    with np.errstate(all="ignore"):
-        bad, good = _solve_defects(1, np.array([-1e300, 4.0]))
+def test_batch_solver_failure_is_per_point():
+    # v's coefficients overflow at C = -1e300, which fails that C alone
+    bad, good = _solve_defects(1, np.array([-1e300, 4.0]))
     assert bad.defect is None and bad.error.startswith("integration failed")
     assert not bad.lost
     assert good.error is None
     assert abs(good.defect - integrate_v(1, 4.0).defect) < 1e-7
 
 
-def test_coefficients_beyond_the_float_range_fail_per_point(scan_tols):
+def test_coefficients_beyond_the_float_range_fail_per_point():
     # the exact A and B of m = 1 at C = -1e308 do not fit a float: a
     # StepFailure naming m and C for a scalar solve, that point's error in a batch
     message = "m=1, C=-1e+308: the coefficients do not fit a float"
@@ -403,10 +420,10 @@ def test_scan_coefficients_are_the_exact_maps_rounded_once(m, monkeypatch):
     # the exact Fraction for negative, subnormal, signed-zero and large C,
     # and the same overflow failure where that float does not exist
     cs = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -3.7, 2.5, -1e300, 1e300, -1.7e308, 1.7e308]
-    batches, real_q = [], integrate._q
-    monkeypatch.setattr(integrate, "_q", lambda a, b, c: batches.append((a, b, c)) or real_q(a, b, c))
-    with np.errstate(all="ignore"):
-        points = _solve_defects(m, np.array(cs))
+    batches, real = [], integrate._solve_batch
+    monkeypatch.setattr(integrate, "_solve_batch",
+                        lambda m, a, b, c: batches.append((a, b, c)) or real(m, a, b, c))
+    points = _solve_defects(m, np.array(cs))
     solved = {c: (a, b) for batch in batches for a, b, c in zip(*(x.tolist() for x in batch))}
     assert not any(math.copysign(1.0, c) < 0 for batch in batches for c in batch[2].tolist() if c == 0)
     a1, a0, b1, b0 = _linear_maps(m)
@@ -437,3 +454,36 @@ def test_only_a_lost_point_closes_a_bracket_without_a_defect():
                        (ScanPoint(1.0, -0.5), False)):
         assert ScanResult(1, (lo, lost)).brackets == ([(1.0, 3.0)] if closed else [])
         assert ScanResult(1, (lo, failed)).brackets == []
+
+
+def test_scan_memory_does_not_grow_with_steps():
+    # a scan keeps per C its node, v and v's coefficients there, not v at
+    # every step: 1024 C above the root, most of them lost
+    defect_scan(8, 2.2, 50.0, 8)
+    tracemalloc.start()
+    try:
+        defect_scan(8, 2.2, 50.0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def _private_scipy_imports(tree):
+    for node in ast.walk(tree):
+        names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                 else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+        yield from (n for n in names if n.split(".")[0] == "scipy"
+                    and any(part.startswith("_") for part in n.split(".")))
+
+
+def test_no_module_imports_private_scipy():
+    src = Path(integrate.__file__).resolve().parents[1]
+    found = [(f"{path.relative_to(src)}", name) for path in sorted(src.rglob("*.py"))
+             for name in _private_scipy_imports(ast.parse(path.read_text()))]
+    assert found == []
+    # the check sees both import forms
+    assert list(_private_scipy_imports(ast.parse(
+        "import scipy.integrate._ivp.rk\nfrom scipy.integrate._ivp.common import f\n"
+        "from scipy.integrate import solve_ivp\nfrom ._x import y"))) == [
+        "scipy.integrate._ivp.rk", "scipy.integrate._ivp.common"]

@@ -19,7 +19,7 @@ from hext import (
 )
 from hext.errors import NoBracket, StepFailure
 from hext.profile_ode import integrate
-from hext.profile_ode.integrate import Trajectory, _csv, _dop853, _integrate
+from hext.profile_ode.integrate import Trajectory, _csv, _integrate, _solve, _trajectory
 
 from conftest import C_STAR_REF
 
@@ -115,11 +115,11 @@ def test_every_solve_is_scalar_and_inside_the_root_bracket(m, monkeypatch):
     # its trajectory from the solve at c_star: one solve per iteration
     c_h = float(hcsck_coeffs(m).C)
     c_top = c_h + hcsck_nonexistence(m).margin / -float(compute_LN(m).L)
-    sizes, cs = [], []
+    ends, cs = [], []
 
-    def counted(rhs, m):
-        sol = _dop853(rhs, m)
-        sizes.append(sol.y.shape[0])
+    def counted(*args):
+        sol = _solve(*args)
+        ends.append(type(sol.v_end))
         return sol
 
     def recorded(m, C):
@@ -127,13 +127,14 @@ def test_every_solve_is_scalar_and_inside_the_root_bracket(m, monkeypatch):
         return _integrate(m, C)
 
     def batch(*args, **kwargs):
-        raise AssertionError("shoot called solve_ivp")
+        raise AssertionError("shoot solved a batch")
 
-    monkeypatch.setattr(integrate, "_dop853", counted)
+    monkeypatch.setattr(integrate, "_solve", counted)
     monkeypatch.setattr(integrate, "_integrate", recorded)
+    monkeypatch.setattr(integrate, "_solve_batch", batch)
     monkeypatch.setattr(integrate, "solve_ivp", batch)
     res = shoot(m)
-    assert sizes == [1] * res.iterations and len(cs) == len(sizes)
+    assert ends == [float] * res.iterations and len(cs) == len(ends)
     assert all(c_h <= c <= c_top + 1e-12 for c in cs) and res.c_star in cs
     assert [p.c for p in res.scan.points] == sorted(set(cs))
 
@@ -205,16 +206,16 @@ def shots():
 
 @pytest.mark.parametrize("m", [1, 4, 8])
 def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
-    # dense output is built once, from Brent's own solve at c_star, and
-    # leaves the solver's steps as they are
+    # the trajectory is sampled once, from Brent's own solve at c_star, and
+    # sampling leaves the solver's steps as they are
     res = shots[m]
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
     assert res.defect == res.trajectory.defect
-    _, sol = _integrate(m, res.c_star)
-    steps = sol.t.tobytes(), sol.y.tobytes()
-    sol.sample(res.trajectory.grid)
-    assert (sol.t.tobytes(), sol.y.tobytes()) == steps
-    assert sol.y[0, -1] == res.trajectory.v[-1]
+    cs, sol = _integrate(m, res.c_star)
+    steps = [list(sol.t), [list(k) for k in sol.coeffs], sol.v_end]
+    assert _trajectory(cs, sol).v.tobytes() == res.trajectory.v.tobytes()
+    assert [list(sol.t), [list(k) for k in sol.coeffs], sol.v_end] == steps
+    assert sol.v_end == res.trajectory.v[-1]
 
 
 def _csv_per_value(header, cols):
