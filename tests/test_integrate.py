@@ -41,20 +41,28 @@ def _scalar(m, c):
 
 
 # (m, C window, points): one workload-style window per m, two windows with
-# lost points, one whose C all lie above the root, one whose solves fail
-# and one whose coefficients do not fit a float
+# lost points, two whose C lie above the root (all but the first lost in
+# the second), one at C ~ -1e30, which DOP853 failed and the Taylor solve carries,
+# one whose solves fail and one whose coefficients do not fit a float
 _BATCH_WINDOWS = [(m, -60.0 + 7 * m, float(c_top(m, F(1, 100))) - 0.5, 64) for m in range(1, 9)] + [
-    (3, -10.0, 8.0, 64), (8, -10.0, 8.0, 64), (8, 2.2, 50.0, 256), (1, -1e300, 8.0, 8), (1, -1e308, 4.0, 4)]
+    (3, -10.0, 8.0, 64), (8, -10.0, 8.0, 64), (8, 2.2, 2.3, 64), (1, -1e30, -1e29, 64),
+    (8, 2.2, 50.0, 256), (1, -1e300, 8.0, 8), (1, -1e308, 4.0, 4)]
 
 
 @pytest.mark.parametrize("m, lo, hi, n", _BATCH_WINDOWS)
-def test_batch_column_is_its_scalar_solve_bit_for_bit(m, lo, hi, n):
-    # each C steps on its own nodes with the scalar's operations in the
-    # scalar's order, and a lost or failed C leaves the others alone
+@pytest.mark.parametrize("batch", ["q-grid", "q-rows"])
+def test_batch_loop_is_solve_ivp_bit_for_bit(m, lo, hi, n, batch):
+    # named for its first reference, solve_ivp's DOP853; each scan point is
+    # now its scalar Taylor solve (defect bytes, lost flag, error text), with
+    # q taken on every C of the window at once (q-grid) or on one C per batch
+    # (q-rows): each C steps on its own nodes with the scalar's operations in
+    # the scalar's order, and a lost or failed C leaves the others alone
     points = defect_scan(m, lo, hi, n).points
-    batch = [(None if p.defect is None else np.float64(p.defect).tobytes(), p.lost, p.error)
+    if batch == "q-rows":
+        points = tuple(p for c in np.linspace(lo, hi, n) for p in _solve_defects(m, np.array([c])))
+    found = [(None if p.defect is None else np.float64(p.defect).tobytes(), p.lost, p.error)
              for p in points]
-    assert batch == [_scalar(m, p.c) for p in points]
+    assert found == [_scalar(m, p.c) for p in points]
     if lo <= -1e300:
         assert any(p.error and not p.lost for p in points)
 
@@ -383,8 +391,12 @@ def test_batch_positivity_is_per_point():
         assert abs(p.defect - integrate_v(1, p.c).defect) < 1e-7
 
 
-def test_one_positivity_rule_for_both_solve_paths():
-    # the same node, the same text
+@pytest.mark.parametrize("tol", [pytest.param(integrate._TOL, id="_TOLS"),
+                                 pytest.param(100 * integrate._TOL, id="_SCAN_TOLS")])
+def test_one_positivity_rule_for_both_solve_paths(tol, monkeypatch):
+    # the same node, the same text, at the solve's tolerance and at one 100
+    # times looser, as the scan's DOP853 tolerance pair was against the solve's
+    monkeypatch.setattr(integrate, "_TOL", tol)
     for m, c in [(1, 20.0), (2, 30.0), (3, 12.5)]:
         with pytest.raises(PositivityLost) as info:
             integrate_v(m, c)
