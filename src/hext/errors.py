@@ -108,7 +108,10 @@ class PositivityLost(HextError):
 
 
 class StepFailure(HextError):
-    """The adaptive step controller failed to make progress."""
+    """A solve or a shoot did not give a usable result: v became non-finite
+    or its step fell below 10 ulp, the coefficients of C do not fit a float,
+    shoot's best |defect| is not below defect_tol, or its solution lost
+    interior positivity."""
 
 
 class NoBracket(HextError):

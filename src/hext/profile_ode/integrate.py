@@ -39,7 +39,7 @@ TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 # Every solve is a Taylor method (Jorba & Zou, Exp. Math. 14 (2005)): at each
 # node v is expanded to order _ORDER, and the step is _SAFETY times the
 # smaller of the two at which the last two terms reach _TOL * max(1, |v|).
-# At C*_ref for m = 1..8 a solve takes 6-12 steps, |defect| <= 1.2e-13.
+# At C*_ref for m = 1..8 a solve takes 6-12 steps, |defect| <= 1.5e-13.
 _ORDER = 20
 _TOL = 1e-12
 _SAFETY = 0.7
@@ -48,8 +48,9 @@ _CURVE_MARGIN = 1e-3  # cut from each end of a profile curve, where s diverges
 GRID_POINTS = 1025  # uniform samples of the step polynomials in a Trajectory
 
 # a scan holds per C only its node, v and v's Taylor coefficients there:
-# 4096 points at m = 8 take 0.08 s over [-10, 8] and 0.09 s over [2.2, 50]
-# (all C above the root) and allocate at most 9.6 MB, on a 2-vCPU Xeon VM
+# 4096 points at m = 8 take 0.04-0.06 s over [-10, 8] and 0.05-0.09 s over
+# [2.2, 50] (all C above the root) and allocate at most 2.9 MB, on a 2-vCPU
+# Xeon VM
 MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at a node raises PositivityLost; as v
@@ -76,46 +77,30 @@ def _q(a, b, c, t):
 _RISE = [TWO_SQRT2 / (k + 1) for k in range(_ORDER)]
 
 
-def _taylor(v0: float, q: List[float]) -> List[float]:
+def _taylor(v0, q, sqrt=math.sqrt):
     """v's Taylor coefficients v_0.._ORDER at a node where v = v0 > 0 and _q
-    gives q: s = sqrt(v) has s_k = (v_k - sum_{j=1}^{k-1} s_j s_{k-j})/(2 s_0),
-    and the equation gives v_{k+1} = (2*sqrt(2)*s_k + q_k)/(k+1)."""
-    s = [math.sqrt(v0)]
+    gives q, for a float or an array of one node per C (with np.sqrt): each
+    column takes its float's operations, so it is that float bit for bit.
+    s = sqrt(v) has s_k = (v_k - sum_{j=1}^{k-1} s_j s_{k-j})/(2 s_0), the sum
+    taken as twice the terms with j < k-j plus s_{k/2}^2, and the equation
+    gives v_{k+1} = (2*sqrt(2)*s_k + q_k)/(k+1)."""
+    s = [sqrt(v0)]
     v = [v0, _RISE[0] * s[0] + q[0]]
     two_s0 = s[0] + s[0]
     for k in range(1, _ORDER):
         total = v[k]
-        for j in range(1, k):
-            total = total - s[j] * s[k - j]
+        if k > 1:
+            acc = s[1] * s[k - 1]  # a fresh array, so += updates it in place
+            for j in range(2, (k + 1) // 2):
+                acc += s[j] * s[k - j]
+            if k > 2:  # at k = 2, s_1^2 is the whole sum
+                acc += acc
+                if k % 2 == 0:
+                    acc += s[k // 2] * s[k // 2]
+            total = total - acc
         s.append(total / two_s0)
         v.append(_RISE[k] * s[k] + q[k] if k < len(q) else _RISE[k] * s[k])
     return v
-
-
-# _taylor_batch keeps v_k in row _ROW[k], above k-1 rows for the products
-# s_j*s_{k-j}; per k the slices of v_k and them, of them, and of their s
-_ROW = [0] + [1 + k * (k - 1) // 2 for k in range(1, _ORDER + 1)]
-_SLICES = [(slice(_ROW[k], _ROW[k] + k), slice(_ROW[k] + 1, _ROW[k] + k), slice(1, k), slice(k - 1, 0, -1))
-           for k in range(1, _ORDER)]
-
-
-def _taylor_batch(v0: np.ndarray, q: List[np.ndarray]) -> np.ndarray:
-    """_taylor for arrays of one node per C, as rows.  subtract.reduce takes
-    the products off v_k in the scalar's order (numpy adds pairwise), so a
-    column is its scalar recursion bit for bit."""
-    s, z = np.empty((_ORDER, len(v0))), np.empty((_ROW[-1] + 1, len(v0)))
-    z[0], s[0] = v0, np.sqrt(v0)
-    z[1] = _RISE[0] * s[0] + q[0]
-    two_s0 = s[0] + s[0]
-    for k, (block, products, lo, hi) in enumerate(_SLICES, 1):
-        s_k, v_next = s[k], z[_ROW[k + 1]]
-        np.multiply(s[lo], s[hi], z[products])
-        np.subtract.reduce(z[block], 0, None, s_k)
-        np.divide(s_k, two_s0, s_k)
-        np.multiply(s_k, _RISE[k], v_next)
-        if k < len(q):
-            np.add(v_next, q[k], v_next)
-    return z[_ROW]
 
 
 # a node's step is _SAFETY times the least (|v_k| / tol)^(-1/k), k = K-1, K,
@@ -142,6 +127,11 @@ def _checked(v: float, gamma: float, c: float) -> float:
         raise StepFailure(f"integration failed at gamma={gamma:.12g} (C={c:.12g}): "
                           "v is not finite or its step is below 10 ulp")
     return v
+
+
+def _unfit(m: int, C) -> StepFailure:
+    """The failure of a C whose exact A or B does not fit a float."""
+    return StepFailure(f"m={m}, C={C}: the coefficients do not fit a float")
 
 
 class Trajectory:
@@ -248,8 +238,10 @@ def _solve(m: int, a: float, b: float, c: float) -> _Steps:
 
 
 def _solve_batch(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """_solve for arrays of coefficient sets, each column on its own nodes
-    with its scalar solve's operations: per column v and gamma where it stops."""
+    """_solve for arrays of coefficient sets, one column per C: per column v
+    and gamma where it stops.  Each column steps on its own nodes through the
+    same _q, _taylor and _horner as _solve, so it is its scalar solve bit for
+    bit."""
     n, t_end = len(c), float(m + 1)
     v_at, t_at = np.full(n, np.nan), np.full(n, np.nan)
     col, t, v = np.arange(n), np.ones(n), np.full(n, 2.0)
@@ -259,7 +251,7 @@ def _solve_batch(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tuple[n
             if stop.any():
                 v_at[col[stop]], t_at[col[stop]] = v[stop], t[stop]
                 col, t, v, a, b, c = (x[~stop] for x in (col, t, v, a, b, c))
-            k = _taylor_batch(v, _q(a, b, c, t))
+            k = _taylor(v, _q(a, b, c, t), np.sqrt)
             tol = _TOL * np.maximum(1.0, v)
             h = _SAFETY * np.minimum(np.power(np.abs(k[-2]) / tol, _POWERS[0]),
                                      np.power(np.abs(k[-1]) / tol, _POWERS[1]))
@@ -279,7 +271,7 @@ def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Steps]:
     try:
         a, b, c = cs.float_abc()
     except OverflowError:
-        raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
+        raise _unfit(m, C) from None
     sol = _solve(m, a, b, c)
     _checked(sol.v_end, sol.t[-1], c)
     return cs, sol
@@ -302,7 +294,8 @@ def integrate_v(m: int, C: Rational) -> Trajectory:
     v is sampled from the step polynomials on GRID_POINTS uniform points,
     except v(m+1), the solver's own endpoint value.  Raises PositivityLost
     if v reaches V_FLOOR at a node (a C the flow cannot carry to m+1), and
-    StepFailure if v is not finite at a node or its step falls below 10 ulp.
+    StepFailure if v is not finite at a node or its step falls below 10 ulp,
+    or if the coefficients of C do not fit a float.
     """
     return _trajectory(*_integrate(m, C))
 
@@ -353,10 +346,11 @@ class ScanResult:
 
 
 def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
-    """Defects at every C in `cs` from one _solve_batch: a lost or failed C
-    leaves the batch without changing another C's steps, so every point is
-    its scalar solve bit for bit, with that solve's error text if it is lost
-    (v reaches V_FLOOR at a node) or failed, or if A or B does not fit a float.
+    """Defects at every C in `cs` from one _solve_batch, whose columns run the
+    scalar solve's recursion: a lost or failed C leaves the batch without
+    changing another C's steps, so every point is its scalar solve bit for
+    bit, with that solve's error text if it is lost (v reaches V_FLOOR at a
+    node) or failed, or if A or B does not fit a float.
     """
     # coeffs_from_C's exact maps C -> A, B, rounded once per C: at C = p/r,
     # k1*C + k0 is one int / int, which Python rounds correctly, so it is the
@@ -379,7 +373,7 @@ def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
     def point(x, fit, v, gamma):
         try:
             if not fit:
-                raise StepFailure(f"m={m}, C={x}: the coefficients do not fit a float")
+                raise _unfit(m, x)
             return ScanPoint(c=x, defect=_checked(v, gamma, x) - _target(m))
         except (PositivityLost, StepFailure) as exc:
             return ScanPoint(c=x, defect=None, error=str(exc), lost=isinstance(exc, PositivityLost))

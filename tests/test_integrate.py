@@ -1,7 +1,8 @@
-"""Integrator contracts: each scan point against its scalar solve, the
-scalar solve against C*_ref and solve_ivp, initial condition, certified
-bounds, positivity, refinement stability, residuals, memory, and the CSV
-surface."""
+"""Integrator contracts: the Taylor recursion against its full sum in
+mpmath, each scan point (the recursion on arrays) against its scalar solve
+(on floats), the scalar solve against C*_ref and solve_ivp, initial
+condition, certified bounds, positivity, refinement stability, residuals,
+memory, and the CSV surface."""
 import ast
 import math
 import random
@@ -40,6 +41,34 @@ def _scalar(m, c):
         return None, False, str(exc)
 
 
+def _full_sum(v0, q):
+    """_taylor's v_0.._ORDER from the same floats, in 40-digit mpmath, with
+    the sum over s_j s_{k-j} taken in full and 2*sqrt(2)/(k+1) exact."""
+    with mpmath.workdps(40):
+        s, v = [], [mpmath.mpf(v0)]
+        for k in range(integrate._ORDER):
+            s.append((v[k] - mpmath.fsum(s[j] * s[k - j] for j in range(1, k))) / (2 * s[0]) if k
+                     else mpmath.sqrt(v[0]))
+            v.append(2 * mpmath.sqrt(2) * s[k] / (k + 1) + (q[k] if k < len(q) else 0))
+        return v
+
+
+def test_taylor_coefficients_against_the_full_sum():
+    # the half sum (twice the pairs j < k-j, plus s_{k/2}^2) against the full
+    # sum, per coefficient on random nodes (measured 2e-13 at most, as for the
+    # full sum in floats), and the array form against the float form, column
+    # for column
+    rng = random.Random(22)
+    nodes = [(10 ** rng.uniform(-8, 6), [rng.uniform(-50, 50) for _ in range(5)]) for _ in range(300)]
+    floats = [integrate._taylor(v0, q) for v0, q in nodes]
+    worst = max(float(abs(x - r) / abs(r)) for (v0, q), k in zip(nodes, floats)
+                for x, r in zip(k, _full_sum(v0, q)))
+    assert worst < 1e-12
+    v0s, qs = zip(*nodes)
+    cols = integrate._taylor(np.array(v0s), list(np.array(qs).T), np.sqrt)
+    assert np.array(cols).T.tobytes() == np.array(floats).tobytes()
+
+
 # (m, C window, points): one workload-style window per m, two windows with
 # lost points, two whose C lie above the root (all but the first lost in
 # the second), one at C ~ -1e30, which DOP853 failed and the Taylor solve carries,
@@ -55,8 +84,8 @@ def test_batch_loop_is_solve_ivp_bit_for_bit(m, lo, hi, n, batch):
     # named for its first reference, solve_ivp's DOP853; each scan point is
     # now its scalar Taylor solve (defect bytes, lost flag, error text), with
     # q taken on every C of the window at once (q-grid) or on one C per batch
-    # (q-rows): each C steps on its own nodes with the scalar's operations in
-    # the scalar's order, and a lost or failed C leaves the others alone
+    # (q-rows): the batch runs _taylor and the step rule on arrays, each C
+    # on its own nodes, and a lost or failed C leaves the others alone
     points = defect_scan(m, lo, hi, n).points
     if batch == "q-rows":
         points = tuple(p for c in np.linspace(lo, hi, n) for p in _solve_defects(m, np.array([c])))
@@ -105,7 +134,7 @@ def test_solve_carries_c_where_dop853_failed():
 
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
 def test_scalar_defect_at_c_star_ref(m):
-    # C*_ref comes from a 30-digit mpmath solve; measured 1.2e-13 at most
+    # C*_ref comes from a 30-digit mpmath solve; measured 1.5e-13 at most
     assert abs(integrate_v(m, C_STAR_REF[m]).defect) < 1e-11
 
 
