@@ -147,7 +147,7 @@ def _certify(a) -> _Outcome:
 def _nonexist(a) -> _Outcome:
     rep = profile_ode.hcsck_nonexistence(a.m)
     outputs = {
-        "A": "0/1",
+        "A": _frac_str(rep.coeffs.A),
         "B": _frac_str(rep.coeffs.B),
         "C": _frac_str(rep.coeffs.C),
         "integral_q": _frac_str(rep.integral),

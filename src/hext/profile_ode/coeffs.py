@@ -9,7 +9,8 @@ with phi(1) = phi(m+1) = 0.  Imposing p(1) = 2 and p(m+1) = -2 (the smooth
 closing of the metric at the two sections) makes A and B affine functions of
 the remaining free parameter C; the class index m is >= 1 (m = 0 gives no
 Kahler class).  Everything in this module is computed in exact rational
-arithmetic; floating point enters only in the integrator.
+arithmetic; floating point enters only in the integrator, whose _abc rounds
+A, B and C for every solve.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 from .. import ratpoly
-from ..errors import _integer, _shooting_c
+from ..errors import _exact, _integer, _shooting_c
 
 Rational = Union[int, float, Fraction]
 
@@ -45,14 +46,10 @@ class CoeffSet:
         if self.A * s ** 3 / 3 + self.B * s ** 2 / 2 + self.C != -2:
             raise ValueError("boundary identity p(m+1) == -2 violated")
 
-    def lambda_at(self, gamma):
-        """The affine density lambda(gamma) = A*gamma + B.
-
-        Accepts exact rationals or floats; the result type follows the input.
-        """
-        if isinstance(gamma, (int, Fraction)):
-            return self.A * Fraction(gamma) + self.B
-        return float(self.A) * gamma + float(self.B)
+    def lambda_at(self, gamma) -> Fraction:
+        """The affine density lambda(gamma) = A*gamma + B at an int or a
+        Fraction gamma; a float or a bool raises TypeError (as _exact)."""
+        return self.A * _exact(gamma) + self.B
 
     @property
     def p(self) -> ratpoly.Poly:
@@ -70,9 +67,6 @@ class CoeffSet:
         prim = [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.q)]
         prim[0] = -ratpoly.eval_at(prim, 1)
         return ratpoly.poly(prim)
-
-    def float_abc(self) -> Tuple[float, float, float]:
-        return float(self.A), float(self.B), float(self.C)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -61,6 +62,27 @@ V_FLOOR = 1e-9
 def _target(m: int) -> float:
     """The closing value v(m+1) = 2*(m+1)^2 of a smooth profile."""
     return 2.0 * (m + 1) ** 2
+
+
+@lru_cache(maxsize=128)
+def _int_maps(m: int) -> Tuple[int, ...]:
+    """u1, u0, w for A(C), then for B(C): at C = p/r each is (u1*p + u0*r) / (w*r)."""
+    a1, a0, b1, b0 = _linear_maps(m)
+    return (a1.numerator * a0.denominator, a0.numerator * a1.denominator, a1.denominator * a0.denominator,
+            b1.numerator * b0.denominator, b0.numerator * b1.denominator, b1.denominator * b0.denominator)
+
+
+def _abc(m: int, C) -> List[float]:
+    """A, B and C of coeffs_from_C(m, C) in floats, for a valid m and C, as
+    every solve and Trajectory takes them: each is one int / int, which
+    Python rounds correctly, so the float of the exact value (C = -0.0 gives
+    0.0, as float(Fraction(-0.0))), and StepFailure where that does not fit."""
+    ua1, ua0, wa, ub1, ub0, wb = _int_maps(m)
+    try:
+        p, r = C.as_integer_ratio()
+        return [(ua1 * p + ua0 * r) / (wa * r), (ub1 * p + ub0 * r) / (wb * r), p / r]
+    except OverflowError:
+        raise StepFailure(f"m={m}, C={C}: the coefficients do not fit a float") from None
 
 
 def _q(a, b, c, t):
@@ -129,11 +151,6 @@ def _checked(v: float, gamma: float, c: float) -> float:
     return v
 
 
-def _unfit(m: int, C) -> StepFailure:
-    """The failure of a C whose exact A or B does not fit a float."""
-    return StepFailure(f"m={m}, C={C}: the coefficients do not fit a float")
-
-
 class Trajectory:
     """A sampled solution v(gamma) of the reduced problem.
 
@@ -168,7 +185,7 @@ class Trajectory:
         return np.sqrt(2.0 * self.v) - 2.0 * self.grid
 
     def q_values(self) -> np.ndarray:
-        return _q(*self.meta.float_abc(), self.grid)[0]
+        return _q(*_abc(self.m, self.meta.C), self.grid)[0]
 
     @property
     def phi_prime(self) -> np.ndarray:
@@ -177,7 +194,8 @@ class Trajectory:
 
     @property
     def lambda_values(self) -> np.ndarray:
-        return self.meta.lambda_at(self.grid)
+        a, b, _ = _abc(self.m, self.meta.C)
+        return a * self.grid + b
 
     @property
     def defect(self) -> float:
@@ -265,16 +283,12 @@ def _solve_batch(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tuple[n
     return v_at, t_at
 
 
-def _integrate(m: int, C: Rational) -> Tuple[CoeffSet, _Steps]:
-    """integrate_v's coefficients and checked solve."""
-    cs = coeffs_from_C(m, C)  # validates m
-    try:
-        a, b, c = cs.float_abc()
-    except OverflowError:
-        raise _unfit(m, C) from None
+def _integrate(m: int, C: Rational) -> _Steps:
+    """integrate_v's checked solve, for a valid m and C."""
+    a, b, c = _abc(m, C)
     sol = _solve(m, a, b, c)
     _checked(sol.v_end, sol.t[-1], c)
-    return cs, sol
+    return sol
 
 
 def _trajectory(cs: CoeffSet, sol: _Steps) -> Trajectory:
@@ -297,7 +311,7 @@ def integrate_v(m: int, C: Rational) -> Trajectory:
     StepFailure if v is not finite at a node or its step falls below 10 ulp,
     or if the coefficients of C do not fit a float.
     """
-    return _trajectory(*_integrate(m, C))
+    return _trajectory(coeffs_from_C(m, C), _integrate(m, C))  # coeffs_from_C validates m and C
 
 
 def residual_check(t: Trajectory) -> float:
@@ -347,38 +361,28 @@ class ScanResult:
 
 def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
     """Defects at every C in `cs` from one _solve_batch, whose columns run the
-    scalar solve's recursion: a lost or failed C leaves the batch without
-    changing another C's steps, so every point is its scalar solve bit for
-    bit, with that solve's error text if it is lost (v reaches V_FLOOR at a
-    node) or failed, or if A or B does not fit a float.
-    """
-    # coeffs_from_C's exact maps C -> A, B, rounded once per C: at C = p/r,
-    # k1*C + k0 is one int / int, which Python rounds correctly, so it is the
-    # float of the Fraction, with the same OverflowError past the float range
-    # (0.14 ms for 64 C against 0.82 ms in Fractions); p / r is C, or 0.0 for
-    # -0.0 as float(Fraction(-0.0)) gives.
-    a1, a0, b1, b0 = _linear_maps(m)
-    maps = [(k1.numerator * k0.denominator, k0.numerator * k1.denominator,
-             k1.denominator * k0.denominator) for k1, k0 in ((a1, a0), (b1, b0))]
-    abc = np.full((len(cs), 3), np.nan)  # A, B and C, a NaN row where A or B does not fit
-    for i, (p, r) in enumerate(float(x).as_integer_ratio() for x in cs):
+    scalar solve's recursion on the scalar solve's coefficients, from _abc:
+    a lost or failed C leaves the batch without changing another C's steps,
+    so every point is its scalar solve bit for bit, with that solve's error
+    text if it is lost (v reaches V_FLOOR at a node) or failed."""
+    cs = cs.tolist()
+    abc, unfit = np.full((len(cs), 3), np.nan), [None] * len(cs)
+    for i, x in enumerate(cs):
         try:
-            abc[i] = [(u1 * p + u0 * r) / (w * r) for u1, u0, w in maps] + [p / r]
-        except OverflowError:
-            pass
-    fits = ~np.isnan(abc[:, 2])
-    v, gamma = np.full((2, len(cs)), np.nan)
-    v[fits], gamma[fits] = _solve_batch(m, *abc[fits].T)
+            abc[i] = _abc(m, x)
+        except StepFailure as exc:  # a NaN row, which the batch fails at its first node
+            unfit[i] = exc
+    v, gamma = _solve_batch(m, *abc.T)
 
-    def point(x, fit, v, gamma):
+    def point(x, failure, v, gamma):
         try:
-            if not fit:
-                raise _unfit(m, x)
+            if failure:
+                raise failure
             return ScanPoint(c=x, defect=_checked(v, gamma, x) - _target(m))
         except (PositivityLost, StepFailure) as exc:
             return ScanPoint(c=x, defect=None, error=str(exc), lost=isinstance(exc, PositivityLost))
 
-    return tuple(map(point, cs.tolist(), fits.tolist(), v.tolist(), gamma.tolist()))
+    return tuple(map(point, cs, unfit, v.tolist(), gamma.tolist()))
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
@@ -394,9 +398,9 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     return ScanResult(m=m, points=_solve_defects(m, cs))
 
 
-def _defect(cs: CoeffSet, sol: _Steps) -> float:
+def _defect(m: int, sol: _Steps) -> float:
     """v(m+1) - 2*(m+1)^2 at the endpoint of sol, as Trajectory.defect."""
-    return float(sol.v_end - _target(cs.m))
+    return float(sol.v_end - _target(m))
 
 
 @dataclass
@@ -438,12 +442,12 @@ def shoot(
     _window(c_min, c_max)
     hcsck = hcsck_coeffs(m)  # validates m
     c_h = float(hcsck.C)
-    solves = {}  # C -> (defect, coefficients, solve) of every solve
+    solves = {}  # C -> (defect, solve) of every solve
 
     def defect(c: float) -> float:
         if c not in solves:
-            cs, sol = _integrate(m, c)
-            solves[c] = (_defect(cs, sol), cs, sol)
+            sol = _integrate(m, c)
+            solves[c] = (_defect(m, sol), sol)
         return solves[c][0]
 
     c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
@@ -464,12 +468,12 @@ def shoot(
                         scan=scan())
     brentq(defect_at, lo, hi, xtol=1e-12, maxiter=60, disp=False)
     c_star = min(solves, key=lambda c: abs(solves[c][0]))
-    d_star, cs, sol = solves[c_star]
+    d_star, sol = solves[c_star]
     # Brent's method also stops on xtol, or unconverged after 60 iterations
     if not abs(d_star) < defect_tol:
         raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
                           f"{abs(d_star):g} after {len(solves)} solves, not below {defect_tol:g}")
-    traj = _trajectory(cs, sol)
+    traj = _trajectory(coeffs_from_C(m, c_star), sol)
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
     return ShootResult(
@@ -518,7 +522,7 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     """
     cs = hcsck_coeffs(m)
     integral = compute_LN(m).lc_plus_n(cs.C)
-    margin = _defect(*_integrate(m, cs.C))
+    margin = _defect(m, _integrate(m, cs.C))
 
     s1 = _hcsck_denominator(m)
     alt_B = -12 / s1

@@ -42,8 +42,8 @@ def defect_padded(monkeypatch):
     Brent's method to its C tolerance and ends in StepFailure."""
     real = integrate._defect
 
-    def padded(cs, sol):
-        d = real(cs, sol)
+    def padded(m, sol):
+        d = real(m, sol)
         return d + math.copysign(1e-9, d)
 
     monkeypatch.setattr(integrate, "_defect", padded)

@@ -105,7 +105,8 @@ def test_criterion_4_ode_property_suite():
             floor = 2.0 + min(0.0, float(ln.lc_plus_n(c))) - 1e-6
             assert traj.v.min() >= floor
             # independent quadrature of q against the exact L*C + N split
-            a, b, cc = (float(x) for x in coeffs_from_C(m, c).float_abc())
+            cs = coeffs_from_C(m, c)
+            a, b, cc = float(cs.A), float(cs.B), float(cs.C)
             val = mpmath.quad(
                 lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1]
             )

@@ -1,17 +1,19 @@
 """CLI surface: exit codes, artifacts, determinism, JSON reports."""
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
 import shlex
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hext import cli, profile_ode, ratpoly
+from hext import cli, coeffs_from_C, profile_ode, ratpoly
 from hext.profile_ode import integrate
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
@@ -169,7 +171,7 @@ def test_nonexist_cli(capsys):
 def test_nonexist_verdict_can_fail(monkeypatch, capsys):
     # by F1 the margin is 2*int(phi_h) > 0, so only a patched solve reaches
     # this: the report keeps every output and its verdict fails
-    monkeypatch.setattr(integrate, "_defect", lambda cs, sol: -1.0)
+    monkeypatch.setattr(integrate, "_defect", lambda m, sol: -1.0)
     assert main(["nonexist", "--m", "1", "--json"]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"] == {"pass": False}
@@ -177,6 +179,17 @@ def test_nonexist_verdict_can_fail(monkeypatch, capsys):
     assert doc["outputs"]["B"] == "-8/3" and doc["outputs"]["C"] == "10/3"
     assert main(["nonexist", "--m", "1"]) == EXIT_FAIL
     assert capsys.readouterr().out.splitlines()[-1].endswith("is not > 0: no contradiction")
+
+
+def test_nonexist_reports_the_A_of_its_report(monkeypatch, capsys):
+    # A is read from the report, not written as the 0 it must be: a report
+    # patched to the m = 1 certificate's coefficients (A = 9) shows that A
+    real = integrate.hcsck_nonexistence
+    monkeypatch.setattr(integrate, "hcsck_nonexistence",
+                        lambda m: dataclasses.replace(real(m), coeffs=coeffs_from_C(m, Fraction(22, 3))))
+    assert main(["nonexist", "--m", "1", "--json"]) == EXIT_OK
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert (outputs["A"], outputs["B"], outputs["C"]) == ("9/1", "-50/3", "22/3")
 
 
 def test_certify_failed_claim_is_reported(monkeypatch, tmp_path, capsys):

@@ -190,6 +190,10 @@ def test_lambda_at():
     # affineness
     g1, g2 = F(5, 4), F(9, 5)
     assert cs.lambda_at((g1 + g2) / 2) == (cs.lambda_at(g1) + cs.lambda_at(g2)) / 2
+    # exact only: Trajectory.lambda_values rounds through the integrator's _abc
+    for g in (1.5, True):
+        with pytest.raises(TypeError):
+            cs.lambda_at(g)
 
 
 def test_root_uniqueness_by_sturm():

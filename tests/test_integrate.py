@@ -20,12 +20,13 @@ from hext import (
     coeffs_from_C,
     compute_LN,
     defect_scan,
+    hcsck_coeffs,
+    hcsck_nonexistence,
     integrate_v,
     residual_check,
 )
 from hext.errors import PositivityLost, StepFailure
 from hext.profile_ode import integrate
-from hext.profile_ode.coeffs import _linear_maps
 from hext.profile_ode.integrate import ScanPoint, ScanResult, _solve_defects
 
 from conftest import C_STAR_REF, c_top
@@ -141,7 +142,8 @@ def test_scalar_defect_at_c_star_ref(m):
 def _solve_ivp(m, c):
     """solve_ivp's DOP853 on (m, c) with the tolerances hext used before its
     Taylor solve: an integrator independent of hext's."""
-    a, b, cc = coeffs_from_C(m, c).float_abc()
+    cs = coeffs_from_C(m, c)
+    a, b, cc = float(cs.A), float(cs.B), float(cs.C)
 
     def rhs(t, y):
         v = y[0]
@@ -347,7 +349,7 @@ def test_trajectory_csv_format():
     assert first[0] == "1" and first[1] == "2" and first[2] == "0"
     # phi'(1) = 1 automatically, up to rounding of the thirds in q(1)
     assert abs(float(first[3]) - 1.0) < 1e-12
-    a, b, _ = traj.meta.float_abc()
+    a, b = float(traj.meta.A), float(traj.meta.B)
     assert float(first[4]) == a + b
     # round-trip at full precision
     parsed = [float(x) for x in lines[2].split(",")]
@@ -455,26 +457,50 @@ def test_coefficients_beyond_the_float_range_fail_per_point():
     assert abs(good.defect - integrate_v(1, 4.0).defect) < 1e-7
 
 
+def _rounded(m, c):
+    """A, B and C of coeffs_from_C(m, c) as floats, or None if they do not fit."""
+    cs = coeffs_from_C(m, c)
+    try:
+        return [float(cs.A), float(cs.B), float(cs.C)]
+    except OverflowError:
+        return None
+
+
+def _bits(abc):
+    return np.array(abc, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("m", [1, 3, 100])
 def test_scan_coefficients_are_the_exact_maps_rounded_once(m, monkeypatch):
-    # _solve_defects rounds A(C) and B(C) by integer division: the float of
-    # the exact Fraction for negative, subnormal, signed-zero and large C,
-    # and the same overflow failure where that float does not exist
+    # every solve rounds A(C), B(C) and C once, by integer division in _abc:
+    # the float of the exact Fraction for negative, subnormal, signed-zero
+    # (C = -0.0 gives 0.0) and large C, and the same overflow failure where
+    # that float does not exist; a scan column and its scalar solve take the
+    # same bits, and so does the exact C_h of every nonexist run
     cs = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -3.7, 2.5, -1e300, 1e300, -1.7e308, 1.7e308]
-    batches, real = [], integrate._solve_batch
+    batches, real_batch = [], integrate._solve_batch
     monkeypatch.setattr(integrate, "_solve_batch",
-                        lambda m, a, b, c: batches.append((a, b, c)) or real(m, a, b, c))
+                        lambda m, a, b, c: batches.append((a, b, c)) or real_batch(m, a, b, c))
+    solved, real_solve = [], integrate._solve
+    monkeypatch.setattr(integrate, "_solve", lambda m, a, b, c: solved.append([a, b, c]) or real_solve(m, a, b, c))
     points = _solve_defects(m, np.array(cs))
-    solved = {c: (a, b) for batch in batches for a, b, c in zip(*(x.tolist() for x in batch))}
-    assert not any(math.copysign(1.0, c) < 0 for batch in batches for c in batch[2].tolist() if c == 0)
-    a1, a0, b1, b0 = _linear_maps(m)
-    for c, point in zip(cs, points):
-        try:
-            exact = float(a1 * F(c) + a0), float(b1 * F(c) + b0)
-        except OverflowError:
-            assert point.error == f"m={m}, C={c}: the coefficients do not fit a float"
+    [batch] = batches
+    for c, point, row in zip(cs, points, zip(*(x.tolist() for x in batch)), strict=True):
+        solved.clear()
+        outcome = _scalar(m, c)
+        exact = _rounded(m, c)
+        if exact is None:  # the batch takes a NaN row and fails it with the scalar text
+            assert point.error == outcome[2] == f"m={m}, C={c}: the coefficients do not fit a float"
+            assert np.isnan(row).all() and solved == []
         else:
-            assert solved[c] == exact
+            assert _bits(row) == _bits(solved[0]) == _bits(exact)
+    for k in range(1, 51):
+        solved.clear()
+        c_h = hcsck_coeffs(k).C
+        hcsck_nonexistence(k)
+        assert _bits(solved) == _bits([_rounded(k, c_h)]) and solved[0][0] == 0.0
+    with pytest.raises(StepFailure, match=r"^m=1, C=10{400}: the coefficients do not fit a float$"):
+        integrate_v(1, 10 ** 400)
 
 
 @pytest.mark.parametrize("m, c_ref", [(5, 2.2371), (6, 2.1779)])
@@ -508,6 +534,25 @@ def test_scan_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def _floats(tree):
+    """Line numbers of float(...) calls and float literals in a module."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+                or isinstance(node, ast.Constant) and type(node.value) is float):
+            yield node.lineno
+
+
+def test_exact_modules_hold_no_float():
+    # floating point enters only in the integrator, whose _abc rounds every
+    # solve's coefficients: the exact layers neither call float() nor hold a float
+    src = Path(integrate.__file__).resolve().parents[1]
+    exact = ["profile_ode/coeffs.py", "profile_ode/certificate.py", "ratpoly.py", "chern_futaki.py",
+             "graded_algebra.py"]
+    assert [(name, line) for name in exact for line in _floats(ast.parse((src / name).read_text()))] == []
+    # the check sees both forms, and neither a float annotation nor an int
+    assert list(_floats(ast.parse("x: float = float(y)\nz = 1e-3\nw = 1\n"))) == [1, 2]
 
 
 def _private_scipy_imports(tree):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import simpson
 
 from hext import (
+    CoeffSet,
     coeffs_from_C,
     compute_LN,
     defect_scan,
@@ -106,6 +107,18 @@ def test_not_hcsck_is_the_exact_side_of_c_h():
     c_h = 2 + F(4, 33 ** 2 - 1)
     assert 0 < res.a_slope < 1e-3 and F(res.c_star) > c_h
     assert res.not_hcsck
+
+
+def test_shoot_builds_a_coeff_set_at_c_h_and_c_star_only(monkeypatch):
+    # Brent's solves take their floats from _abc: shoot builds exact
+    # coefficients only for C_h and for the trajectory at c_star
+    built, real = [], CoeffSet.__post_init__
+    monkeypatch.setattr(CoeffSet, "__post_init__", lambda cs: built.append(cs.C) or real(cs))
+    for m in range(1, 9):
+        c_h = hcsck_coeffs(m).C
+        built.clear()
+        res = shoot(m)
+        assert built == [c_h, F(res.c_star)] and res.iterations > 2
 
 
 @pytest.mark.parametrize("m", sorted(C_STAR_REF))
@@ -211,9 +224,9 @@ def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
     res = shots[m]
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
     assert res.defect == res.trajectory.defect
-    cs, sol = _integrate(m, res.c_star)
+    sol = _integrate(m, res.c_star)
     steps = [list(sol.t), [list(k) for k in sol.coeffs], sol.v_end]
-    assert _trajectory(cs, sol).v.tobytes() == res.trajectory.v.tobytes()
+    assert _trajectory(coeffs_from_C(m, res.c_star), sol).v.tobytes() == res.trajectory.v.tobytes()
     assert [list(sol.t), [list(k) for k in sol.coeffs], sol.v_end] == steps
     assert sol.v_end == res.trajectory.v[-1]
 
