@@ -21,7 +21,6 @@ Three pillars:
 from .chern_futaki import (
     AlphaTable,
     FutakiValue,
-    HypersurfaceParams,
     alpha_closed,
     alpha_recursive,
     alpha_series,

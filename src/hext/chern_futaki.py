@@ -34,16 +34,11 @@ from .ratpoly import _frac_str
 MAX_N = 8
 
 
-@dataclass(frozen=True)
-class HypersurfaceParams:
-    """Degree-d hypersurface in CP^n with d <= n <= MAX_N."""
-
-    n: int
-    d: int
-
-    def __post_init__(self):
-        _integer("the ambient dimension n", self.n, 2, MAX_N)
-        _integer("the degree d (at most n)", self.d, 1, self.n)
+def _hypersurface(n: int, d: int) -> None:
+    """InvalidInput unless 2 <= n <= MAX_N and 1 <= d <= n: the degree-d
+    hypersurfaces in CP^n that the tables and invariants take."""
+    _integer("the ambient dimension n", n, 2, MAX_N)
+    _integer("the degree d (at most n)", d, 1, n)
 
 
 def _diagonal(n: int, d: int, q: int) -> Fraction:
@@ -52,17 +47,15 @@ def _diagonal(n: int, d: int, q: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AlphaTable:
-    """Triangular array alpha[q][k], 0 <= k <= q <= n-1, with provenance."""
+    """Triangular array alpha[q][k] = entries[q][k], 0 <= k <= q <= n-1;
+    == compares (n, d, entries)."""
 
     n: int
     d: int
     entries: Tuple[Tuple[Fraction, ...], ...]
-    provenance: str
 
     def __post_init__(self):
-        HypersurfaceParams(self.n, self.d)
-        if self.provenance not in ALPHA_METHODS:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        _hypersurface(self.n, self.d)
         if len(self.entries) != self.n:
             raise ValueError("table must have rows q = 0 .. n-1")
         for q, row in enumerate(self.entries):
@@ -72,14 +65,6 @@ class AlphaTable:
                 raise ValueError(f"alpha[{q}][0] must be (-1)^{q}")
             if row[q] != _diagonal(self.n, self.d, q):
                 raise ValueError(f"alpha[{q}][{q}] violates the diagonal sum")
-
-    def get(self, q: int, k: int) -> Fraction:
-        return self.entries[q][k]
-
-    def same_entries(self, other: "AlphaTable") -> bool:
-        return (
-            self.n == other.n and self.d == other.d and self.entries == other.entries
-        )
 
     def to_csv(self) -> str:
         """Rows q,k,alpha with exact integer strings."""
@@ -100,7 +85,7 @@ def alpha_recursive(n: int, d: int) -> AlphaTable:
         alpha_{q(q-k)} = -(d * alpha_{(q-1)(q-k-1)} + alpha_{(q-1)(q-k)}),
         alpha_{q0} = (-1)^q.
     """
-    HypersurfaceParams(n, d)
+    _hypersurface(n, d)
     rows: List[List[Fraction]] = [[Fraction(1)]]
     for q in range(1, n):
         prev = rows[q - 1]
@@ -110,9 +95,7 @@ def alpha_recursive(n: int, d: int) -> AlphaTable:
         for k in range(1, q):  # fills alpha_{q, q-k}
             row[q - k] = -(d * prev[q - k - 1] + prev[q - k])
         rows.append(row)
-    return AlphaTable(
-        n=n, d=d, entries=tuple(tuple(r) for r in rows), provenance="recursion"
-    )
+    return AlphaTable(n=n, d=d, entries=tuple(tuple(r) for r in rows))
 
 
 def alpha_closed(n: int, d: int) -> AlphaTable:
@@ -122,7 +105,7 @@ def alpha_closed(n: int, d: int) -> AlphaTable:
 
     Independent code path from the recursion on purpose.
     """
-    HypersurfaceParams(n, d)
+    _hypersurface(n, d)
     rows = []
     for a in range(n):
         row = []
@@ -137,7 +120,7 @@ def alpha_closed(n: int, d: int) -> AlphaTable:
                 )
             row.append(total)
         rows.append(tuple(row))
-    return AlphaTable(n=n, d=d, entries=tuple(rows), provenance="closed")
+    return AlphaTable(n=n, d=d, entries=tuple(rows))
 
 
 def _table_from_series(series: TruncatedPoly, n: int, d: int) -> AlphaTable:
@@ -152,7 +135,7 @@ def _table_from_series(series: TruncatedPoly, n: int, d: int) -> AlphaTable:
                 )
         row = tuple(coeff.get((k, q - k), Fraction(0)) for k in range(q + 1))
         rows.append(row)
-    return AlphaTable(n=n, d=d, entries=tuple(rows), provenance="series")
+    return AlphaTable(n=n, d=d, entries=tuple(rows))
 
 
 def alpha_series(n: int, d: int) -> AlphaTable:
@@ -164,7 +147,7 @@ def alpha_series(n: int, d: int) -> AlphaTable:
     (omega, eta)-degree q, which is checked and raised as SeriesMismatch
     otherwise.
     """
-    HypersurfaceParams(n, d)
+    _hypersurface(n, d)
     t = TruncatedPoly.t(n)
     w = TruncatedPoly.omega(n)
     e = TruncatedPoly.eta(n)
@@ -174,7 +157,7 @@ def alpha_series(n: int, d: int) -> AlphaTable:
     return _table_from_series(series, n, d)
 
 
-# the three methods by name: an AlphaTable's provenance and the CLI's --method
+# the three methods by name, as the CLI's --method takes them
 ALPHA_METHODS = {"recursion": alpha_recursive, "closed": alpha_closed, "series": alpha_series}
 
 
@@ -218,7 +201,7 @@ def futaki_closed(n: int, d: int, q: int) -> FutakiValue:
         F_q = -(n+1-d)^(n-q) * (d-1)(n+1)/n
               * sum_{j=0}^{q-1} (-d)^j (j+1) binom(n, q-j-1) * kappa.
     """
-    HypersurfaceParams(n, d)
+    _hypersurface(n, d)
     _integer("the invariant index q (at most n - 1)", q, 1, n - 1)
     return FutakiValue(n=n, d=d, q=q, r=_futaki_formula(n, d, q))
 
@@ -228,7 +211,7 @@ def _fixed_points(n: int, d: int, weights) -> List[Tuple[List[Fraction], Fractio
     under the torus with distinct rational weights w_0..w_n: c[q] is the t^q
     coefficient of prod_{j!=i}(1 + t(w_j - w_i)) / (1 + t e_i), e_i = d(w_0 - w_i)
     and D_i = prod_{j!=i}(w_j - w_i).  p_0 is not on X (e_0 = 0)."""
-    HypersurfaceParams(n, d)
+    _hypersurface(n, d)
     w = _weights(n, weights)
     points = []
     for i in range(1, n + 1):

@@ -14,7 +14,7 @@ value is written once, in errors.py, and applied by the library function
 that takes it, which raises InvalidInput before any work.  A usage error is
 one line on stderr, with no report and no artifacts: a flag argparse cannot
 parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
-outside the range its help names, an empty C window, more than
+outside the range its help names, an empty or too wide C window, more than
 MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that exists
 and is not a directory.  A library error ends every subcommand in one
 report form: summary {"pass": false, "reason": "error"} (exit 1), or

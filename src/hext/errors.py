@@ -1,6 +1,7 @@
 """Exception types shared across the toolkit, and the argument rules
-(_integer, _exact, _shooting_c, _window, _defect_tol, _weights) that public
-functions apply before any work; no other module spells such a rule.
+(_integer, _exact, _shooting_c, _window, _scan_window, _defect_tol, _weights)
+that public functions apply before any work; no other module spells such a
+rule.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -61,6 +62,14 @@ def _window(lo, hi) -> None:
         raise InvalidInput("the C window must be finite")
     if hi is not None and not lo < hi:
         raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is empty")
+
+
+def _scan_window(lo, hi) -> None:
+    """_window, and the width hi - lo must be a finite float too: the scan
+    spaces its grid by it."""
+    _window(lo, hi)
+    if not math.isfinite(float(hi) - float(lo)):
+        raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is wider than the float range")
 
 
 # shoot's defect tolerance: every m = 1..8 converges at 1e-2 and some fail at

@@ -300,15 +300,11 @@ class IdentityCheck:
 
 @dataclass
 class RankOneReport:
-    k: int
     identities: List[IdentityCheck]
 
     @property
     def passed(self) -> bool:
         return all(i.passed for i in self.identities)
-
-    def first_failure(self) -> Optional[IdentityCheck]:
-        return next((i for i in self.identities if not i.passed), None)
 
 
 def rank1_check(k: int) -> RankOneReport:
@@ -372,13 +368,11 @@ def rank1_identities(rows) -> RankOneReport:
 
     names = ("A_squared_equals_aA", "inverse_formula", "determinant_geometric")
     witnesses = (witness_i, witness_ii, witness_iii)
-    return RankOneReport(k, [IdentityCheck(n, w is None, w) for n, w in zip(names, witnesses)])
+    return RankOneReport([IdentityCheck(n, w is None, w) for n, w in zip(names, witnesses)])
 
 
 @dataclass
 class ScalarProjectorReport:
-    dim: int
-    a: Fraction
     rank: int
     det_coeffs: Tuple[Fraction, ...]
     expected_coeffs: Tuple[Fraction, ...]
@@ -392,9 +386,8 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     """Check det(I - lam*A) == (1 - lam*a)^(Tr A / a) for a rational matrix
     with A@A == a*A and a != 0.
 
-    Tr A / a is the rank of A/a and is always a nonnegative integer for a
-    genuine idempotent family; a fractional value is rejected (that branch
-    of the exponential formula is out of scope here).
+    A/a is then idempotent over Q, so Tr A / a is its rank, an integer in
+    0..n.
     """
     rows = [[_exact(x) for x in row] for row in A]
     n = len(rows)
@@ -411,13 +404,7 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
         raise NotIdempotentFamily(
             f"(A@A)[{i}][{j}] = {squared[i][j]} differs from a*A[{i}][{j}] = {a * rows[i][j]}"
         )
-    trace = sum(rows[i][i] for i in range(n))
-    rank = trace / a
-    if rank.denominator != 1 or rank < 0:
-        raise NotImplementedError(
-            f"Tr A / a = {rank} is not a nonnegative integer; fractional powers unsupported"
-        )
-    rank = int(rank)
+    rank = int(sum(rows[i][i] for i in range(n)) / a)
 
     # det(I - lam*A) as a polynomial in lam over the algebra on no generators
     det = _leibniz(
@@ -431,8 +418,6 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
 
     expected = [comb(rank, j) * (-a) ** j for j in range(rank + 1)]
     return ScalarProjectorReport(
-        dim=n,
-        a=a,
         rank=rank,
         det_coeffs=tuple(Fraction(det.terms.get((p, 0), 0)) for p in range(degree + 1)),
         expected_coeffs=tuple(expected),
@@ -515,9 +500,6 @@ class TruncatedPoly(_SparsePoly):
     def coefficient(self, a: int, b: int, c: int) -> Fraction:
         return Fraction(self.terms.get((a, b, c), 0))
 
-    def constant_term(self) -> Fraction:
-        return self.coefficient(0, 0, 0)
-
     def inv(self) -> "TruncatedPoly":
         """Inverse in the quotient ring; needs a nonzero constant term.
 
@@ -525,7 +507,7 @@ class TruncatedPoly(_SparsePoly):
         a + b + c >= j, while none above 2*order - 1 survives: u is nilpotent
         and the geometric series for 1/(1 - u) ends exactly.
         """
-        c0 = self.constant_term()
+        c0 = self.coefficient(0, 0, 0)
         if c0 == 0:
             raise NotInvertible("zero constant term")
         one = self._new({(0, 0, 0): 1})

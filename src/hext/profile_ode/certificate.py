@@ -60,10 +60,6 @@ class CertificateM1:
     claims: List[Claim]
     details: Dict[str, Fraction]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.claims)
-
     def first_failed(self) -> Optional[str]:
         for c in self.claims:
             if not c.passed:
@@ -105,9 +101,9 @@ def _step_upper(v_a: Fraction, delta_P: Fraction, h: Fraction) -> Fraction:
 def certify_m1() -> CertificateM1:
     """Build and check the full m = 1 certificate.
 
-    A failed claim is returned, not raised: all_pass is False and
-    first_failed() names it.  If p has other than one root on [1, 2], the
-    certificate ends at its failed gamma0_unique claim.
+    A failed claim is returned, not raised: first_failed() names it.  If p
+    has other than one root on [1, 2], the certificate ends at its failed
+    gamma0_unique claim.
     """
     m = 1
     claims: List[Claim] = []

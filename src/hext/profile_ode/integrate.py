@@ -30,6 +30,7 @@ from ..errors import (
     StepFailure,
     _defect_tol,
     _integer,
+    _scan_window,
     _window,
 )
 from .coeffs import (CoeffSet, Rational, _hcsck_denominator, _linear_maps, coeffs_from_C, compute_LN,
@@ -386,13 +387,13 @@ def _solve_defects(m: int, cs: np.ndarray) -> Tuple[ScanPoint, ...]:
 
 
 def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
-    """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi,
-    solved as one batch with the solver of every scalar solve; requires
-    2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded per point,
-    not raised: a C whose v reaches V_FLOOR, which lies above the root, is a
-    PositivityLost point."""
+    """Defect at `steps` evenly spaced C over a finite window C_lo < C_hi of
+    finite width, solved as one batch with the solver of every scalar solve;
+    requires 2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded
+    per point, not raised: a C whose v reaches V_FLOOR, which lies above the
+    root, is a PositivityLost point."""
     _integer("the class index m", m, 1)
-    _window(C_lo, C_hi)
+    _scan_window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
     cs = np.linspace(C_lo, C_hi, steps)
     return ScanResult(m=m, points=_solve_defects(m, cs))

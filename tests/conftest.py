@@ -1,23 +1,20 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hext import compute_LN, shoot
 from hext.profile_ode import integrate
 
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # C* from 30-digit mpmath shooting, independent of hext: the c_star_ref
 # table that perfbench/make_reference.py writes to perfbench/reference.json
 C_STAR_REF = {
-    1: 4.126269829713513,
-    2: 2.887105996252412,
-    3: 2.5075511798715646,
-    4: 2.3333414347427235,
-    5: 2.2371370935797725,
-    6: 2.177875481997457,
-    7: 2.1385968007529557,
-    8: 2.1111469195527324,
+    int(m): c
+    for m, c in json.loads(REFERENCE.read_text(encoding="utf-8"))["c_star_ref"].items()
 }
 
 

@@ -51,7 +51,7 @@ def test_criterion_1_m1_certificate():
         t0 = time.perf_counter()
         cert = certify_m1()
         elapsed = time.perf_counter() - t0
-        assert cert.all_pass
+        assert cert.first_failed() is None
         assert cert.claim("L_value").lhs == F(-33, 80)
         assert cert.claim("N_value").lhs == F(11, 8)
         assert cert.claim("LCplusN").lhs == F(-33, 20)
@@ -92,7 +92,6 @@ def test_criterion_3_hcsck_nonexistence():
 def test_criterion_4_ode_property_suite():
     with _criterion("4 (ODE property suite)"):
         rng = random.Random(20260810)
-        mpmath.mp.dps = 30
         pairs = []
         while len(pairs) < 50:
             m = rng.randint(1, 10)
@@ -107,9 +106,10 @@ def test_criterion_4_ode_property_suite():
             # independent quadrature of q against the exact L*C + N split
             cs = coeffs_from_C(m, c)
             a, b, cc = float(cs.A), float(cs.B), float(cs.C)
-            val = mpmath.quad(
-                lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1]
-            )
+            with mpmath.workdps(30):
+                val = mpmath.quad(
+                    lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1]
+                )
             assert abs(float(val) - float(ln.lc_plus_n(c))) < 1e-10
         # grid-refinement stability: the same solves at a tolerance 100 times tighter
         points = ((1, F(22, 3)), (1, 2), (7, 2))
@@ -127,12 +127,12 @@ def test_criterion_5_alpha_tables():
         for n in range(2, 9):
             for d in range(1, n + 1):
                 a = alpha_recursive(n, d)
-                assert a.same_entries(alpha_closed(n, d))
-                assert a.same_entries(alpha_series(n, d))
+                assert a == alpha_closed(n, d)
+                assert a == alpha_series(n, d)
         for n in range(2, 9):
             hyperplane = alpha_recursive(n, 1)
             for q in range(n):
-                assert hyperplane.get(q, q) == comb(n, q)
+                assert hyperplane.entries[q][q] == comb(n, q)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
 

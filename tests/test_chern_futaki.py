@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from hext import (
-    HypersurfaceParams,
     alpha_closed,
     alpha_recursive,
     alpha_series,
@@ -20,13 +19,13 @@ from hext.graded_algebra import TruncatedPoly
 
 
 def test_params_validation():
-    HypersurfaceParams(3, 2)
+    alpha_recursive(3, 2)
     with pytest.raises(ValueError):
-        HypersurfaceParams(1, 1)
+        alpha_recursive(1, 1)
     with pytest.raises(ValueError):
-        HypersurfaceParams(3, 4)
+        alpha_recursive(3, 4)
     with pytest.raises(ValueError):
-        HypersurfaceParams(3, 0)
+        alpha_recursive(3, 0)
 
 
 def test_recursion_hand_run_n3_d2():
@@ -41,13 +40,13 @@ def test_recursion_hand_run_n3_d2():
 def test_closed_term_by_term_n3_d2():
     t = alpha_closed(3, 2)
     # alpha_11 = [b=0: 1*2*(-1)*C(1,1)] + [b=1: 4*1*1*C(0,0)] = 2
-    assert t.get(1, 1) == 2
-    assert t.same_entries(alpha_recursive(3, 2))
+    assert t.entries[1][1] == 2
+    assert t == alpha_recursive(3, 2)
 
 
 def test_series_q2_coefficient_n3_d2():
     t = alpha_series(3, 2)
-    assert (t.get(2, 2), t.get(2, 1), t.get(2, 0)) == (2, 0, 1)
+    assert (t.entries[2][2], t.entries[2][1], t.entries[2][0]) == (2, 0, 1)
 
 
 def test_three_way_equality_full_range():
@@ -56,8 +55,8 @@ def test_three_way_equality_full_range():
             a = alpha_recursive(n, d)
             b = alpha_closed(n, d)
             c = alpha_series(n, d)
-            assert a.same_entries(b)
-            assert a.same_entries(c)
+            assert a == b
+            assert a == c
 
 
 def test_first_column_alternates():
@@ -65,14 +64,14 @@ def test_first_column_alternates():
         for d in (1, n):
             t = alpha_recursive(n, d)
             for q in range(n):
-                assert t.get(q, 0) == (-1) ** q
+                assert t.entries[q][0] == (-1) ** q
 
 
 def test_hyperplane_diagonal_is_binomial():
     for n in range(2, 9):
         t = alpha_recursive(n, 1)
         for q in range(n):
-            assert t.get(q, q) == comb(n, q)
+            assert t.entries[q][q] == comb(n, q)
 
 
 def test_zero_above_diagonal_in_closed_sum():

@@ -18,7 +18,8 @@ from hext.profile_ode import integrate
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
 
-REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+from conftest import REFERENCE
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -123,6 +124,21 @@ def test_negative_exponent_values_are_values(capsys):
 def test_negative_non_finite_values_reach_the_library(argv, capsys):
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == "error: the C window must be finite\n"
+
+
+def test_scan_window_wider_than_floats_is_usage_error(tmp_path, capsys, shot_m1):
+    """scan spaces its grid by --c-max - --c-min, so that width must be a
+    finite float; shoot builds no grid and takes the same window."""
+    window = ["--m", "1", "--c-min", "-1.7e308", "--c-max", "1.7e308"]
+    out = tmp_path / "s"
+    assert main(["scan", *window, "--steps", "5", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: the C window [-1.7e+308, 1.7e+308] is wider than the float range\n"
+    )
+    assert main(["shoot", *window, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["outputs"]["c_star"] == shot_m1.c_star
 
 
 def test_scan_cli(tmp_path, capsys):

@@ -222,15 +222,15 @@ def test_positive_defect_probe_at_2():
 
 def test_independent_integrator_agreement():
     """Cross-check the float Taylor solve against mpmath's Taylor-series method."""
-    mpmath.mp.dps = 25
     cs = coeffs_from_C(1, F(22, 3))
-    a, b, c = [mpmath.mpf(x.numerator) / x.denominator for x in (cs.A, cs.B, cs.C)]
+    with mpmath.workdps(25):
+        a, b, c = [mpmath.mpf(x.numerator) / x.denominator for x in (cs.A, cs.B, cs.C)]
 
-    def rhs(g, v):
-        return 2 * mpmath.sqrt(2) * mpmath.sqrt(v) + (a / 3 * g ** 3 + b / 2 * g ** 2 + c) * g
+        def rhs(g, v):
+            return 2 * mpmath.sqrt(2) * mpmath.sqrt(v) + (a / 3 * g ** 3 + b / 2 * g ** 2 + c) * g
 
-    f = mpmath.odefun(rhs, 1, 2, tol=mpmath.mpf(10) ** -18)
-    v2 = float(f(2))
+        f = mpmath.odefun(rhs, 1, 2, tol=mpmath.mpf(10) ** -18)
+        v2 = float(f(2))
     traj = integrate_v(1, F(22, 3))
     assert abs(traj.v[-1] - v2) < 1e-8
 
@@ -255,7 +255,6 @@ def test_positivity_lost_for_inadmissible_C():
 
 def test_quadrature_agrees_with_LN_split():
     """Independent quadrature of q equals L*C + N to 1e-10."""
-    mpmath.mp.dps = 30
     rng = random.Random(777)
     for _ in range(10):
         m = rng.randint(1, 10)
@@ -264,7 +263,8 @@ def test_quadrature_agrees_with_LN_split():
         c = F(rng.randint(-50000, int(cmax * 1000) - 1), 1000)
         cs = coeffs_from_C(m, c)
         a, b, cc = (float(x) for x in (cs.A, cs.B, cs.C))
-        val = mpmath.quad(lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1])
+        with mpmath.workdps(30):
+            val = mpmath.quad(lambda t: (a / 3 * t ** 3 + b / 2 * t ** 2 + cc) * t, [1, m + 1])
         assert abs(float(val) - float(ln.lc_plus_n(c))) < 1e-10
 
 

@@ -13,7 +13,6 @@ import pytest
 from hext import (
     CoeffSet,
     GrassmannElement,
-    HypersurfaceParams,
     InvalidInput,
     LNConstants,
     TruncatedPoly,
@@ -44,6 +43,8 @@ _CALLS = {
     "shoot-c-max-bool": lambda: shoot(1, c_max=True),
     "scan-infinite-window": lambda: defect_scan(1, -math.inf, 1.0, 8),
     "scan-huge-int-window": lambda: defect_scan(1, -10**400, 1.0, 8),
+    "scan-window-wider-than-floats": lambda: defect_scan(1, -1.7e308, 1.7e308, 5),
+    "scan-window-2e308-wide": lambda: defect_scan(1, -1e308, 1e308, 5),
     "scan-bool-window-bottom": lambda: defect_scan(1, False, 1.0, 2),
     "scan-bool-window-top": lambda: defect_scan(1, -1.0, True, 2),
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),
@@ -51,13 +52,13 @@ _CALLS = {
     "scan-one-step": lambda: defect_scan(1, 0.0, 1.0, 1),
     "scan-float-steps": lambda: defect_scan(1, 2.0, 5.0, 2.5),
     "scan-bool-steps": lambda: defect_scan(1, 2.0, 5.0, True),
-    "params-n-above-cap": lambda: HypersurfaceParams(9, 2),
-    "params-n-bool": lambda: HypersurfaceParams(True, 1),
-    "params-n-float": lambda: HypersurfaceParams(3.0, 2),
+    "params-n-above-cap": lambda: alpha_recursive(9, 2),
+    "params-n-bool": lambda: alpha_recursive(True, 1),
+    "params-n-float": lambda: alpha_recursive(3.0, 2),
     "futaki-n-above-cap": lambda: futaki_closed(9, 2, 1),
-    "params-d-bool": lambda: HypersurfaceParams(3, True),
-    "params-d-float": lambda: HypersurfaceParams(3, 2.0),
-    "params-d-above-n": lambda: HypersurfaceParams(3, 4),
+    "params-d-bool": lambda: alpha_recursive(3, True),
+    "params-d-float": lambda: alpha_recursive(3, 2.0),
+    "params-d-above-n": lambda: alpha_recursive(3, 4),
     "futaki-d-bool": lambda: futaki_closed(3, True, 1),
     "futaki-q-bool": lambda: futaki_closed(3, 2, True),
     "futaki-q-float": lambda: futaki_closed(3, 2, 1.0),

@@ -100,3 +100,14 @@ def test_sqrt_upper_is_tight_upper_bound():
 def test_sqrt_upper_rejects_negative():
     with pytest.raises(ValueError):
         rp.sqrt_upper(F(-1))
+
+
+def test_repeated_root_counts_once():
+    # (x-1)^2 (x+2) = x^3 - 3x + 2: squarefree divides out the double root
+    p = rp.mul(rp.mul(rp.poly([-1, 1]), rp.poly([-1, 1])), rp.poly([2, 1]))
+    assert p == rp.poly([2, -3, 0, 1])
+    assert rp.squarefree(p) == rp.poly([-2, 1, 1])
+    assert rp.count_roots(p, -3, 2) == 2
+    ivs = rp.isolate_roots(p, -3, 2, F(1, 100))
+    assert len(ivs) == 2
+    assert ivs[0][0] < -2 < ivs[0][1] and ivs[1][0] < 1 < ivs[1][1]

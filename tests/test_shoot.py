@@ -193,6 +193,13 @@ def test_bracket_narrower_than_xtol_is_reported_after_its_edge_solves(defect_pad
         shoot(1, defect_tol=1e-10, c_min=c - 1e-13, c_max=c + 1e-13)
 
 
+def test_shoot_refuses_a_solution_without_interior_positivity(monkeypatch):
+    monkeypatch.setattr(Trajectory, "interior_positive", lambda self: False)
+    with pytest.raises(StepFailure) as info:
+        shoot(1)
+    assert str(info.value) == "shooting solution lost interior positivity (phi <= 0)"
+
+
 def test_clips_outside_the_root_bracket_change_nothing():
     # a c_min whose coefficients overflow a float and a c_max above the
     # eps-floor window (2.23 at m = 4) lie outside [C_h, C_top]: no clip
