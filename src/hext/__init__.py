@@ -7,8 +7,8 @@ Three pillars:
                      coefficient algebra, adaptive integration, shooting on
                      the free parameter C, the exact m=1 certificate, and
                      the constant-lambda (hcscK) contradiction check; its
-                     NUMERICAL names, served here too, load numpy and scipy
-                     on first use, and nothing else imports either;
+                     NUMERICAL names, served here too, load numpy on first
+                     use, nothing else imports it, and nothing imports scipy;
   * graded_algebra - finite exterior algebra and truncated series rings used
                      as exact oracles for determinant and generating-series
                      identities;

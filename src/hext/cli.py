@@ -5,8 +5,8 @@ turns every row into a RunReport: command, parameters (the row's flags),
 outputs (inline values or artifact file names), a pass/fail summary, and the
 wall time.  Artifacts and report payloads are byte-identical across repeated
 runs with identical flags; the wall time lives outside the hashed payload.
-certify, alpha, futaki and grassmann are exact and never load numpy or scipy;
-the first shoot, nonexist or scan in a process imports them in its wall time.
+No command loads scipy; certify, alpha, futaki and grassmann never load numpy,
+and the first shoot, nonexist or scan in a process imports it in its wall time.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
 argparse only parses (numbers, choices, required flags); every rule on a

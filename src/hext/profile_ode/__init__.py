@@ -1,8 +1,8 @@
 """Momentum-profile boundary value problem: exact coefficient algebra,
 adaptive integration, parameter shooting, and the m = 1 certificate.  The
-NUMERICAL names live in .integrate, which alone imports numpy and scipy:
-__getattr__ loads it at their first use and looks them up there every time.
-"""
+NUMERICAL names live in .integrate, which alone imports numpy (no module
+imports scipy): __getattr__ loads it at their first use and looks them up
+there every time."""
 
 from .certificate import CertificateM1, Claim, certify_m1
 from .coeffs import CoeffSet, LNConstants, coeffs_from_C, compute_LN, hcsck_coeffs

@@ -89,7 +89,8 @@ class LNConstants:
             raise ValueError("expected 2L + N > 2/5")
 
     def lc_plus_n(self, C: Rational) -> Fraction:
-        return self.L * Fraction(C) + self.N
+        """L*C + N at C as coeffs_from_C takes it (errors._shooting_c)."""
+        return self.L * _shooting_c(C) + self.N
 
 
 @lru_cache(maxsize=128)

@@ -18,8 +18,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401  called nowhere; perfbench's tracer wraps it
-from scipy.optimize import brentq
 
 from ..errors import (
     SHOOT_C_MIN,
@@ -422,22 +420,22 @@ def shoot(
     m: int, defect_tol: float = SHOOT_DEFECT_TOL, c_min: float = SHOOT_C_MIN,
     c_max: Optional[float] = None,
 ) -> ShootResult:
-    """Find the C with v(m+1) = 2*(m+1)^2 by Brent's method on the defect.
+    """Find the C with v(m+1) = 2*(m+1)^2 by false position on the defect.
 
     The defect decreases strictly in C and is positive at C_h, the A = 0
     value, where it equals the hcscK margin 2*int(phi_h).  By the identity
     defect(C) = L*C + N + 2*int(phi_C), with L < 0 and L*C_h + N = 0, it is
     negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
     c_min and c_max only clip that bracket; NoBracket is raised when the
-    clipped bracket is empty or its ends' defects share a sign.  Every solve
-    is scalar, and the trajectory is sampled from the step polynomials of
-    the solve at c_star, with no solve of its own.  Brent's method stops once
-    |defect| < defect_tol, or the bracket is narrower than 1e-12, or after 60
-    iterations; c_star is the solved C of least |defect|, and StepFailure is
-    raised unless |defect| < defect_tol there.  `iterations` counts the
-    solves, the C_h one included, and `scan` holds the solves in the clipped
-    bracket in C order.  Requires defect_tol in DEFECT_TOL_RANGE, [1e-10,
-    1e-3], and finite c_min < c_max.
+    clipped bracket is empty or both ends' defects share a sign and miss
+    defect_tol.  Every solve is scalar, and the trajectory is sampled from
+    the step polynomials of the solve at c_star.  The root loop stops once a
+    solve has |defect| < defect_tol, or the bracket is narrower than 1e-12,
+    or after 60 steps; c_star is the solved C of least |defect|, and
+    StepFailure is raised unless |defect| < defect_tol there.  `iterations`
+    counts the solves, the C_h one included, and `scan` holds the solves in
+    the clipped bracket in C order.  Requires defect_tol in
+    DEFECT_TOL_RANGE, [1e-10, 1e-3], and finite c_min < c_max.
     """
     _defect_tol(defect_tol)
     _window(c_min, c_max)
@@ -454,23 +452,30 @@ def shoot(
     c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
     lo, hi = max(c_min, c_h), c_top if c_max is None else min(c_max, c_top)
 
-    def defect_at(c: float) -> float:
-        # brentq returns at once on an exact zero: that is how defect_tol
-        # ends the search
-        return 0.0 if abs(defect(c)) < defect_tol else defect(c)
-
     def scan() -> ScanResult:
         return ScanResult(m=m, points=tuple(
             ScanPoint(c=c, defect=s[0]) for c, s in sorted(solves.items()) if lo <= c <= hi))
 
-    if not lo < hi or defect_at(lo) * defect_at(hi) > 0.0:
+    if lo < hi:
+        a, fa, b, fb = lo, defect(lo), hi, defect(hi)
+    if not lo < hi or fa * fb > 0.0 and min(abs(fa), abs(fb)) >= defect_tol:
         raise NoBracket(f"no defect sign change for m={m} in C range [{lo:.6g}, {hi:.6g}], "
                         f"the root bracket [{c_h:.6g}, {c_top:.6g}] clipped by c_min and c_max",
                         scan=scan())
-    brentq(defect_at, lo, hi, xtol=1e-12, maxiter=60, disp=False)
+    # Anderson-Bjorck false position (BIT 13, 1973): b is the last solve, and
+    # fa, a's defect, is scaled down while a is kept; defect(a) is unscaled
+    for _ in range(60):
+        if abs(b - a) < 1e-12 or min(abs(defect(a)), abs(fb)) < defect_tol:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        fc = defect(c)
+        if fc * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 1.0 - fc / fb if fc / fb < 1.0 else 0.5
+        b, fb = c, fc
     c_star = min(solves, key=lambda c: abs(solves[c][0]))
     d_star, sol = solves[c_star]
-    # Brent's method also stops on xtol, or unconverged after 60 iterations
     if not abs(d_star) < defect_tol:
         raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
                           f"{abs(d_star):g} after {len(solves)} solves, not below {defect_tol:g}")

@@ -126,10 +126,12 @@ def sign_variations(chain: Sequence[Poly], x) -> int:
 
 
 def count_roots(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]."""
+    """Number of distinct real roots of p in (a, b]; ValueError if p == 0."""
     a, b = Fraction(a), Fraction(b)
     if a >= b:
         raise ValueError("need a < b")
+    if not p:
+        raise ValueError("the zero polynomial has no finite root count")
     pp = squarefree(p)
     chain = sturm_chain(pp)
     return sign_variations(chain, a) - sign_variations(chain, b)

@@ -36,7 +36,8 @@ def shot_m1():
 def defect_padded(monkeypatch):
     """Every endpoint defect moved 1e-9 further from zero, its sign kept: no
     solve meets a tolerance below that, so a shoot at such a tolerance runs
-    Brent's method to its C tolerance and ends in StepFailure."""
+    the root loop until its bracket is narrower than 1e-12 (or for its 60
+    steps) and ends in StepFailure."""
     real = integrate._defect
 
     def padded(m, sol):

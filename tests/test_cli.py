@@ -259,7 +259,7 @@ def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
 
 
 def test_shoot_fails_when_the_defect_misses_the_tolerance(defect_padded, monkeypatch, capsys):
-    # Brent's method may stop on its C tolerance first: with every defect
+    # the root loop may stop on its C tolerance first: with every defect
     # padded to |defect| > 1e-9, m = 16 ends there with no answer at --tol 1e-10
     assert main(["shoot", "--m", "16", "--tol", "1e-10", "--json"]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)

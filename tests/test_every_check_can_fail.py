@@ -90,6 +90,9 @@ _CHECKS = {
     "ratpoly-count-empty-interval": (
         lambda: ratpoly.count_roots(X_MINUS_1, 2, 2),
         ValueError, "need a < b"),
+    "ratpoly-count-zero-polynomial": (
+        lambda: ratpoly.count_roots((), 0, 1),
+        ValueError, "the zero polynomial has no finite root count"),
     "ratpoly-isolate-root-endpoint": (
         lambda: ratpoly.isolate_roots(X_MINUS_1, 1, 2, F(1, 10)),
         ValueError, "interval endpoints must not be roots"),

@@ -175,15 +175,12 @@ def test_scalar_loop_fails_where_solve_ivp_fails(m, c):
         integrate_v(m, c)
 
 
-def test_scan_never_calls_solve_ivp(monkeypatch):
+def test_scan_never_calls_solve_ivp():
     # a window with lost points, one with failed solves
     windows = [(3, -10.0, 8.0, 64), (1, -1e300, 8.0, 8)]
     expected = [defect_scan(*w).points for w in windows]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("defect_scan called solve_ivp")
-
-    monkeypatch.setattr(integrate, "solve_ivp", refuse)
+    assert "solve_ivp" not in vars(integrate)
     assert [defect_scan(*w).points for w in windows] == expected
     assert any(p.lost for p in expected[0]) and any(p.error and not p.lost for p in expected[1])
 
@@ -555,21 +552,28 @@ def test_exact_modules_hold_no_float():
     assert list(_floats(ast.parse("x: float = float(y)\nz = 1e-3\nw = 1\n"))) == [1, 2]
 
 
-def _private_scipy_imports(tree):
+def _scipy_imports(tree):
     for node in ast.walk(tree):
         names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                  else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
-        yield from (n for n in names if n.split(".")[0] == "scipy"
-                    and any(part.startswith("_") for part in n.split(".")))
+        yield from (n for n in names if n.split(".")[0] == "scipy")
+
+
+def _private_scipy_imports(tree):
+    return (n for n in _scipy_imports(tree) if any(part.startswith("_") for part in n.split(".")))
 
 
 def test_no_module_imports_private_scipy():
+    # nor scipy at all: numpy is hext's only runtime dependency
     src = Path(integrate.__file__).resolve().parents[1]
-    found = [(f"{path.relative_to(src)}", name) for path in sorted(src.rglob("*.py"))
-             for name in _private_scipy_imports(ast.parse(path.read_text()))]
+    trees = [(f"{path.relative_to(src)}", ast.parse(path.read_text())) for path in sorted(src.rglob("*.py"))]
+    found = [(name, imported) for name, tree in trees for imported in _private_scipy_imports(tree)]
     assert found == []
+    assert [(name, imported) for name, tree in trees for imported in _scipy_imports(tree)] == []
     # the check sees both import forms
-    assert list(_private_scipy_imports(ast.parse(
-        "import scipy.integrate._ivp.rk\nfrom scipy.integrate._ivp.common import f\n"
-        "from scipy.integrate import solve_ivp\nfrom ._x import y"))) == [
+    sample = ast.parse("import scipy.integrate._ivp.rk\nfrom scipy.integrate._ivp.common import f\n"
+                       "from scipy.integrate import solve_ivp\nimport numpy, scipy\nfrom ._x import y")
+    assert list(_private_scipy_imports(sample)) == [
         "scipy.integrate._ivp.rk", "scipy.integrate._ivp.common"]
+    assert list(_scipy_imports(sample)) == [
+        "scipy.integrate._ivp.rk", "scipy.integrate._ivp.common", "scipy.integrate", "scipy"]

@@ -76,6 +76,8 @@ _CALLS = {
     "lnconstants-m-float": lambda: LNConstants(1.0, F(-1), F(1)),
     "coeffs-c-nan": lambda: coeffs_from_C(1, math.nan),
     "coeffs-c-inf": lambda: coeffs_from_C(1, np.float64(-np.inf)),
+    "lc-plus-n-c-nan": lambda: compute_LN(1).lc_plus_n(math.nan),
+    "lc-plus-n-c-inf": lambda: compute_LN(1).lc_plus_n(math.inf),
     "grassmann-ring-bool": lambda: GrassmannElement(True),
     "grassmann-ring-float": lambda: GrassmannElement(2.0),
     "grassmann-ring-negative": lambda: GrassmannElement(-1),
@@ -113,6 +115,8 @@ def test_library_rejects_invalid_input(call):
 _TYPE_ERRORS = {
     "coeffs-c-bool": lambda: coeffs_from_C(1, True),
     "coeffs-c-str": lambda: coeffs_from_C(1, "1/3"),
+    "lc-plus-n-c-bool": lambda: compute_LN(1).lc_plus_n(True),
+    "lc-plus-n-c-str": lambda: compute_LN(1).lc_plus_n("1/3"),
     "grassmann-coefficient-bool": lambda: GrassmannElement.scalar(2, True),
     "truncpoly-coefficient-bool": lambda: TruncatedPoly.const(2, True),
     "futaki-weight-bool": lambda: futaki_localized(2, 1, [0, True, 2]),
@@ -131,6 +135,7 @@ def test_exact_layer_rejects_other_types(call):
 def test_finite_float_c_is_its_exact_binary_value():
     assert coeffs_from_C(1, np.float64(0.1)) == coeffs_from_C(1, F(0.1))
     assert coeffs_from_C(1, 2.5) == coeffs_from_C(1, F(5, 2))
+    assert compute_LN(1).lc_plus_n(0.1) == compute_LN(1).lc_plus_n(F(0.1))
 
 
 # `type(x) is not int` and `isinstance(x, bool)`, the two spellings of the

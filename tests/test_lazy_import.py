@@ -1,5 +1,6 @@
-"""numpy and scipy load with the numerical names only: the exact commands run
-without them, and the lazy names resolve to one object from every package."""
+"""numpy loads with the numerical names only and scipy never: the exact
+commands run without numpy, the numerical ones without scipy, and the lazy
+names resolve to one object from every package."""
 import json
 import subprocess
 import sys
@@ -23,14 +24,18 @@ PROFILE_ODE_NAMES = [
     "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
 ]
 
-# run in a fresh interpreter: this one has loaded numpy long ago
+# run in a fresh interpreter: this one has loaded numpy long ago; with
+# "blocked" as its second argument scipy cannot be imported there at all
 _PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None  # import scipy now raises ImportError
 import hext.cli
 
 def loaded():
-    return sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+    return sorted({name.partition(".")[0] for name, module in sys.modules.items()
+                   if module is not None} & {"numpy", "scipy"})
 
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -48,22 +53,39 @@ report["exact_codes"] = [run(argv) for argv in (
 report["after_exact"] = loaded()
 report["nonexist_code"] = run(["nonexist", "--m", "1"])
 report["after_nonexist"] = loaded()
+report["numerical_codes"] = [run(argv) for argv in (
+    ["shoot", "--m", "1"],
+    ["scan", "--m", "2", "--c-min", "-10", "--c-max", "8"],
+    ["nonexist", "--m", "3"],
+)]
 report["same_shoot"] = hext.shoot is hext.profile_ode.integrate.shoot
 print(json.dumps(report))
 """
 
 
-def test_exact_commands_run_without_numpy_or_scipy():
-    done = subprocess.run([sys.executable, "-c", _PROBE, str(SRC)], capture_output=True,
+def _probe(scipy: str) -> dict:
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(SRC), scipy], capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_exact_commands_run_without_numpy_or_scipy():
+    report = _probe("available")
     assert report["on_import"] == []
     assert report["exact_codes"] == [0] * 6
     assert report["after_exact"] == []
     assert report["nonexist_code"] == 0
-    assert report["after_nonexist"] == ["numpy", "scipy"]
+    assert report["after_nonexist"] == ["numpy"]
     assert report["same_shoot"] is True
+
+
+def test_numerical_commands_run_with_scipy_blocked():
+    report = _probe("blocked")
+    assert report["exact_codes"] == [0] * 6
+    assert report["nonexist_code"] == 0
+    assert report["numerical_codes"] == [0] * 3
+    assert report["after_nonexist"] == ["numpy"]
 
 
 def test_every_old_name_resolves_to_one_object():

@@ -1,5 +1,6 @@
-"""The benchmark's hooks into hext: every name perfbench traces exists, its
-summaries read real results, and perfbench's own self-test passes against
+"""The benchmark's hooks into hext: every name perfbench traces exists but
+scipy's solve_ivp, which hext no longer imports, its summaries read real
+results, and perfbench's own self-test passes against
 the current code."""
 import subprocess
 import sys
@@ -16,7 +17,9 @@ def test_tracer_finds_every_traced_name(monkeypatch):
 
     tracer = tracing.Tracer()
     with tracer.installed():
-        assert tracer.missing == []
+        # integrate no longer imports scipy's solve_ivp, which the tracer
+        # still lists; every other traced name must be found
+        assert tracer.missing == ["hext.profile_ode.integrate.solve_ivp"]
 
 
 def test_trace_summaries_read_real_results(monkeypatch):

@@ -1,4 +1,5 @@
-"""Shooting: bracket discovery, Brent convergence, and solution posts."""
+"""Shooting: the root bracket, the false-position root loop, and solution
+posts."""
 from fractions import Fraction as F
 
 import numpy as np
@@ -110,7 +111,7 @@ def test_not_hcsck_is_the_exact_side_of_c_h():
 
 
 def test_shoot_builds_a_coeff_set_at_c_h_and_c_star_only(monkeypatch):
-    # Brent's solves take their floats from _abc: shoot builds exact
+    # the root loop's solves take their floats from _abc: shoot builds exact
     # coefficients only for C_h and for the trajectory at c_star
     built, real = [], CoeffSet.__post_init__
     monkeypatch.setattr(CoeffSet, "__post_init__", lambda cs: built.append(cs.C) or real(cs))
@@ -145,7 +146,7 @@ def test_every_solve_is_scalar_and_inside_the_root_bracket(m, monkeypatch):
     monkeypatch.setattr(integrate, "_solve", counted)
     monkeypatch.setattr(integrate, "_integrate", recorded)
     monkeypatch.setattr(integrate, "_solve_batch", batch)
-    monkeypatch.setattr(integrate, "solve_ivp", batch)
+    assert "solve_ivp" not in vars(integrate)
     res = shoot(m)
     assert ends == [float] * res.iterations and len(cs) == len(ends)
     assert all(c_h <= c <= c_top + 1e-12 for c in cs) and res.c_star in cs
@@ -178,7 +179,7 @@ def _f1_defect(t, c):
 @pytest.mark.parametrize("m", [1, 2])
 def test_root_on_a_bracket_edge_ends_the_search(m):
     # c_min placed on C*: the edge's defect is inside the tolerance, so
-    # Brent's method returns that edge after the solves at C_h and both edges
+    # the root loop returns that edge after the solves at C_h and both edges
     res = shoot(m, c_min=C_STAR_REF[m])
     assert res.c_star == res.bracket[0] == C_STAR_REF[m] and res.iterations == 3
     assert abs(res.defect) < 1e-8
@@ -186,7 +187,7 @@ def test_root_on_a_bracket_edge_ends_the_search(m):
 
 
 def test_bracket_narrower_than_xtol_is_reported_after_its_edge_solves(defect_padded):
-    # Brent's method returns such a bracket without a solve of its own; the
+    # the root loop returns such a bracket without a solve of its own; the
     # edges, padded to |defect| > 1e-9, miss the tolerance, which is reported
     c = C_STAR_REF[1]
     with pytest.raises(StepFailure, match="m=1 .* after 3 solves"):
@@ -226,7 +227,7 @@ def shots():
 
 @pytest.mark.parametrize("m", [1, 4, 8])
 def test_trajectory_is_one_dense_solve_at_c_star(shots, m):
-    # the trajectory is sampled once, from Brent's own solve at c_star, and
+    # the trajectory is sampled once, from the root loop's solve at c_star, and
     # sampling leaves the solver's steps as they are
     res = shots[m]
     assert res.trajectory.v.tobytes() == integrate_v(m, res.c_star).v.tobytes()
