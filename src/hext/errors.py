@@ -29,7 +29,9 @@ def _integer(what: str, x, lo: int, hi: Optional[int] = None) -> None:
 
 
 def _exact(c) -> Fraction:
-    """c as a Fraction; a bool, a float or any other type raises TypeError."""
+    """c as a Fraction (a Fraction as is); a bool, a float or any other type raises TypeError."""
+    if type(c) is Fraction:
+        return c
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"{c!r} is neither an int nor a Fraction")
     return Fraction(c)

@@ -12,12 +12,14 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
+from .errors import _exact
+
 Poly = Tuple[Fraction, ...]
 
 
 def poly(coeffs: Iterable) -> Poly:
-    """Build a normalized polynomial (trailing zeros stripped)."""
-    cs = [Fraction(c) for c in coeffs]
+    """Normalized polynomial (trailing zeros stripped) of int or Fraction coefficients."""
+    cs = [_exact(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -33,7 +35,7 @@ def degree(p: Poly) -> int:
 
 
 def eval_at(p: Poly, x) -> Fraction:
-    acc = Fraction(0)
+    acc, x = Fraction(0), _exact(x)
     for c in reversed(p):
         acc = acc * x + c
     return acc

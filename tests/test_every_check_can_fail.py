@@ -99,6 +99,15 @@ _CHECKS = {
     "ratpoly-interval-reversed": (
         lambda: ratpoly.interval_eval(X_MINUS_1, 2, 1),
         ValueError, "need lo <= hi"),
+    "ratpoly-poly-float": (
+        lambda: ratpoly.poly([-1, 0.5]),
+        TypeError, "0.5 is neither an int nor a Fraction"),
+    "ratpoly-poly-bool": (
+        lambda: ratpoly.poly([True, 1]),
+        TypeError, "True is neither an int nor a Fraction"),
+    "ratpoly-eval-float": (
+        lambda: ratpoly.eval_at(X_MINUS_1, 0.5),
+        TypeError, "0.5 is neither an int nor a Fraction"),
     "projector-not-square": (
         lambda: scalar_projector_check([[1, 0]], 1),
         ValueError, "A must be a nonempty square matrix"),

@@ -3,6 +3,7 @@ import operator
 import random
 import re
 from fractions import Fraction as F
+from math import perm
 
 import pytest
 
@@ -246,44 +247,81 @@ def test_foreign_operands_raise_type_error(element, operand, op):
         op(operand, element)
 
 
-def test_leibniz_vs_cofactor_random_even_matrices():
-    rng = random.Random(33)
-    n_gen = 6
+def _random_even_rows(rng, k, scalar, coeff, n_gen=6):
+    """k x k even elements on n_gen generators: each entry is scalar() plus
+    two terms coeff() * e_i * e_j at random i, j."""
     gens = [_gen(n_gen, i) for i in range(n_gen)]
-    for _ in range(10):
-        entries = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                e = GrassmannElement.scalar(n_gen, F(rng.randint(-3, 3)))
-                for _ in range(2):
-                    ii, jj = rng.randrange(n_gen), rng.randrange(n_gen)
-                    coeff = F(rng.randint(-2, 2))
-                    e = e + (gens[ii] * gens[jj]) * coeff
-                row.append(e)
-            entries.append(row)
-        assert _leibniz(entries, GrassmannElement.scalar(n_gen, 1)) == _cofactor(entries)
+    rows = [[GrassmannElement.scalar(n_gen, scalar()) for _ in range(k)] for _ in range(k)]
+    for row in rows:
+        for j in range(k):
+            for _ in range(2):
+                ii, jj = rng.randrange(n_gen), rng.randrange(n_gen)
+                row[j] = row[j] + (gens[ii] * gens[jj]) * coeff()
+    return rows
+
+
+def test_leibniz_vs_cofactor_random_even_matrices():
+    # every size up to 6, so a sign slip at any depth of the permutation tree shows
+    rng = random.Random(33)
+    for k in range(1, 7):
+        for _ in range(10 if k < 5 else 2):  # k = 5, 6 cost 0.1-0.3 s a matrix
+            rows = _random_even_rows(rng, k, lambda: F(rng.randint(-3, 3)),
+                                     lambda: F(rng.randint(-2, 2)))
+            assert _leibniz(rows) == _cofactor(rows)
 
 
 def test_leibniz_vs_cofactor_fractional_coefficients():
     rng = random.Random(34)
-    n_gen = 6
-    gens = [_gen(n_gen, i) for i in range(n_gen)]
     values = [F(1, 3), F(-5, 2), F(7, 6), F(-2, 9)]
-    for _ in range(10):
-        entries = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                e = GrassmannElement.scalar(n_gen, rng.choice(values))
-                for _ in range(2):
-                    ii, jj = rng.randrange(n_gen), rng.randrange(n_gen)
-                    e = e + (gens[ii] * gens[jj]) * rng.choice(values)
-                row.append(e)
-            entries.append(row)
-        det = _leibniz(entries, GrassmannElement.scalar(n_gen, 1))
-        assert det == _cofactor(entries)
-        assert any(c.denominator != 1 for c in det.terms.values())
+    for k in range(1, 7):
+        for _ in range(10 if k < 5 else 2):
+            rows = _random_even_rows(rng, k, lambda: rng.choice(values), lambda: rng.choice(values))
+            det = _leibniz(rows)
+            assert det == _cofactor(rows)
+            assert any(c.denominator != 1 for c in det.terms.values())
+
+
+def test_leibniz_vs_cofactor_on_the_rank_one_matrix():
+    # M = I - lam*A of rank1_check(6)
+    n_gen, A = 12, _rank_one(6)
+    one, lam = GrassmannElement.scalar(n_gen, 1), GrassmannElement.lam(n_gen)
+    M = [[(one if i == j else GrassmannElement(n_gen)) - lam * e for j, e in enumerate(row)]
+         for i, row in enumerate(A)]
+    det = _leibniz(M)
+    assert det == _cofactor(M)
+    assert not (det - one).is_zero()
+
+
+class _Counted:
+    """An int under +, - and *, counting every product."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __add__(self, other):
+        return _Counted(self.value + other.value)
+
+    def __sub__(self, other):
+        return _Counted(self.value - other.value)
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+@pytest.mark.parametrize("k,products", [(1, 0), (2, 2), (3, 12), (4, 60), (5, 320), (6, 1950)])
+def test_leibniz_shares_prefix_products(k, products):
+    # sum_{d=2}^{k} k!/(k-d)! products: one per node of the permutation tree
+    # below depth 1, not k - 1 per permutation
+    assert products == sum(perm(k, d) for d in range(2, k + 1))
+    rng = random.Random(35 + k)
+    rows = [[_Counted(rng.randint(-9, 9)) for _ in range(k)] for _ in range(k)]
+    _Counted.products = 0
+    det = _leibniz(rows)
+    assert _Counted.products == products
+    assert det.value == _cofactor(rows).value
 
 
 def test_scalar_projector_instances():
@@ -298,6 +336,20 @@ def test_scalar_projector_instances():
     rep = scalar_projector_check([[0, 0], [0, 0]], 1)
     assert rep.passed and rep.rank == 0
     assert rep.det_coeffs == (F(1),)
+
+
+def test_scalar_projector_rank_two_in_six_dimensions():
+    # a*P for the orthogonal projector P onto the span of u, w in Q^6: the
+    # n_gen = 0 determinant runs all six levels of the permutation tree
+    u, w = (1, 2, 0, -1, 3, 1), (0, 1, 1, 2, -1, 0)
+    uu, uw, ww = (sum(x * y for x, y in zip(p, q)) for p, q in ((u, u), (u, w), (w, w)))
+    g = uu * ww - uw * uw  # P = [u w] G^-1 [u w]^T with G the Gram matrix
+    a = F(-3, 2)
+    A = [[a * F(ww * u[i] * u[j] - uw * (u[i] * w[j] + w[i] * u[j]) + uu * w[i] * w[j], g)
+          for j in range(6)] for i in range(6)]
+    rep = scalar_projector_check(A, a)
+    assert rep.passed and rep.rank == 2
+    assert rep.det_coeffs == (F(1), F(3), F(9, 4))  # (1 + 3/2 lam)^2
 
 
 def test_scalar_projector_rejects_non_idempotent():
