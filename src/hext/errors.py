@@ -1,7 +1,13 @@
 """Exception types shared across the toolkit, and the argument rules
-(_integer, _exact, _shooting_c, _window, _scan_window, _defect_tol, _weights)
-that public functions apply before any work; no other module spells such a
-rule.
+(_integer, _exact, _interval, _width, _shooting_c, _window, _scan_window,
+_defect_tol, _weights) that public functions apply before any work: no
+other module spells a rule on an integer, an exact number's type, a window,
+an interval, a width, a tolerance or a weight list.  Checks on an argument's
+shape or content stay with their function as a plain ValueError: ratpoly's
+zero polynomial, root endpoints and negative radicand, graded_algebra's
+square matrix and nonzero a, the grids of residual_check and
+reconstruct_curve, and the data classes' consistency checks.  The CLI
+checks its --out path itself.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -9,7 +15,7 @@ NonexistenceReport), and the CLI turns it into a failed summary.
 """
 import math
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 
 class HextError(Exception):
@@ -35,6 +41,24 @@ def _exact(c) -> Fraction:
     if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
         raise TypeError(f"{c!r} is neither an int nor a Fraction")
     return Fraction(c)
+
+
+def _interval(lo, hi, point_ok: bool = False) -> Tuple[Fraction, Fraction]:
+    """lo and hi as Fractions (as _exact); InvalidInput unless lo < hi, or
+    lo <= hi if point_ok."""
+    lo, hi = _exact(lo), _exact(hi)
+    if lo > hi or (lo == hi and not point_ok):
+        raise InvalidInput("need lo <= hi" if point_ok else "need a < b")
+    return lo, hi
+
+
+def _width(x) -> Fraction:
+    """A root isolation width as a Fraction (as _exact); InvalidInput unless
+    x > 0, as bisection never reaches a width of 0."""
+    x = _exact(x)
+    if x <= 0:
+        raise InvalidInput(f"the isolation width must be positive, got {x}")
+    return x
 
 
 def _shooting_c(c) -> Fraction:

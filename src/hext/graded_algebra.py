@@ -20,7 +20,6 @@ series (_geometric).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -34,7 +33,6 @@ from .errors import (
     _exact,
     _integer,
 )
-from .ratpoly import _frac_str
 
 Scalar = Union[int, Fraction]
 
@@ -207,14 +205,6 @@ class GrassmannElement(_SparsePoly):
         power, mask = min(self.terms)
         return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[power, mask]})"
 
-    def to_json(self) -> str:
-        """Canonical form: sorted monomial labels, rational strings."""
-        obj = {
-            "generators": self._ring,
-            "terms": {_monomial(*key): _frac_str(c) for key, c in self.terms.items()},
-        }
-        return json.dumps(obj, sort_keys=True)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "GrassmannElement(0)"
@@ -223,6 +213,13 @@ class GrassmannElement(_SparsePoly):
 
 
 # -- matrix algebra over any ring with +, - and * -------------------------------
+
+
+def _size(rows) -> int:
+    """k for a k-by-k matrix with k >= 1; ValueError for any other shape."""
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("A must be a nonempty square matrix")
+    return len(rows)
 
 
 def _leibniz(rows):
@@ -330,9 +327,7 @@ def rank1_identities(rows) -> RankOneReport:
     is not a GrassmannElement raises TypeError; entries over different
     generator sets raise GeneratorMismatch from the arithmetic.
     """
-    k = len(rows)
-    if k == 0 or any(len(row) != k for row in rows):
-        raise ValueError("A must be a nonempty square matrix")
+    k = _size(rows)
     for i, row in enumerate(rows):
         for j, e in enumerate(row):
             if not isinstance(e, GrassmannElement):
@@ -390,9 +385,7 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     0..n.
     """
     rows = [[_exact(x) for x in row] for row in A]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise ValueError("A must be a nonempty square matrix")
+    n = _size(rows)
     a = _exact(a)
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -511,10 +504,6 @@ class TruncatedPoly(_SparsePoly):
     def t_coefficient(self, q: int) -> Dict[Tuple[int, int], Fraction]:
         """Coefficient of t^q as a map (omega_deg, eta_deg) -> value."""
         return {(b, c): Fraction(v) for (a, b, c), v in self.terms.items() if a == q}
-
-    def to_json(self) -> str:
-        terms = {f"t^{a}*omega^{b}*eta^{c}": _frac_str(v) for (a, b, c), v in self.terms.items()}
-        return json.dumps({"order": self._ring, "terms": terms}, sort_keys=True)
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
-from .errors import _exact
+from .errors import _exact, _interval, _width
 
 Poly = Tuple[Fraction, ...]
 
@@ -57,7 +57,8 @@ def sub(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, c) -> Poly:
-    return poly(Fraction(c) * ci for ci in p)
+    c = _exact(c)
+    return poly(c * ci for ci in p)
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -71,24 +72,15 @@ def mul(p: Poly, q: Poly) -> Poly:
 
 
 def divmod_poly(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
+    """(q, r) with a = q*b + r and deg r < deg b."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q: List[Fraction] = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = list(a)
     db = degree(b)
-    lead = b[-1]
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        k = len(r) - 1 - db
-        f = r[-1] / lead
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-        r.pop()
-    return poly(q), poly(r)
+    q, r = [Fraction(0)] * max(len(a) - db, 1), list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        q[k] = f = r[k + db] / b[-1]
+        r[k:k + db + 1] = [x - f * c for x, c in zip(r[k:], b)]
+    return poly(q), poly(r[:db])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -112,8 +104,6 @@ def sturm_chain(p: Poly) -> List[Poly]:
     chain = [p, derivative(p)]
     while chain[-1]:
         _, r = divmod_poly(chain[-2], chain[-1])
-        if not r:
-            break
         chain.append(scale(r, -1))
     return [c for c in chain if c]
 
@@ -127,33 +117,39 @@ def sign_variations(chain: Sequence[Poly], x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: Poly, a, b) -> int:
-    """Number of distinct real roots of p in (a, b]; ValueError if p == 0."""
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        raise ValueError("need a < b")
+def _sturm(p: Poly):
+    """The squarefree part of p, and nroots(lo, hi): its number of distinct
+    real roots in (lo, hi], by one Sturm chain; ValueError if p == 0."""
     if not p:
         raise ValueError("the zero polynomial has no finite root count")
-    pp = squarefree(p)
-    chain = sturm_chain(pp)
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
-def isolate_roots(p: Poly, a, b, width) -> List[Tuple[Fraction, Fraction]]:
-    """Isolating intervals, each of width <= `width`, for the distinct real
-    roots of p in (a, b).  Requires p(a) != 0 and p(b) != 0; all returned
-    interval endpoints are rational non-roots, so each interval brackets
-    exactly one root with a strict sign change or Sturm count 1.
-    """
-    a, b, width = Fraction(a), Fraction(b), Fraction(width)
-    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
-        raise ValueError("interval endpoints must not be roots")
-    pp = squarefree(p)
-    chain = sturm_chain(pp)
+    sf = squarefree(p)
+    chain = sturm_chain(sf)
 
     def nroots(lo, hi):
         return sign_variations(chain, lo) - sign_variations(chain, hi)
 
+    return sf, nroots
+
+
+def count_roots(p: Poly, a, b) -> int:
+    """Number of distinct real roots of p in (a, b]; ValueError if p == 0."""
+    a, b = _interval(a, b)
+    _, nroots = _sturm(p)
+    return nroots(a, b)
+
+
+def isolate_roots(p: Poly, a, b, width) -> List[Tuple[Fraction, Fraction]]:
+    """Isolating intervals, each of width <= `width`, for the distinct real
+    roots of p in (a, b).  Requires a < b, width > 0, p != 0, p(a) != 0 and
+    p(b) != 0; all returned interval endpoints are rational non-roots, so
+    each interval brackets exactly one root with a strict sign change or
+    Sturm count 1.
+    """
+    a, b = _interval(a, b)
+    width = _width(width)
+    pp, nroots = _sturm(p)
+    if eval_at(p, a) == 0 or eval_at(p, b) == 0:
+        raise ValueError("interval endpoints must not be roots")
     out: List[Tuple[Fraction, Fraction]] = []
     stack = [(a, b)]
     while stack:
@@ -177,41 +173,28 @@ def isolate_roots(p: Poly, a, b, width) -> List[Tuple[Fraction, Fraction]]:
 
 
 def _pow_interval(lo: Fraction, hi: Fraction, k: int) -> Tuple[Fraction, Fraction]:
-    if k == 0:
-        return Fraction(1), Fraction(1)
-    if lo >= 0:
-        return lo ** k, hi ** k
-    if hi <= 0:
-        vals = sorted((lo ** k, hi ** k))
-        return vals[0], vals[1]
-    # interval straddles zero
-    if k % 2 == 0:
-        return Fraction(0), max(lo ** k, hi ** k)
-    return lo ** k, hi ** k
+    """[min, max] of x^k over [lo, hi]: x^k is monotone there unless k is even,
+    k > 0, and 0 lies inside (x^0 = 1 everywhere)."""
+    ends = (lo ** k, hi ** k)
+    if k and k % 2 == 0 and lo < 0 < hi:
+        return Fraction(0), max(ends)
+    return min(ends), max(ends)
 
 
 def interval_eval(p: Poly, lo, hi) -> Tuple[Fraction, Fraction]:
     """Enclosure [min, max] of p over [lo, hi] by monomial interval bounds."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("need lo <= hi")
+    lo, hi = _interval(lo, hi, point_ok=True)
     lo_sum, hi_sum = Fraction(0), Fraction(0)
     for k, c in enumerate(p):
-        if c == 0:
-            continue
-        plo, phi = _pow_interval(lo, hi, k)
-        if c > 0:
-            lo_sum += c * plo
-            hi_sum += c * phi
-        else:
-            lo_sum += c * phi
-            hi_sum += c * plo
+        ends = [c * e for e in _pow_interval(lo, hi, k)]
+        lo_sum += min(ends)
+        hi_sum += max(ends)
     return lo_sum, hi_sum
 
 
 def sqrt_upper(x, digits: int = 30) -> Fraction:
     """Rational r with r*r >= x and r - sqrt(x) < 10**-digits."""
-    x = Fraction(x)
+    x = _exact(x)
     if x < 0:
         raise ValueError("negative radicand")
     s = 10 ** digits

@@ -11,6 +11,7 @@ from hext import (
     AlphaTable,
     CoeffSet,
     FutakiValue,
+    InvalidInput,
     LNConstants,
     Trajectory,
     alpha_recursive,
@@ -89,16 +90,19 @@ _CHECKS = {
         ZeroDivisionError, "polynomial division by zero"),
     "ratpoly-count-empty-interval": (
         lambda: ratpoly.count_roots(X_MINUS_1, 2, 2),
-        ValueError, "need a < b"),
+        InvalidInput, "need a < b"),
     "ratpoly-count-zero-polynomial": (
         lambda: ratpoly.count_roots((), 0, 1),
+        ValueError, "the zero polynomial has no finite root count"),
+    "ratpoly-isolate-zero-polynomial": (
+        lambda: ratpoly.isolate_roots((), 0, 1, F(1, 10)),
         ValueError, "the zero polynomial has no finite root count"),
     "ratpoly-isolate-root-endpoint": (
         lambda: ratpoly.isolate_roots(X_MINUS_1, 1, 2, F(1, 10)),
         ValueError, "interval endpoints must not be roots"),
     "ratpoly-interval-reversed": (
         lambda: ratpoly.interval_eval(X_MINUS_1, 2, 1),
-        ValueError, "need lo <= hi"),
+        InvalidInput, "need lo <= hi"),
     "ratpoly-poly-float": (
         lambda: ratpoly.poly([-1, 0.5]),
         TypeError, "0.5 is neither an int nor a Fraction"),

@@ -446,17 +446,3 @@ def test_truncation_drops_top_degrees():
     assert (w ** 2 * e).is_zero()  # total form degree n vanishes
     t = TruncatedPoly.t(n)
     assert (t ** (n + 1)).is_zero()
-
-
-def test_canonical_json_golden():
-    n = 4
-    x = GrassmannElement.scalar(n, 1) + (_gen(n, 0) * _gen(n, 1)) * F(3, 2)
-    assert (
-        x.to_json()
-        == '{"generators": 4, "terms": {"1": "1/1", "e01*e02": "3/2"}}'
-    )
-    p = 1 + TruncatedPoly.t(2) * TruncatedPoly.omega(2)
-    assert (
-        p.to_json()
-        == '{"order": 2, "terms": {"t^0*omega^0*eta^0": "1/1", "t^1*omega^1*eta^0": "1/1"}}'
-    )

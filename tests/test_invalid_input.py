@@ -1,7 +1,11 @@
-"""Every input rule is written once, in hext/errors.py, and applied by the
-library function that takes the value: a value outside the rule raises
-InvalidInput, a ValueError, and a value of a type the exact layer does not
-take raises TypeError, before any work."""
+"""Every rule on an integer, an exact number's type, a window, an interval,
+a width, a tolerance or a weight list is written once, in hext/errors.py,
+and applied by the library function that takes the value: a value outside
+the rule raises InvalidInput, a ValueError, and a value of a type the exact
+layer does not take raises TypeError, before any work.  Shape and content
+checks (a zero polynomial, a non-square matrix, a data class's consistency)
+stay with their function as a plain ValueError; test_every_check_can_fail.py
+pins those."""
 import math
 import re
 from fractions import Fraction as F
@@ -17,6 +21,7 @@ from hext import (
     LNConstants,
     TruncatedPoly,
     alpha_recursive,
+    ratpoly,
     coeffs_from_C,
     compute_LN,
     futaki_closed,
@@ -28,6 +33,7 @@ from hext import (
 from hext.profile_ode import MAX_SCAN_STEPS, defect_scan, hcsck_coeffs, shoot
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hext"
+X_SQUARED_MINUS_2 = ratpoly.poly([-2, 0, 1])
 
 _CALLS = {
     "shoot-tol-above-1e-3": lambda: shoot(1, defect_tol=0.5),
@@ -99,6 +105,13 @@ _CALLS = {
     "truncpoly-pow-bool": lambda: TruncatedPoly.t(2) ** True,
     "truncpoly-pow-float": lambda: TruncatedPoly.t(2) ** 2.0,
     "truncpoly-pow-negative": lambda: TruncatedPoly.t(2) ** -1,
+    # these three once never returned: a reversed window counts a negative
+    # number of roots and no interval reaches a width <= 0, so it split forever
+    "isolate-reversed-window": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 2, -2, 1),
+    "isolate-zero-width": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 0, 2, 0),
+    "isolate-negative-width": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 0, 2, -1),
+    "isolate-point-window": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 1, 1, 1),
+    "count-roots-reversed-window": lambda: ratpoly.count_roots(X_SQUARED_MINUS_2, 2, -2),
 }
 
 
@@ -122,6 +135,11 @@ _TYPE_ERRORS = {
     "futaki-weight-bool": lambda: futaki_localized(2, 1, [0, True, 2]),
     "projector-entry-bool": lambda: scalar_projector_check([[True, False], [False, False]], 1),
     "projector-a-bool": lambda: scalar_projector_check([[1, 0], [0, 0]], True),
+    "scale-float": lambda: ratpoly.scale(X_SQUARED_MINUS_2, 0.1),
+    "count-roots-bool": lambda: ratpoly.count_roots(X_SQUARED_MINUS_2, False, True),
+    "isolate-roots-float-width": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 0, 2, 0.5),
+    "interval-eval-float": lambda: ratpoly.interval_eval(X_SQUARED_MINUS_2, 0.5, 1),
+    "sqrt-upper-bool": lambda: ratpoly.sqrt_upper(True, 3),
 }
 
 

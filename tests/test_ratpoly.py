@@ -87,6 +87,18 @@ def test_interval_eval_encloses_samples():
             assert enc_lo <= v <= enc_hi
 
 
+@pytest.mark.parametrize("lo,hi", [(-2, -F(1, 2)), (F(1, 2), 2), (-2, 1), (-1, 2)],
+                         ids=["below-0", "above-0", "straddle-low", "straddle-high"])
+def test_interval_eval_is_tight_on_monomials(lo, hi):
+    # x^k takes its extremes over [lo, hi] at the ends or at 0, and the grid
+    # of 13 points holds all three, so its min and max are the exact range
+    grid = [lo + (hi - lo) * F(j, 12) for j in range(13)]
+    for k in range(5):
+        xk = rp.poly([0] * k + [1])
+        values = [x ** k for x in grid]
+        assert rp.interval_eval(xk, lo, hi) == (min(values), max(values))
+
+
 def test_sqrt_upper_is_tight_upper_bound():
     for x in (F(2), F(5, 3), F(73, 960), F(0), F(10 ** 12)):
         r = rp.sqrt_upper(x)
