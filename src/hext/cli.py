@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Each subcommand is one row of a table: its flags and a body.  One runner
-turns every row into a RunReport: command, parameters (the row's flags),
+turns every row into a run report: command, parameters (the row's flags),
 outputs (inline values or artifact file names), a pass/fail summary, and the
 wall time.  Artifacts and report payloads are byte-identical across repeated
 runs with identical flags; the wall time lives outside the hashed payload.
@@ -15,15 +15,15 @@ that takes it, which raises InvalidInput before any work.  A usage error is
 one line on stderr, with no report and no artifacts: a flag argparse cannot
 parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
 outside the range its help names, an empty or too wide C window, more than
-MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that exists
-and is not a directory.  A library error ends every subcommand in one
-report form: summary {"pass": false, "reason": "error"} (exit 1), or
-"no-bracket" (exit 2) when --c-min and --c-max clip shoot's root bracket to
-a window without a sign change, with the message in outputs.message.  A
-check that runs and fails is no error: a failed certificate claim, rank-one
-identity or non-positive hcscK margin comes back from the library as data,
-and its report keeps the full outputs with "pass": false (certify names its
-failed_claim), exit 1.
+MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that is
+empty, or exists and is not a directory.  A library error ends every
+subcommand in one report form: summary {"pass": false, "reason": "error"}
+(exit 1), or "no-bracket" (exit 2) when --c-min and --c-max clip shoot's
+root bracket to a window without a sign change, with the message in
+outputs.message.  A check that runs and fails is no error: a failed
+certificate claim, rank-one identity or non-positive hcscK margin comes back
+from the library as data, and its report keeps the full outputs with
+"pass": false (certify names its failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Tuple
 
 from .chern_futaki import ALPHA_METHODS, futaki_closed
-from .errors import DEFECT_TOL_RANGE, SHOOT_C_MIN, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
+from .errors import DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from . import profile_ode
 from .profile_ode import certify_m1
@@ -51,30 +51,21 @@ EXIT_NO_BRACKET = 2
 EXIT_USAGE = 64
 
 
-@dataclass
-class RunReport:
-    command: str
-    parameters: Dict
-    outputs: Dict
-    summary: Dict
-    wall_time_s: float
+def _report_json(payload: Dict) -> str:
+    """report.json's text: the payload (command, parameters, outputs,
+    summary) and its sha256, indented, keys sorted."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    doc = {**payload, "payload_sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def payload_json(self) -> str:
-        """report.json's text: the payload (command, parameters, outputs,
-        summary) and its sha256, indented, keys sorted."""
-        doc = {"command": self.command, "parameters": self.parameters,
-               "outputs": self.outputs, "summary": self.summary}
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        doc["payload_sha256"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    def with_wall_time(self, payload: str) -> str:
-        """--json's text: payload_json() with "wall_time_s" as its last member.
-        That key sorts after every payload key, so these are the bytes of
-        json.dumps(indent=2, sort_keys=True) on the whole report, without
-        encoding the payload again: an indented dump takes json's
-        pure-Python encoder, about 0.4 ms on a 64-point scan report."""
-        return f'{payload[:-3]},\n  "wall_time_s": {json.dumps(self.wall_time_s)}\n}}\n'
+def _with_wall_time(report_json: str, wall_time_s: float) -> str:
+    """--json's text: report.json's with "wall_time_s" as its last member.
+    That key sorts after every payload key, so these are the bytes of
+    json.dumps(indent=2, sort_keys=True) on the whole report, without
+    encoding the payload again: an indented dump takes json's pure-Python
+    encoder, about 0.4 ms on a 64-point scan report."""
+    return f'{report_json[:-3]},\n  "wall_time_s": {json.dumps(wall_time_s)}\n}}\n'
 
 
 @dataclass
@@ -109,17 +100,9 @@ def _shoot(a) -> _Outcome:
     result = profile_ode.shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
     residual = profile_ode.residual_check(result.trajectory)
     curve = profile_ode.reconstruct_curve(result.trajectory)
-    outputs = {
-        "c_star": result.c_star,
-        "defect": result.defect,
-        "a_slope": result.a_slope,
-        "not_hcsck": result.not_hcsck,
-        "phi_prime_end": result.phi_prime_end,
-        "bracket": list(result.bracket),
-        "iterations": result.iterations,
-        "residual": residual,
-        "grid_points": int(result.trajectory.grid.size),
-    }
+    outputs = {f: getattr(result, f) for f in
+               ("c_star", "defect", "a_slope", "not_hcsck", "phi_prime_end", "bracket", "iterations")}
+    outputs.update(residual=residual, grid_points=int(result.trajectory.grid.size))
     human = [
         f"m={a.m}: C* = {result.c_star:.12g}  (bracket {result.bracket[0]:.6g} .. {result.bracket[1]:.6g})",
         f"defect = {result.defect:.3e}, phi'(m+1) = {result.phi_prime_end:.10f}",
@@ -234,8 +217,8 @@ _COMMANDS = {
             _M,
             _flag("--tol", float, default=SHOOT_DEFECT_TOL,
                   help="defect tolerance, in [%g, %g]" % DEFECT_TOL_RANGE),
-            _flag("--c-min", float, default=SHOOT_C_MIN,
-                  help="lower clip of the root bracket [C_h, C_top] (default: %g, no clip)" % SHOOT_C_MIN),
+            _flag("--c-min", float, default=None,
+                  help="lower clip of the root bracket [C_h, C_top] (default: none)"),
             _flag("--c-max", float, default=None,
                   help="upper clip of the root bracket [C_h, C_top] (default: none)"),
         ),
@@ -269,10 +252,11 @@ def _run(args) -> int:
     _, flags, body = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        if args.out:  # --out must be a directory, or a path mkdir can create
+        if args.out is not None:  # --out must be a directory, or a path mkdir can create
             existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-            if not existing.is_dir():
-                raise InvalidInput(f"--out {args.out}: {existing} is not a directory")
+            if not (args.out and existing.is_dir()):  # Path("") is the working directory
+                where = existing if args.out else "an empty path"
+                raise InvalidInput(f"--out {args.out}: {where} is not a directory")
         done = body(args)
         code = EXIT_OK if done.summary["pass"] else EXIT_FAIL
     except InvalidInput as exc:
@@ -286,15 +270,15 @@ def _run(args) -> int:
     if args.out:
         for key, name, text in done.artifacts:
             done.outputs[key] = _write_text(Path(args.out), name, text())
-    dests = [flag[2:].replace("-", "_") for flag, _ in flags]
-    parameters = {d: getattr(args, d) for d in dests}
-    report = RunReport(args.command, parameters, done.outputs, done.summary, time.perf_counter() - started)
+    wall_time_s = time.perf_counter() - started
     if args.out or args.json:
-        payload = report.payload_json()  # encoded once for report.json and --json
+        dests = [flag[2:].replace("-", "_") for flag, _ in flags]
+        report = _report_json({"command": args.command, "parameters": {d: getattr(args, d) for d in dests},
+                               "outputs": done.outputs, "summary": done.summary})
         if args.out:
-            _write_text(Path(args.out), "report.json", payload)
+            _write_text(Path(args.out), "report.json", report)
         if args.json:
-            sys.stdout.write(report.with_wall_time(payload))
+            sys.stdout.write(_with_wall_time(report, wall_time_s))
     if not args.json:
         for line in done.human:
             print(line)

@@ -80,19 +80,21 @@ def _finite(x) -> bool:
 
 
 def _window(lo, hi) -> None:
-    """InvalidInput unless lo, and hi if not None, are finite and no bool,
-    and lo < hi."""
+    """InvalidInput unless each of lo and hi is None (no bound) or a finite
+    number, no bool, and lo < hi when both are given."""
     if isinstance(lo, bool) or isinstance(hi, bool):
         raise InvalidInput("a C window end must be a number, not a bool")
-    if not (_finite(lo) and (hi is None or _finite(hi))):
+    if not all(x is None or _finite(x) for x in (lo, hi)):
         raise InvalidInput("the C window must be finite")
-    if hi is not None and not lo < hi:
+    if lo is not None and hi is not None and not lo < hi:
         raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is empty")
 
 
 def _scan_window(lo, hi) -> None:
-    """_window, and the width hi - lo must be a finite float too: the scan
-    spaces its grid by it."""
+    """_window with both ends given, and the width hi - lo must be a finite
+    float too: the scan spaces its grid by it."""
+    if lo is None or hi is None:
+        raise InvalidInput("a scan needs both ends of its C window")
     _window(lo, hi)
     if not math.isfinite(float(hi) - float(lo)):
         raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is wider than the float range")
@@ -100,14 +102,14 @@ def _scan_window(lo, hi) -> None:
 
 # shoot's defect tolerance: every m = 1..8 converges at 1e-2 and some fail at
 # 0.1; above the defects at the bracket edges a tolerance would accept an edge
-# as the root.  The floor predates the Taylor solve, which meets 1e-11 at m = 32
+# as the root.  At the floor every m = 1..32 converges in at most 6 solves
+# (a tier-1 test); at 1e-11 m = 28, 29 and 30 end in StepFailure, and at
+# 1e-12 14 of the 32 do, the first at m = 16
 DEFECT_TOL_RANGE = (1e-10, 1e-3)
 
 
-# shoot's defaults, which the CLI's --tol and --c-min take: C_h > 2 for every
-# m, so by default the root bracket [C_h, C_top] is not clipped
+# shoot's default tolerance, which the CLI's --tol takes
 SHOOT_DEFECT_TOL = 1e-8
-SHOOT_C_MIN = -50.0
 
 
 def _defect_tol(x) -> None:

@@ -20,7 +20,6 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..errors import (
-    SHOOT_C_MIN,
     SHOOT_DEFECT_TOL,
     EndpointSingularity,
     NoBracket,
@@ -417,7 +416,7 @@ class ShootResult:
 
 
 def shoot(
-    m: int, defect_tol: float = SHOOT_DEFECT_TOL, c_min: float = SHOOT_C_MIN,
+    m: int, defect_tol: float = SHOOT_DEFECT_TOL, c_min: Optional[float] = None,
     c_max: Optional[float] = None,
 ) -> ShootResult:
     """Find the C with v(m+1) = 2*(m+1)^2 by false position on the defect.
@@ -426,16 +425,16 @@ def shoot(
     value, where it equals the hcscK margin 2*int(phi_h).  By the identity
     defect(C) = L*C + N + 2*int(phi_C), with L < 0 and L*C_h + N = 0, it is
     negative at C_top = C_h + margin/|L|: the root lies in [C_h, C_top].
-    c_min and c_max only clip that bracket; NoBracket is raised when the
-    clipped bracket is empty or both ends' defects share a sign and miss
-    defect_tol.  Every solve is scalar, and the trajectory is sampled from
-    the step polynomials of the solve at c_star.  The root loop stops once a
-    solve has |defect| < defect_tol, or the bracket is narrower than 1e-12,
-    or after 60 steps; c_star is the solved C of least |defect|, and
-    StepFailure is raised unless |defect| < defect_tol there.  `iterations`
-    counts the solves, the C_h one included, and `scan` holds the solves in
-    the clipped bracket in C order.  Requires defect_tol in
-    DEFECT_TOL_RANGE, [1e-10, 1e-3], and finite c_min < c_max.
+    c_min and c_max only clip that bracket (None: no clip); NoBracket is
+    raised when the clipped bracket is empty or both ends' defects share a
+    sign and miss defect_tol.  Every solve is scalar, and the trajectory is
+    sampled from the step polynomials of the solve at c_star.  The root loop
+    stops once a solve has |defect| < defect_tol, or the bracket is narrower
+    than 1e-12, or after 60 steps; c_star is the solved C of least |defect|,
+    and StepFailure is raised unless |defect| < defect_tol there.
+    `iterations` counts the solves, the C_h one included, and `scan` holds
+    the solves in the clipped bracket in C order.  Requires defect_tol in
+    DEFECT_TOL_RANGE, [1e-10, 1e-3], and finite c_min < c_max where given.
     """
     _defect_tol(defect_tol)
     _window(c_min, c_max)
@@ -450,7 +449,8 @@ def shoot(
         return solves[c][0]
 
     c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
-    lo, hi = max(c_min, c_h), c_top if c_max is None else min(c_max, c_top)
+    lo = c_h if c_min is None else max(c_min, c_h)
+    hi = c_top if c_max is None else min(c_max, c_top)
 
     def scan() -> ScanResult:
         return ScanResult(m=m, points=tuple(

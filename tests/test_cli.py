@@ -55,6 +55,17 @@ def test_certify_usage_error():
     assert main(["certify", "--m", "2"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [["certify", "--out="], ["certify", "--out", ""],
+                                  ["alpha", "--n", "3", "--d", "2", "--out=", "--json"]])
+def test_empty_out_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # Path("") is the working directory: an empty --out must not write there
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_required_flag_is_usage_error():
     assert main(["shoot"]) == EXIT_USAGE
     assert main(["alpha", "--n", "3"]) == EXIT_USAGE
@@ -243,6 +254,7 @@ def test_shoot_cli_artifacts_and_no_bracket(tmp_path, capsys):
     out = tmp_path / "shoot"
     assert main(["shoot", "--m", "1", "--json", "--out", str(out)]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"]["c_min"] is None and doc["parameters"]["c_max"] is None  # no clip
     assert 2 < doc["outputs"]["c_star"] < 22 / 3
     assert abs(doc["outputs"]["defect"]) < 1e-8
     assert doc["outputs"]["not_hcsck"] is True
@@ -338,13 +350,12 @@ _OBJECT = st.dictionaries(_AWKWARD, _JSON, max_size=4)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_AWKWARD, _OBJECT, _OBJECT, _OBJECT, st.floats())
 def test_report_text_is_json_dumps_of_any_payload(command, parameters, outputs, summary, wall):
-    report = cli.RunReport(command, parameters, outputs, summary, wall)
     doc = {"command": command, "parameters": parameters, "outputs": outputs, "summary": summary}
+    report = cli._report_json(doc)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     doc["payload_sha256"] = hashlib.sha256(blob).hexdigest()
-    payload = report.payload_json()
-    assert payload == _canonical(doc)
-    assert report.with_wall_time(payload) == _canonical({**doc, "wall_time_s": wall})
+    assert report == _canonical(doc)
+    assert cli._with_wall_time(report, wall) == _canonical({**doc, "wall_time_s": wall})
 
 
 @pytest.mark.parametrize("argv", _REPORT_FORMS[:7], ids=lambda argv: argv[0])

@@ -53,6 +53,8 @@ _CALLS = {
     "scan-window-2e308-wide": lambda: defect_scan(1, -1e308, 1e308, 5),
     "scan-bool-window-bottom": lambda: defect_scan(1, False, 1.0, 2),
     "scan-bool-window-top": lambda: defect_scan(1, -1.0, True, 2),
+    "scan-open-window-bottom": lambda: defect_scan(1, None, 1.0, 8),
+    "scan-open-window-top": lambda: defect_scan(1, -1.0, None, 8),
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),
     "scan-huge-steps": lambda: defect_scan(1, 0.0, 1.0, 10**30),
     "scan-one-step": lambda: defect_scan(1, 0.0, 1.0, 1),

@@ -19,7 +19,7 @@ from hext import (
     residual_check,
     shoot,
 )
-from hext.errors import NoBracket, StepFailure
+from hext.errors import DEFECT_TOL_RANGE, NoBracket, StepFailure
 from hext.profile_ode import integrate
 from hext.profile_ode.integrate import Trajectory, _csv, _integrate, _solve, _trajectory
 
@@ -192,6 +192,13 @@ def test_bracket_narrower_than_xtol_is_reported_after_its_edge_solves(defect_pad
     c = C_STAR_REF[1]
     with pytest.raises(StepFailure, match="m=1 .* after 3 solves"):
         shoot(1, defect_tol=1e-10, c_min=c - 1e-13, c_max=c + 1e-13)
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_shoot_converges_at_the_defect_tol_floor(m):
+    # DEFECT_TOL_RANGE's lower end is a promise: 1e-11 fails at m = 28..30
+    res = shoot(m, defect_tol=DEFECT_TOL_RANGE[0])
+    assert abs(res.defect) < DEFECT_TOL_RANGE[0] and res.iterations <= 6
 
 
 def test_shoot_refuses_a_solution_without_interior_positivity(monkeypatch):
