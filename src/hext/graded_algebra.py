@@ -8,8 +8,8 @@ exterior algebra on n_gen odd generators; its lambda-free elements are the
 exterior algebra itself.  It exists to verify the rank-one determinant
 identities det(I - lam*A) * (1 - lam*a) = 1 and
 (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
-A matrix is a list of rows; _matmul, _leibniz and its test oracle _cofactor
-work over any commutative ring with +, - and *.
+A matrix is a list of rows; _matmul and _det work over any commutative ring
+with +, - and *.
 TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
 monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
 on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
@@ -222,38 +222,27 @@ def _size(rows) -> int:
     return len(rows)
 
 
-def _leibniz(rows):
-    """Determinant of a nonempty square matrix over a commutative ring: the
-    signed sum over all k! permutations, walked as the permutation tree.
-    The permutations below a node share the product of its row prefix, each
-    formed in row order, so depth d >= 2 costs k!/(k-d)! products (1,950 at
-    k = 6, not 3,600), and each node adds its subtree sums.  The sign
-    alternates with the rank of the chosen column among the free ones, which
-    stay sorted.  Fraction-free on purpose: the exterior algebra has
-    nilpotents, so no division is available.  _cofactor is the test oracle.
+def _det(rows):
+    """Determinant of a nonempty square matrix over a commutative ring, by
+    Laplace expansion down the rows memoised over column sets: the minor on
+    the first |S| rows and the columns S (a bitmask) is the signed sum, over
+    j in S, of the minor on S - {j} times rows[|S| - 1][j], with sign
+    (-1)^(columns of S above j).  That is k*(2^(k-1) - 1) products (186 at
+    k = 6).  Fraction-free and without a zero or a unary minus: the exterior
+    algebra has nilpotents, so no division is available.
     """
-    def expand(term, free):
-        if not free:
-            return term
-        row, total = rows[len(rows) - len(free)], None
-        for i, j in enumerate(free):
-            sub = expand(row[j] if term is None else term * row[j], free[:i] + free[i + 1:])
-            total = sub if total is None else total - sub if i & 1 else total + sub
-        return total
-
-    return expand(None, tuple(range(len(rows))))
-
-
-def _cofactor(rows):
-    """Determinant by first-row cofactor expansion, in a commutative ring: the
-    test oracle for _leibniz."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = rows[0][0] - rows[0][0]
-    for j, x in enumerate(rows[0]):
-        term = x * _cofactor([row[:j] + row[j + 1:] for row in rows[1:]])
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    k = len(rows)
+    minors = {0: None}
+    for cols in range(1, 1 << k):
+        row, total, above = rows[cols.bit_count() - 1], None, 0
+        for j in range(k - 1, -1, -1):
+            if cols >> j & 1:
+                minor = minors[cols ^ 1 << j]
+                term = row[j] if minor is None else minor * row[j]
+                total = term if total is None else total - term if above & 1 else total + term
+                above += 1
+        minors[cols] = total
+    return minors[(1 << k) - 1]
 
 
 def _matmul(X, Y):
@@ -305,9 +294,9 @@ class RankOneReport:
 
 
 def rank1_check(k: int) -> RankOneReport:
-    """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..6, where
+    """rank1_identities on A_ij = alpha_i * beta_j, for k in 1..8, where
     alpha_i and beta_i are the generators 2i and 2i + 1 of 2k."""
-    _integer("the matrix size k (a k!-term determinant; each step in k costs 2.5-4x)", k, 1, 6)
+    _integer("the matrix size k (each step in k costs about 2.5x)", k, 1, 8)
     gen = [GrassmannElement.generator(2 * k, i) for i in range(2 * k)]
     return rank1_identities([[gen[2 * i] * gen[2 * j + 1] for j in range(k)] for i in range(k)])
 
@@ -319,7 +308,8 @@ def rank1_identities(rows) -> RankOneReport:
     (i)   A@A == a*A;
     (ii)  (I - lam*A) * (I + lam * geom(a) * A) == I, where geom(a) is the
           finite geometric series sum (lam*a)^j (a is nilpotent);
-    (iii) det(I - lam*A) * (1 - lam*a) == 1 by Leibniz expansion.
+    (iii) det(I - lam*A) * (1 - lam*a) == 1, the determinant by _det's
+          memoised Laplace expansion.
 
     All three hold for A_ij = alpha_i * beta_j with odd alpha, beta; a
     failing identity carries the lowest monomial where it fails.  Rows that
@@ -359,7 +349,7 @@ def rank1_identities(rows) -> RankOneReport:
     witness_ii = None if bad is None else f"entry ({bad[0]},{bad[1]}): {bad[2].witness()}"
 
     # (iii) det(I - lam*A) * (1 - lam*a) == 1
-    witness_iii = (_leibniz(M) * (one - lam_a) - one).witness()
+    witness_iii = (_det(M) * (one - lam_a) - one).witness()
 
     names = ("A_squared_equals_aA", "inverse_formula", "determinant_geometric")
     witnesses = (witness_i, witness_ii, witness_iii)
@@ -400,8 +390,8 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     rank = int(sum(rows[i][i] for i in range(n)) / a)
 
     # det(I - lam*A) as a polynomial in lam over the algebra on no generators
-    det = _leibniz([[GrassmannElement(0, {(0, 0): int(i == j), (1, 0): -x})
-                     for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    det = _det([[GrassmannElement(0, {(0, 0): int(i == j), (1, 0): -x})
+                 for j, x in enumerate(row)] for i, row in enumerate(rows)])
     degree = max(power for power, _ in det.terms)
 
     expected = [comb(rank, j) * (-a) ** j for j in range(rank + 1)]

@@ -72,7 +72,7 @@ _CALLS = {
     "futaki-q-float": lambda: futaki_closed(3, 2, 1.0),
     "futaki-q-above-n-1": lambda: futaki_closed(3, 2, 3),
     "alpha-d-bool": lambda: alpha_recursive(3, True),
-    "rank1-k-above-6": lambda: rank1_check(7),
+    "rank1-k-above-8": lambda: rank1_check(9),
     "rank1-k-bool": lambda: rank1_check(True),
     "rank1-k-float": lambda: rank1_check(2.0),
     "nonexist-m-0": lambda: hcsck_nonexistence(0),
