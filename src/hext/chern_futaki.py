@@ -18,7 +18,6 @@ chosen torus weights, and must equal the closed values times kappa.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -26,7 +25,6 @@ from typing import List, Tuple
 
 from .errors import SeriesMismatch, _integer, _weights
 from .graded_algebra import TruncatedPoly
-from .ratpoly import _frac_str
 
 # the largest ambient dimension: the suite checks the three alpha methods
 # against each other, and the closed invariants against localization, for
@@ -65,16 +63,8 @@ class AlphaTable:
                 raise ValueError(f"alpha[{q}][0] must be (-1)^{q}")
             if row[q] != _diagonal(self.n, self.d, q):
                 raise ValueError(f"alpha[{q}][{q}] violates the diagonal sum")
-
-    def to_csv(self) -> str:
-        """Rows q,k,alpha with exact integer strings."""
-        lines = ["q,k,alpha"]
-        for q, row in enumerate(self.entries):
-            for k, v in enumerate(row):
-                if v.denominator != 1:
-                    raise ValueError("alpha entries must be integers")
-                lines.append(f"{q},{k},{v.numerator}")
-        return "\n".join(lines) + "\n"
+        if any(v.denominator != 1 for row in self.entries for v in row):
+            raise ValueError("alpha entries must be integers")
 
 
 def alpha_recursive(n: int, d: int) -> AlphaTable:
@@ -173,16 +163,6 @@ class FutakiValue:
     def __post_init__(self):
         if self.d == 1 and self.r != 0:
             raise ValueError("hyperplanes must have vanishing invariant")
-
-    def to_json(self) -> str:
-        obj = {
-            "n": self.n,
-            "d": self.d,
-            "q": self.q,
-            "value": _frac_str(self.r),
-            "kappa_coefficient": True,
-        }
-        return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _futaki_formula(n: int, d, q: int) -> Fraction:

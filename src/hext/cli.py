@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one module that turns exact values into report and artifact text.
 
 Each subcommand is one row of a table: its flags and a body.  One runner
 turns every row into a run report: command, parameters (the row's flags),
@@ -16,14 +16,14 @@ one line on stderr, with no report and no artifacts: a flag argparse cannot
 parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
 outside the range its help names, an empty or too wide C window, more than
 MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that is
-empty, or exists and is not a directory.  A library error ends every
-subcommand in one report form: summary {"pass": false, "reason": "error"}
-(exit 1), or "no-bracket" (exit 2) when --c-min and --c-max clip shoot's
-root bracket to a window without a sign change, with the message in
-outputs.message.  A check that runs and fails is no error: a failed
-certificate claim, rank-one identity or non-positive hcscK margin comes back
-from the library as data, and its report keeps the full outputs with
-"pass": false (certify names its failed_claim), exit 1.
+empty, is or lies under a file, or has a name the OS rejects.  A library
+error ends every subcommand in one report form: summary {"pass": false,
+"reason": "error"} (exit 1), or "no-bracket" (exit 2) when --c-min and
+--c-max clip shoot's root bracket to a window without a sign change, with
+the message in outputs.message.  A check that runs and fails is no error: a
+failed certificate claim, rank-one identity or non-positive hcscK margin
+comes back from the library as data, and its report keeps the full outputs
+with "pass": false (certify names its failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -32,23 +32,28 @@ import csv
 import hashlib
 import io
 import json
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .chern_futaki import ALPHA_METHODS, futaki_closed
 from .errors import DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
 from .graded_algebra import rank1_check
 from . import profile_ode
 from .profile_ode import certify_m1
-from .ratpoly import _frac_str
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_NO_BRACKET = 2
 EXIT_USAGE = 64
+
+
+def _frac_str(x) -> str:
+    """A rational as "p/q" text, the form of every exact value in JSON output."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def _report_json(payload: Dict) -> str:
@@ -116,14 +121,17 @@ def _shoot(a) -> _Outcome:
 
 def _certify(a) -> _Outcome:
     cert = certify_m1()
-    rows, failed = cert.rows(), cert.first_failed()
+    failed = cert.first_failed()
+    rows = [{"id": c.id, "lhs": _frac_str(c.lhs), "cmp": c.cmp, "rhs": _frac_str(c.rhs), "pass": c.passed}
+            for c in cert.claims]
     human = [
         f"{'PASS' if r['pass'] else 'FAIL'}  {r['id']:22s} {r['lhs']} {r['cmp']} {r['rhs']}"
         for r in rows
     ]
     human.append("all claims pass" if failed is None else f"FAILED claim: {failed}")
     summary = {"pass": failed is None, "failed_claim": failed}
-    artifacts = [("certificate_json", "certificate.json", cert.to_json)]
+    artifacts = [("certificate_json", "certificate.json",
+                  lambda: json.dumps(rows, indent=2, sort_keys=True) + "\n")]
     return _Outcome({"claims": rows}, human, summary, artifacts)
 
 
@@ -179,22 +187,19 @@ def _scan(a) -> _Outcome:
 
 def _alpha(a) -> _Outcome:
     table = ALPHA_METHODS[a.method](a.n, a.d)
-    csv_text = table.to_csv()
-    rows = [
-        {"q": q, "k": k, "alpha": str(v.numerator)}
-        for q, row in enumerate(table.entries)
-        for k, v in enumerate(row)
-    ]
-    human = csv_text.rstrip("\n").split("\n")
-    return _Outcome({"rows": rows}, human, artifacts=[("alpha_csv", "alpha.csv", lambda: csv_text)])
+    rows = [{"q": q, "k": k, "alpha": str(v.numerator)}
+            for q, row in enumerate(table.entries) for k, v in enumerate(row)]
+    human = ["q,k,alpha"] + [f"{r['q']},{r['k']},{r['alpha']}" for r in rows]  # alpha.csv's lines
+    artifacts = [("alpha_csv", "alpha.csv", lambda: "\n".join(human) + "\n")]
+    return _Outcome({"rows": rows}, human, artifacts=artifacts)
 
 
 def _futaki(a) -> _Outcome:
-    value = futaki_closed(a.n, a.d, a.q)
-    r = _frac_str(value.r)
-    human = [f"F_{a.q}(n={a.n}, d={a.d}) = ({r}) * kappa"]
-    artifacts = [("futaki_json", "futaki.json", value.to_json)]
-    return _Outcome({"value": r, "kappa_coefficient": True}, human, artifacts=artifacts)
+    outputs = {"value": _frac_str(futaki_closed(a.n, a.d, a.q).r), "kappa_coefficient": True}
+    doc = {"n": a.n, "d": a.d, "q": a.q, **outputs}
+    human = [f"F_{a.q}(n={a.n}, d={a.d}) = ({outputs['value']}) * kappa"]
+    artifacts = [("futaki_json", "futaki.json", lambda: json.dumps(doc, sort_keys=True) + "\n")]
+    return _Outcome(outputs, human, artifacts=artifacts)
 
 
 def _grassmann(a) -> _Outcome:
@@ -248,15 +253,26 @@ def _write_text(out_dir: Path, name: str, text: str) -> str:
     return name
 
 
+def _out_error(out: Path) -> Optional[str]:
+    """Why mkdir cannot make `out` a directory, or None: its nearest existing
+    ancestor is no directory, or the OS rejects a name (too long, ...)."""
+    for p in (out, *out.parents):
+        try:
+            return None if stat.S_ISDIR(p.stat().st_mode) else f"{p} is not a directory"
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        except OSError as exc:
+            return exc.strerror
+
+
 def _run(args) -> int:
     _, flags, body = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
         if args.out is not None:  # --out must be a directory, or a path mkdir can create
-            existing = next(p for p in (Path(args.out), *Path(args.out).parents) if p.exists())
-            if not (args.out and existing.is_dir()):  # Path("") is the working directory
-                where = existing if args.out else "an empty path"
-                raise InvalidInput(f"--out {args.out}: {where} is not a directory")
+            why = _out_error(Path(args.out)) if args.out else "an empty path is not a directory"
+            if why:  # an empty --out has its own rule: Path("") is the working directory
+                raise InvalidInput(f"--out {args.out}: {why}")
         done = body(args)
         code = EXIT_OK if done.summary["pass"] else EXIT_FAIL
     except InvalidInput as exc:

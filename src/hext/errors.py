@@ -1,13 +1,13 @@
-"""Exception types shared across the toolkit, and the argument rules
-(_integer, _exact, _interval, _width, _shooting_c, _window, _scan_window,
-_defect_tol, _weights) that public functions apply before any work: no
-other module spells a rule on an integer, an exact number's type, a window,
-an interval, a width, a tolerance or a weight list.  Checks on an argument's
+"""Exception types shared across the toolkit, and the argument rules (_integer,
+_class_index, _exact, _interval, _width, _shooting_c, _window, _scan_window,
+_defect_tol, _weights) that public functions apply before any work: no other
+module spells a rule on an integer, an exact number's type, a window, an
+interval, a width, a tolerance or a weight list.  Checks on an argument's
 shape or content stay with their function as a plain ValueError: ratpoly's
 zero polynomial, root endpoints and negative radicand, graded_algebra's
 square matrix and nonzero a, the grids of residual_check and
-reconstruct_curve, and the data classes' consistency checks.  The CLI
-checks its --out path itself.
+reconstruct_curve, and the data classes' consistency checks.  The CLI checks
+its --out path itself.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -32,6 +32,11 @@ def _integer(what: str, x, lo: int, hi: Optional[int] = None) -> None:
     if type(x) is not int or x < lo or (hi is not None and x > hi):
         where = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise InvalidInput(f"{what} must be an integer {where}, got {x!r}")
+
+
+def _class_index(m) -> None:
+    """InvalidInput unless the class index m is an integer >= 1, no bool."""
+    _integer("the class index m", m, 1)
 
 
 def _exact(c) -> Fraction:

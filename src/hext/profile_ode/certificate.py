@@ -22,22 +22,15 @@ The chain, in order:
 """
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .. import ratpoly
-from ..ratpoly import _frac_str
 from .coeffs import _hcsck_denominator, coeffs_from_C, compute_LN
 
-_CMP = {
-    "==": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -61,27 +54,11 @@ class CertificateM1:
     details: Dict[str, Fraction]
 
     def first_failed(self) -> Optional[str]:
-        for c in self.claims:
-            if not c.passed:
-                return c.id
-        return None
+        return next((c.id for c in self.claims if not c.passed), None)
 
     def claim(self, cid: str) -> Claim:
-        for c in self.claims:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def rows(self) -> List[Dict]:
-        """The claims as JSON rows: id, lhs, cmp, rhs (rational text), pass."""
-        return [
-            {"id": c.id, "lhs": _frac_str(c.lhs), "cmp": c.cmp, "rhs": _frac_str(c.rhs),
-             "pass": c.passed}
-            for c in self.claims
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.rows(), indent=2, sort_keys=True) + "\n"
+        """The claim named cid (ids are unique); KeyError if there is none."""
+        return {c.id: c for c in self.claims}[cid]
 
 
 def _step_upper(v_a: Fraction, delta_P: Fraction, h: Fraction) -> Fraction:
@@ -108,6 +85,7 @@ def certify_m1() -> CertificateM1:
     m = 1
     claims: List[Claim] = []
     details: Dict[str, Fraction] = {}
+    width = Fraction(1, 10 ** 6)  # of every Sturm-isolated interval
 
     ln = compute_LN(m)
     claims.append(_claim("L_value", ln.L, "==", Fraction(-33, 80)))
@@ -135,7 +113,7 @@ def certify_m1() -> CertificateM1:
     claims.append(_claim("p_sign_at_6_5", p_lo, ">", Fraction(0)))
     claims.append(_claim("p_sign_at_13_10", p_hi, "<", Fraction(0)))
     # one Sturm-isolated interval per root: the count and gamma_0's interval
-    intervals = ratpoly.isolate_roots(p, Fraction(1), Fraction(2), Fraction(1, 10 ** 6))
+    intervals = ratpoly.isolate_roots(p, Fraction(1), Fraction(2), width)
     claims.append(_claim("gamma0_unique", Fraction(len(intervals)), "==", Fraction(1)))
     if len(intervals) != 1:
         return CertificateM1(claims, details)
@@ -149,7 +127,7 @@ def certify_m1() -> CertificateM1:
     # critical points plus exact endpoint values
     q_prime = ratpoly.derivative(q)
     lower_bounds = [ratpoly.eval_at(q, 1), ratpoly.eval_at(q, 2)]
-    for lo, hi in ratpoly.isolate_roots(q_prime, Fraction(1), Fraction(2), Fraction(1, 10 ** 6)):
+    for lo, hi in ratpoly.isolate_roots(q_prime, Fraction(1), Fraction(2), width):
         enc_lo, _ = ratpoly.interval_eval(q, lo, hi)
         lower_bounds.append(enc_lo)
     q_min_bound = min(lower_bounds)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 from .. import ratpoly
-from ..errors import _exact, _integer, _shooting_c
+from ..errors import _class_index, _exact, _shooting_c
 
 Rational = Union[int, float, Fraction]
 
@@ -39,7 +39,7 @@ class CoeffSet:
     B: Fraction
 
     def __post_init__(self):
-        _integer("the class index m", self.m, 1)
+        _class_index(self.m)
         s = self.m + 1
         if self.A / 3 + self.B / 2 + self.C != 2:
             raise ValueError("boundary identity p(1) == 2 violated")
@@ -82,7 +82,7 @@ class LNConstants:
     N: Fraction
 
     def __post_init__(self):
-        _integer("the class index m", self.m, 1)
+        _class_index(self.m)
         if not (self.L < 0 and self.N > 0):
             raise ValueError("expected L < 0 and N > 0")
         if not (2 * self.L + self.N > Fraction(2, 5)):
@@ -108,7 +108,7 @@ def _linear_maps(m: int) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
 def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
     """Resolve the boundary constraints p(1) = 2, p(m+1) = -2 for C, an int,
     a Fraction or a finite float (a bool or another type raises TypeError)."""
-    _integer("the class index m", m, 1)
+    _class_index(m)
     C = _shooting_c(C)
     a1, a0, b1, b0 = _linear_maps(m)
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
@@ -125,7 +125,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
     Solving A(C) = 0 gives C = 2 + 4/((m+1)^2 - 1); B then follows from the
     boundary constraints.
     """
-    _integer("the class index m", m, 1)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
+    _class_index(m)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
     cs = coeffs_from_C(m, 2 + 4 / _hcsck_denominator(m))
     assert cs.A == 0
     return cs
@@ -133,7 +133,7 @@ def hcsck_coeffs(m: int) -> CoeffSet:
 
 def compute_LN(m: int) -> LNConstants:
     """Split the exact integral int_1^{m+1} p(t)*t dt into L*C + N."""
-    _integer("the class index m", m, 1)
+    _class_index(m)
     a1, a0, b1, b0 = _linear_maps(m)
     s = m + 1
     i5 = Fraction(s ** 5 - 1, 15)

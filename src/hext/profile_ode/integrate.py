@@ -25,6 +25,7 @@ from ..errors import (
     NoBracket,
     PositivityLost,
     StepFailure,
+    _class_index,
     _defect_tol,
     _integer,
     _scan_window,
@@ -389,7 +390,7 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     requires 2 <= steps <= MAX_SCAN_STEPS.  Integrator errors are recorded
     per point, not raised: a C whose v reaches V_FLOOR, which lies above the
     root, is a PositivityLost point."""
-    _integer("the class index m", m, 1)
+    _class_index(m)
     _scan_window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
     cs = np.linspace(C_lo, C_hi, steps)

@@ -25,11 +25,6 @@ def poly(coeffs: Iterable) -> Poly:
     return tuple(cs)
 
 
-def _frac_str(x: Fraction) -> str:
-    """A rational as "p/q" text, the form of every exact value in JSON output."""
-    return f"{x.numerator}/{x.denominator}"
-
-
 def degree(p: Poly) -> int:
     return len(p) - 1
 

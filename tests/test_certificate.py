@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from hext import certify_m1, ratpoly
+from hext.cli import EXIT_OK, main
 
 EXPECTED_ORDER = [
     "L_value",
@@ -82,9 +83,9 @@ def test_two_step_bound_values():
     assert F(749, 100) < u2 <= F(15, 2)
 
 
-def test_json_schema():
-    cert = certify_m1()
-    rows = json.loads(cert.to_json())
+def test_json_schema(tmp_path):
+    assert main(["certify", "--out", str(tmp_path)]) == EXIT_OK
+    rows = json.loads((tmp_path / "certificate.json").read_text(encoding="utf-8"))
     assert isinstance(rows, list)
     assert len(rows) == len(EXPECTED_ORDER)
     for row in rows:

@@ -14,6 +14,7 @@ from hext import (
     futaki_localized,
 )
 from hext.chern_futaki import _fixed_points, _futaki_formula, _table_from_series
+from hext.cli import EXIT_OK, main
 from hext.errors import SeriesMismatch
 from hext.graded_algebra import TruncatedPoly
 
@@ -101,8 +102,9 @@ def test_table_cap():
         alpha_recursive(9, 1)
 
 
-def test_alpha_csv_export():
-    text = alpha_recursive(3, 2).to_csv()
+def test_alpha_csv_export(tmp_path):
+    assert main(["alpha", "--n", "3", "--d", "2", "--out", str(tmp_path)]) == EXIT_OK
+    text = (tmp_path / "alpha.csv").read_text(encoding="utf-8")
     assert text == "q,k,alpha\n0,0,1\n1,0,-1\n1,1,2\n2,0,1\n2,1,0\n2,2,2\n"
 
 
@@ -124,8 +126,9 @@ def test_futaki_value_rejects_bad_q():
         futaki_closed(3, 2, 3)
 
 
-def test_futaki_json_export():
-    doc = json.loads(futaki_closed(2, 2, 1).to_json())
+def test_futaki_json_export(tmp_path):
+    assert main(["futaki", "--n", "2", "--d", "2", "--q", "1", "--out", str(tmp_path)]) == EXIT_OK
+    doc = json.loads((tmp_path / "futaki.json").read_text(encoding="utf-8"))
     assert doc == {
         "n": 2,
         "d": 2,

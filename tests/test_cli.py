@@ -1,4 +1,5 @@
 """CLI surface: exit codes, artifacts, determinism, JSON reports."""
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -569,6 +570,33 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err and "is not a directory" in captured.err
     assert blocker.read_text() == "keep"
+
+
+def test_out_the_os_rejects_is_usage_error(tmp_path, capsys):
+    # a 300-character component is longer than any file system takes
+    out = tmp_path / ("a" * 300)
+    assert main(["certify", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and captured.err.startswith(f"error: --out {out}: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_the_cli_writes_json_or_csv():
+    # the library returns values; cli.py alone turns them into report and artifact text
+    src = Path(cli.__file__).parent
+    importers = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if {n.partition(".")[0] for n in names} & {"json", "csv"}:
+                importers.add(path.relative_to(src).as_posix())
+    assert importers == {"cli.py"}
 
 
 def test_report_hashes_match_the_golden_table(tmp_path, capsys):

@@ -53,7 +53,7 @@ _CHECKS = {
         lambda: AlphaTable(3, 2, _alpha_3_2({(1, 1): 3})),
         ValueError, "alpha[1][1] violates the diagonal sum"),
     "alpha-csv-integer": (
-        lambda: AlphaTable(3, 2, _alpha_3_2({(2, 1): F(1, 2)})).to_csv(),
+        lambda: AlphaTable(3, 2, _alpha_3_2({(2, 1): F(1, 2)})),
         ValueError, "alpha entries must be integers"),
     "futaki-hyperplane": (
         lambda: FutakiValue(n=3, d=1, q=1, r=F(1)),
