@@ -255,11 +255,14 @@ def _write_text(out_dir: Path, name: str, text: str) -> str:
 
 def _out_error(out: Path) -> Optional[str]:
     """Why mkdir cannot make `out` a directory, or None: its nearest existing
-    ancestor is no directory, or the OS rejects a name (too long, ...)."""
+    ancestor is no directory or a dangling symlink, or the OS rejects a name
+    (too long, ...)."""
     for p in (out, *out.parents):
         try:
             return None if stat.S_ISDIR(p.stat().st_mode) else f"{p} is not a directory"
         except (FileNotFoundError, NotADirectoryError):
+            if p.is_symlink():  # stat follows the link to nothing; mkdir fails on the link
+                return f"{p} is a dangling symbolic link"
             continue
         except OSError as exc:
             return exc.strerror

@@ -1,10 +1,10 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 Polynomials are tuples of Fraction coefficients in ascending order.  This is
-the substrate for the certified inequality work: Sturm-sequence root counts,
-bisection isolation to a target width, interval enclosures of polynomial
-ranges, and rational upper bounds on square roots.  Nothing here touches
-floating point.
+the substrate for the certified inequality work: root counts on a Sturm chain
+held in integers, bisection isolation to a target width (an isolated root is
+refined by sign), interval enclosures of polynomial ranges, and rational upper
+bounds on square roots.  Nothing here touches floating point.
 """
 from __future__ import annotations
 
@@ -103,27 +103,48 @@ def sturm_chain(p: Poly) -> List[Poly]:
     return [c for c in chain if c]
 
 
-def sign_variations(chain: Sequence[Poly], x) -> int:
-    signs = []
-    for c in chain:
-        v = eval_at(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _ints(p: Poly) -> Tuple[int, ...]:
+    """p times the lcm of its denominators: the same sign at every x."""
+    m = math.lcm(*(c.denominator for c in p))
+    return tuple(c.numerator * (m // c.denominator) for c in p)
+
+
+def _sign(p: Sequence[int], x: Fraction) -> int:
+    """Sign of the integer polynomial p at x = n/d (d > 0): the sign of
+    d^deg p(x) = sum c_i n^i d^(deg - i), by homogeneous Horner in ints."""
+    n, d = x.numerator, x.denominator
+    acc, dk = 0, 1
+    for c in reversed(p):
+        acc, dk = acc * n + c * dk, dk * d
+    return (acc > 0) - (acc < 0)
 
 
 def _sturm(p: Poly):
-    """The squarefree part of p, and nroots(lo, hi): its number of distinct
-    real roots in (lo, hi], by one Sturm chain; ValueError if p == 0."""
+    """The squarefree part of p as _ints, and nroots(lo, hi): its distinct real
+    roots in (lo, hi], counted on its Sturm chain in ints; ValueError if p == 0."""
     if not p:
         raise ValueError("the zero polynomial has no finite root count")
-    sf = squarefree(p)
-    chain = sturm_chain(sf)
+    chain = [_ints(c) for c in sturm_chain(squarefree(p))]
 
-    def nroots(lo, hi):
-        return sign_variations(chain, lo) - sign_variations(chain, hi)
+    def variations(x):
+        signs = [s for s in (_sign(c, x) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return sf, nroots
+    return chain[0], lambda lo, hi: variations(lo) - variations(hi)
+
+
+def _split(sf: Sequence[int], lo: Fraction, hi: Fraction) -> Tuple[Fraction, int]:
+    """A point of (lo, hi) where sf does not vanish, and sf's sign there: the
+    midpoint, else the first of the nudges lo + (hi - lo) k/257, k = 129, 130,
+    ...  A nonzero sf of degree d vanishes at <= d points, so d + 1 nudges
+    that all hit a root mean sf == 0: ValueError."""
+    mid, k = (lo + hi) / 2, 128
+    while not (s := _sign(sf, mid)):
+        k += 1
+        if k - 128 > len(sf):
+            raise ValueError("the squarefree part vanishes identically")
+        mid = lo + (hi - lo) * Fraction(k, 257)
+    return mid, s
 
 
 def count_roots(p: Poly, a, b) -> int:
@@ -138,11 +159,11 @@ def isolate_roots(p: Poly, a, b, width) -> List[Tuple[Fraction, Fraction]]:
     roots of p in (a, b).  Requires a < b, width > 0, p != 0, p(a) != 0 and
     p(b) != 0; all returned interval endpoints are rational non-roots, so
     each interval brackets exactly one root with a strict sign change or
-    Sturm count 1.
+    Sturm count 1.  An interval of one root is halved by sign alone.
     """
     a, b = _interval(a, b)
     width = _width(width)
-    pp, nroots = _sturm(p)
+    sf, nroots = _sturm(p)
     if eval_at(p, a) == 0 or eval_at(p, b) == 0:
         raise ValueError("interval endpoints must not be roots")
     out: List[Tuple[Fraction, Fraction]] = []
@@ -150,19 +171,17 @@ def isolate_roots(p: Poly, a, b, width) -> List[Tuple[Fraction, Fraction]]:
     while stack:
         lo, hi = stack.pop()
         n = nroots(lo, hi)
-        if n == 0:
-            continue
-        if n == 1 and hi - lo <= width:
+        if n == 1:
+            # one simple root: sf changes sign across it, and only there
+            s_lo = _sign(sf, lo)
+            while hi - lo > width:
+                mid, s = _split(sf, lo, hi)
+                lo, hi = (mid, hi) if s == s_lo else (lo, mid)
             out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        k = 128
-        while eval_at(pp, mid) == 0:
-            # deterministic nudge off an exact rational root
-            k += 1
-            mid = lo + (hi - lo) * Fraction(k, 257)
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        elif n:
+            mid, _ = _split(sf, lo, hi)
+            stack.append((lo, mid))
+            stack.append((mid, hi))
     out.sort(key=lambda iv: iv[0])
     return out
 

@@ -7,6 +7,7 @@ import numpy as np
 
 from hext import certify_m1, ratpoly
 from hext.cli import EXIT_OK, main
+from hext.profile_ode.certificate import _step_upper
 
 EXPECTED_ORDER = [
     "L_value",
@@ -81,6 +82,11 @@ def test_two_step_bound_values():
     u2 = cert.details["upper_at_2"]
     assert F(534, 100) < u1 < F(535, 100)
     assert F(749, 100) < u2 <= F(15, 2)
+
+
+def test_step_bound_takes_a_zero_radicand():
+    # 4h^2 + 2(v_a + dP) = 1 - 1 = 0: the square root is 0, not an error
+    assert _step_upper(F(-1, 2), F(0), F(1, 2)) == F(1, 2)
 
 
 def test_json_schema(tmp_path):

@@ -572,6 +572,18 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
     assert blocker.read_text() == "keep"
 
 
+def test_out_through_a_dangling_symlink_is_usage_error(tmp_path, capsys):
+    # stat finds nothing at a dangling link, yet mkdir cannot make a directory there
+    link = tmp_path / "out"
+    link.symlink_to(tmp_path / "missing")
+    for out in (link, link / "sub"):
+        assert main(["futaki", "--n", "3", "--d", "2", "--q", "1", "--out", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err == f"error: --out {out}: {link} is a dangling symbolic link\n"
+    assert list(tmp_path.iterdir()) == [link]
+
+
 def test_out_the_os_rejects_is_usage_error(tmp_path, capsys):
     # a 300-character component is longer than any file system takes
     out = tmp_path / ("a" * 300)

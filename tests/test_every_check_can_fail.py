@@ -100,6 +100,12 @@ _CHECKS = {
     "ratpoly-isolate-root-endpoint": (
         lambda: ratpoly.isolate_roots(X_MINUS_1, 1, 2, F(1, 10)),
         ValueError, "interval endpoints must not be roots"),
+    "ratpoly-isolate-root-left-endpoint": (  # p(b) = 2: the guard must test for 0
+        lambda: ratpoly.isolate_roots(X_MINUS_1, 1, 3, F(1, 10)),
+        ValueError, "interval endpoints must not be roots"),
+    "ratpoly-isolate-root-right-endpoint": (
+        lambda: ratpoly.isolate_roots(X_MINUS_1, 0, 1, F(1, 10)),
+        ValueError, "interval endpoints must not be roots"),
     "ratpoly-interval-reversed": (
         lambda: ratpoly.interval_eval(X_MINUS_1, 2, 1),
         InvalidInput, "need lo <= hi"),

@@ -1,9 +1,12 @@
 """Unit tests for the exact polynomial layer."""
 import random
+import signal
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hext import ratpoly as rp
 
@@ -123,3 +126,90 @@ def test_repeated_root_counts_once():
     ivs = rp.isolate_roots(p, -3, 2, F(1, 100))
     assert len(ivs) == 2
     assert ivs[0][0] < -2 < ivs[0][1] and ivs[1][0] < 1 < ivs[1][1]
+
+
+def _oracle_variations(chain, x):
+    signs = [v > 0 for v in (rp.eval_at(c, x) for c in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _oracle_count(chain, lo, hi):
+    return _oracle_variations(chain, lo) - _oracle_variations(chain, hi)
+
+
+def _oracle_isolate(p, a, b, width):
+    """The reference for isolate_roots: bisection by Sturm counts on the
+    Fraction chain alone, down to the width, with the same midpoint nudges."""
+    pp = rp.squarefree(p)
+    chain = rp.sturm_chain(pp)
+    out, stack = [], [(a, b)]
+    while stack:
+        lo, hi = stack.pop()
+        n = _oracle_count(chain, lo, hi)
+        if n == 0:
+            continue
+        if n == 1 and hi - lo <= width:
+            out.append((lo, hi))
+            continue
+        mid, k = (lo + hi) / 2, 128
+        while rp.eval_at(pp, mid) == 0:
+            k += 1
+            mid = lo + (hi - lo) * F(k, 257)
+        stack.append((lo, mid))
+        stack.append((mid, hi))
+    return sorted(out)
+
+
+_POINT = st.integers(-12, 12).map(lambda k: F(k, 4))
+_COEFF = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@st.composite
+def _polys(draw):
+    """A nonzero polynomial with integer or rational coefficients times
+    rational roots of multiplicity up to 3, and those roots."""
+    p = rp.poly(draw(st.lists(_COEFF, min_size=1, max_size=5)))
+    assume(p)
+    roots = draw(st.lists(st.tuples(_POINT, st.integers(1, 3)), max_size=3))
+    for r, k in roots:
+        for _ in range(k):
+            p = rp.mul(p, rp.poly([-r, 1]))
+    return p, [r for r, _ in roots]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_polys(), _POINT, st.integers(1, 24),
+       st.sampled_from([F(1), F(1, 10), F(1, 64), F(1, 1000)]))
+def test_integer_chain_matches_the_fraction_oracle(p_roots, a, quarters, width):
+    # roots and endpoints share a grid of quarters, so midpoints often hit a
+    # root and take the nudges
+    p, roots = p_roots
+    b = a + F(quarters, 4)
+    chain = rp.sturm_chain(rp.squarefree(p))
+    for lo, hi in [(a, b)] + [(a, r) for r in roots if a < r] + [(r, b) for r in roots if r < b]:
+        assert rp.count_roots(p, lo, hi) == _oracle_count(chain, lo, hi)
+    assume(rp.eval_at(p, a) and rp.eval_at(p, b))
+    assert rp.isolate_roots(p, a, b, width) == _oracle_isolate(p, a, b, width)
+
+
+def test_a_vanishing_squarefree_part_ends_the_nudges(monkeypatch):
+    # a nonzero squarefree part of degree d vanishes at <= d points, so d + 1
+    # nudges that all hit a root must end in an error, not an endless loop
+    sturm = rp._sturm
+
+    def vanishing(p):
+        sf, nroots = sturm(p)
+        return (0,) * len(sf), nroots
+
+    def timeout(*_):
+        raise TimeoutError("isolate_roots kept nudging")
+
+    monkeypatch.setattr(rp, "_sturm", vanishing)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="the squarefree part vanishes identically"):
+            rp.isolate_roots(rp.poly([-2, 0, 1]), -2, 2, F(1, 10))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
