@@ -8,8 +8,8 @@ exterior algebra on n_gen odd generators; its lambda-free elements are the
 exterior algebra itself.  It exists to verify the rank-one determinant
 identities det(I - lam*A) * (1 - lam*a) = 1 and
 (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
-A matrix is a list of rows; _matmul and _det work over any commutative ring
-with +, - and *.
+A matrix is a list of rows.  _det works over any commutative ring with +, -
+and *; _matmul takes GrassmannElements and sums each entry into one dict.
 TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
 monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
 on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
@@ -182,18 +182,21 @@ class GrassmannElement(_SparsePoly):
             return self._scale(other)
         if not isinstance(other, GrassmannElement):
             return NotImplemented
+        return self._new(_compact(self._mul_into({}, other)))
+
+    def _mul_into(self, out: Dict[Tuple[int, int], Scalar], other: "GrassmannElement"):
+        """Add self * other into the dict out, uncompacted; return out."""
         self._check(other)
-        out: Dict[Tuple[int, int], Scalar] = {}
-        for (pa, ma), ca in self.terms.items():
-            for (pb, mb), cb in other.terms.items():
+        terms = self.terms.items()
+        for (pb, mb), cb in other.terms.items():
+            below = _below_parity(mb)  # once per term of other, not per pair
+            for (pa, ma), ca in terms:
                 if ma & mb:
                     continue  # repeated odd generator squares to zero
                 key = (pa + pb, ma | mb)
                 c = ca * cb
-                if (ma & _below_parity(mb)).bit_count() & 1:
-                    c = -c
-                out[key] = out.get(key, 0) + c
-        return self._new(_compact(out))
+                out[key] = out.get(key, 0) + (-c if (ma & below).bit_count() & 1 else c)
+        return out
 
     __rmul__ = __mul__  # reached only with a scalar or foreign left operand
 
@@ -246,12 +249,16 @@ def _det(rows):
 
 
 def _matmul(X, Y):
-    """Product of square matrices given as lists of rows."""
-    n = len(Y)
-    return [
-        [sum((row[l] * Y[l][j] for l in range(1, n)), row[0] * Y[0][j]) for j in range(n)]
-        for row in X
-    ]
+    """Product of square matrices of GrassmannElements given as lists of
+    rows: each entry sums its k products into one dict, compacted once."""
+    out = []
+    for row in X:
+        sums = [{} for _ in Y]
+        for x, y_row in zip(row, Y):
+            for terms, y in zip(sums, y_row):
+                x._mul_into(terms, y)
+        out.append([row[0]._new(_compact(terms)) for terms in sums])
+    return out
 
 
 def _first_mismatch(X, Y):
@@ -379,14 +386,14 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     a = _exact(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    # A @ A == a * A, exactly
-    squared = _matmul(rows, rows)
-    bad = _first_mismatch(squared, [[a * x for x in row] for row in rows])
+    # A @ A == a * A, exactly, over the algebra on no generators
+    scalars = [[GrassmannElement.scalar(0, x) for x in row] for row in rows]
+    squared = _matmul(scalars, scalars)
+    bad = _first_mismatch(squared, [[e * a for e in row] for row in scalars])
     if bad is not None:
         i, j, _ = bad
-        raise NotIdempotentFamily(
-            f"(A@A)[{i}][{j}] = {squared[i][j]} differs from a*A[{i}][{j}] = {a * rows[i][j]}"
-        )
+        raise NotIdempotentFamily(f"(A@A)[{i}][{j}] = {squared[i][j].terms.get((0, 0), 0)} "
+                                  f"differs from a*A[{i}][{j}] = {a * rows[i][j]}")
     rank = int(sum(rows[i][i] for i in range(n)) / a)
 
     # det(I - lam*A) as a polynomial in lam over the algebra on no generators

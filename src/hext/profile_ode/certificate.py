@@ -30,6 +30,10 @@ from typing import Dict, List, Optional
 from .. import ratpoly
 from .coeffs import _hcsck_denominator, coeffs_from_C, compute_LN
 
+# steps 5-7's thresholds, each read by every claim that rests on it
+_G0_LO, _G0_HI, _Q_FLOOR = Fraction(6, 5), Fraction(13, 10), Fraction(-9, 2)
+_V2_CEILING = Fraction(15, 2)
+
 _CMP = {"==": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
@@ -108,8 +112,8 @@ def certify_m1() -> CertificateM1:
     claims.append(_claim("q_polynomial", Fraction(q_diff), "==", Fraction(0)))
 
     # root bracketing of p on [1, 2]
-    p_lo = ratpoly.eval_at(p, Fraction(6, 5))
-    p_hi = ratpoly.eval_at(p, Fraction(13, 10))
+    p_lo = ratpoly.eval_at(p, _G0_LO)
+    p_hi = ratpoly.eval_at(p, _G0_HI)
     claims.append(_claim("p_sign_at_6_5", p_lo, ">", Fraction(0)))
     claims.append(_claim("p_sign_at_13_10", p_hi, "<", Fraction(0)))
     # one Sturm-isolated interval per root: the count and gamma_0's interval
@@ -120,8 +124,8 @@ def certify_m1() -> CertificateM1:
     g0_lo, g0_hi = intervals[0]
     details["gamma0_lo"] = g0_lo
     details["gamma0_hi"] = g0_hi
-    claims.append(_claim("gamma0_above_1_2", g0_lo, ">", Fraction(6, 5)))
-    claims.append(_claim("gamma0_below_1_3", g0_hi, "<", Fraction(13, 10)))
+    claims.append(_claim("gamma0_above_1_2", g0_lo, ">", _G0_LO))
+    claims.append(_claim("gamma0_below_1_3", g0_hi, "<", _G0_HI))
 
     # certified minimum of q over [1, 2]: interval enclosures at the isolated
     # critical points plus exact endpoint values
@@ -132,13 +136,11 @@ def certify_m1() -> CertificateM1:
         lower_bounds.append(enc_lo)
     q_min_bound = min(lower_bounds)
     details["q_min_lower_bound"] = q_min_bound
-    claims.append(_claim("q_min_bound", q_min_bound, ">", Fraction(-9, 2)))
+    claims.append(_claim("q_min_bound", q_min_bound, ">", _Q_FLOOR))
 
     # v'(gamma_0) = 2*sqrt(2)*sqrt(v(gamma_0)) >= 4*gamma_0 > 4*(6/5) = 24/5,
     # and past the root v' > 24/5 + min q > 24/5 - 9/2
-    claims.append(
-        _claim("v_prime_floor", 4 * Fraction(6, 5) + Fraction(-9, 2), ">", Fraction(0))
-    )
+    claims.append(_claim("v_prime_floor", 4 * _G0_LO + _Q_FLOOR, ">", Fraction(0)))
 
     # two-step upper bound with h = 1/2, exact P increments
     h = Fraction(1, 2)
@@ -151,7 +153,7 @@ def certify_m1() -> CertificateM1:
     details["upper_at_3_2"] = u1
     u2 = _step_upper(u1, P_2 - P_15, h)
     details["upper_at_2"] = u2
-    claims.append(_claim("v2_upper_bound", u2, "<=", Fraction(15, 2)))
-    claims.append(_claim("v2_below_target", Fraction(15, 2), "<", Fraction(8)))
+    claims.append(_claim("v2_upper_bound", u2, "<=", _V2_CEILING))
+    claims.append(_claim("v2_below_target", _V2_CEILING, "<", Fraction(2 * (m + 1) ** 2)))
 
     return CertificateM1(claims=claims, details=details)

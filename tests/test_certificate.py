@@ -4,9 +4,11 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from hext import certify_m1, ratpoly
 from hext.cli import EXIT_OK, main
+from hext.profile_ode import certificate
 from hext.profile_ode.certificate import _step_upper
 
 EXPECTED_ORDER = [
@@ -123,3 +125,22 @@ def test_two_roots_of_p_end_the_certificate(monkeypatch):
     assert cert.claims[-1].id == "gamma0_unique"
     assert cert.claim("gamma0_unique").lhs == 2
     assert [c.id for c in cert.claims] == EXPECTED_ORDER[:EXPECTED_ORDER.index("gamma0_unique") + 1]
+
+
+@pytest.mark.parametrize("name,value,failing", [
+    ("_G0_LO", F(9, 8), ["v_prime_floor"]),  # 4 * 9/8 - 9/2 = 0
+    ("_G0_LO", F(32, 25), ["p_sign_at_6_5", "gamma0_above_1_2"]),  # above gamma_0
+    ("_G0_HI", F(5, 4), ["p_sign_at_13_10", "gamma0_below_1_3"]),  # below gamma_0
+    ("_Q_FLOOR", F(-5), ["v_prime_floor"]),  # 24/5 - 5 < 0
+    ("_Q_FLOOR", F(-4), ["q_min_bound"]),  # min q is about -4.13
+    ("_V2_CEILING", F(8), ["v2_below_target"]),  # not below 2(m+1)^2 = 8
+    ("_V2_CEILING", F(7), ["v2_upper_bound"]),  # the bound on v(2) is about 7.49
+], ids=["g0-lo-down", "g0-lo-up", "g0-hi-down", "q-floor-down", "q-floor-up", "v2-ceiling-up",
+        "v2-ceiling-down"])
+def test_every_threshold_is_read_by_a_claim(monkeypatch, name, value, failing):
+    # each threshold is one name, so moving it either way fails a claim
+    # that rests on it
+    monkeypatch.setattr(certificate, name, value)
+    cert = certify_m1()
+    assert [c.id for c in cert.claims] == EXPECTED_ORDER
+    assert [c.id for c in cert.claims if not c.passed] == failing

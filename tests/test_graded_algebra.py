@@ -20,7 +20,7 @@ from hext.errors import (
     NotInvertible,
     TruncationMismatch,
 )
-from hext.graded_algebra import _det
+from hext.graded_algebra import _det, _matmul
 
 
 def _cofactor(rows):
@@ -33,6 +33,16 @@ def _cofactor(rows):
         term = x * _cofactor([row[:j] + row[j + 1:] for row in rows[1:]])
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def _sum_of_products(X, Y):
+    """Matrix product with each entry a sum of element products, one new
+    element per addition: the test oracle for _matmul."""
+    n = len(Y)
+    return [
+        [sum((row[l] * Y[l][j] for l in range(1, n)), row[0] * Y[0][j]) for j in range(n)]
+        for row in X
+    ]
 
 
 def _gen(n, i):
@@ -80,6 +90,29 @@ def test_associativity_distributivity_random():
 def test_generator_mismatch():
     with pytest.raises(GeneratorMismatch):
         _gen(2, 0) * _gen(4, 0)
+
+
+def _inversion_sign(a, b):
+    """The sign of e_a * e_b for disjoint generator bitmasks a and b: -1 to
+    the number of inversions of a's indices followed by b's."""
+    seq = [i for mask in (a, b) for i in range(mask.bit_length()) if mask >> i & 1]
+    inversions = sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("n_gen", [0, 1, 2, 3, 4, 5])
+def test_monomial_products_against_inversion_counts(n_gen):
+    # every pair of generator masks: the sign of the product is the parity
+    # of the inversions of the concatenated index lists, zero on overlap
+    rng = random.Random(500 + n_gen)
+    values = [1, -2, 3, F(1, 3), F(-5, 2), F(7, 6)]
+    for a in range(1 << n_gen):
+        for b in range(1 << n_gen):
+            (pa, pb), (ca, cb) = rng.choices(range(4), k=2), rng.choices(values, k=2)
+            x = GrassmannElement(n_gen, {(pa, a): ca})
+            y = GrassmannElement(n_gen, {(pb, b): cb})
+            want = {} if a & b else {(pa + pb, a | b): _inversion_sign(a, b) * ca * cb}
+            assert (x * y).terms == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -337,6 +370,63 @@ def test_det_products_memoised_over_column_sets(k, products):
     assert det.value == _cofactor(rows).value
 
 
+def _random_mixed_rows(rng, k, n_gen=6):
+    """k x k elements on n_gen generators with odd and even terms, shared
+    generators, lambda powers 0..2 and int or Fraction coefficients; some
+    entries are zero."""
+    values = [1, -1, 2, -3, F(1, 3), F(-5, 2), F(7, 6), F(-2, 9)]
+    return [[GrassmannElement(n_gen, {(rng.randrange(3), rng.randrange(1 << n_gen)):
+                                      rng.choice(values) for _ in range(rng.randrange(5))})
+             for _ in range(k)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_matmul_vs_sum_of_products(k):
+    rng = random.Random(40 + k)
+    kinds = set()
+    for _ in range(20):
+        X, Y = _random_mixed_rows(rng, k), _random_mixed_rows(rng, k)
+        for P, Q in ((X, Y), (Y, X), (X, X)):
+            product = _matmul(P, Q)
+            assert product == _sum_of_products(P, Q)
+            for c in (c for row in product for e in row for c in e.terms.values()):
+                assert c != 0
+                assert type(c) is int or (type(c) is F and c.denominator != 1)
+                kinds.add(type(c))
+    assert kinds == {int, F}
+
+
+def test_matmul_checks_every_product_pair():
+    # one entry over 2 generators, the rest over 4: whichever product meets
+    # it raises, as a product of the two would
+    for i, j in ((0, 0), (1, 2), (2, 1)):
+        rng = random.Random(7)
+        X, Y = _random_mixed_rows(rng, 3, 4), _random_mixed_rows(rng, 3, 4)
+        Y[i][j] = _gen(2, 0)
+        with pytest.raises(GeneratorMismatch):
+            _matmul(X, Y)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_matmul_work(monkeypatch, k):
+    # k^3 products, each added into its entry's dict, and k^2 new elements:
+    # no product builds an element of its own and no sum copies a dict
+    A = _rank_one(k)
+    counts = {"_mul_into": 0, "_new": 0, "_plus": 0}
+    for name in counts:
+        method = getattr(GrassmannElement, name)
+
+        def counted(*args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(GrassmannElement, name, counted)
+    product = _matmul(A, A)
+    assert counts == {"_mul_into": k ** 3, "_new": k ** 2, "_plus": 0}
+    monkeypatch.undo()
+    assert product == _sum_of_products(A, A)
+
+
 def test_scalar_projector_instances():
     rep = scalar_projector_check([[1, 1], [2, 2]], 3)
     assert rep.passed and rep.rank == 1
@@ -370,6 +460,18 @@ def test_scalar_projector_rejects_non_idempotent():
         scalar_projector_check([[1, 0], [0, 2]], 1)
     with pytest.raises(ValueError):
         scalar_projector_check([[0, 0], [0, 0]], 0)
+
+
+@pytest.mark.parametrize("A,a,message", [
+    ([[1, 0], [0, 2]], 1, "(A@A)[1][1] = 4 differs from a*A[1][1] = 2"),
+    ([[F(1, 2), 0], [0, 1]], 1, "(A@A)[0][0] = 1/4 differs from a*A[0][0] = 1/2"),
+    ([[0, 1], [0, 0]], 1, "(A@A)[0][1] = 0 differs from a*A[0][1] = 1"),
+    ([[1, 1], [1, 1]], 3, "(A@A)[0][0] = 2 differs from a*A[0][0] = 3"),
+])
+def test_scalar_projector_names_the_first_non_idempotent_entry(A, a, message):
+    with pytest.raises(NotIdempotentFamily) as info:
+        scalar_projector_check(A, a)
+    assert str(info.value) == message
 
 
 def test_ts_geometric_series():
