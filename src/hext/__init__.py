@@ -6,9 +6,7 @@ Three pillars:
   * profile_ode    - the momentum-profile boundary value problem: exact
                      coefficient algebra, adaptive integration, shooting on
                      the free parameter C, the exact m=1 certificate, and
-                     the constant-lambda (hcscK) contradiction check; its
-                     NUMERICAL names, served here too, load numpy on first
-                     use, nothing else imports it, and nothing imports scipy;
+                     the constant-lambda (hcscK) contradiction check;
   * graded_algebra - finite exterior algebra and truncated series rings used
                      as exact oracles for determinant and generating-series
                      identities;
@@ -16,53 +14,39 @@ Three pillars:
                      CP^n by three independent methods, plus the closed
                      Bando-Futaki formula and its check by equivariant
                      localization.
-"""
 
-from .chern_futaki import (
-    AlphaTable,
-    FutakiValue,
-    alpha_closed,
-    alpha_recursive,
-    alpha_series,
-    futaki_closed,
-    futaki_localized,
-)
-from .errors import (
-    EndpointSingularity,
-    GeneratorMismatch,
-    HextError,
-    InvalidInput,
-    NoBracket,
-    NotIdempotentFamily,
-    NotInvertible,
-    PositivityLost,
-    SeriesMismatch,
-    StepFailure,
-    TruncationMismatch,
-)
-from .graded_algebra import (
-    GrassmannElement,
-    TruncatedPoly,
-    rank1_check,
-    rank1_identities,
-    scalar_projector_check,
-)
-from . import profile_ode
-from .profile_ode import (
-    CertificateM1,
-    Claim,
-    CoeffSet,
-    LNConstants,
-    certify_m1,
-    coeffs_from_C,
-    compute_LN,
-    hcsck_coeffs,
-)
+One loading rule: importing hext loads no other module of it.  Each public
+name below has one home module, which __getattr__ imports on the name's
+first use and looks the name up in every time, so hext.X is the home's X.
+numpy is imported by profile_ode.integrate alone, and scipy by no module.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
+# every public name, by its home module
+_HOMES = {name: home for home, names in {
+    ".chern_futaki": ("ALPHA_METHODS", "AlphaTable", "FutakiValue", "alpha_closed", "alpha_recursive",
+                      "alpha_series", "futaki_closed", "futaki_localized"),
+    ".errors": ("GeneratorMismatch", "HextError", "InvalidInput", "NoBracket", "NotIdempotentFamily",
+                "NotInvertible", "PositivityLost", "SeriesMismatch", "StepFailure", "TruncationMismatch"),
+    ".graded_algebra": ("GrassmannElement", "TruncatedPoly", "rank1_check", "rank1_identities",
+                        "scalar_projector_check"),
+    ".profile_ode.certificate": ("CertificateM1", "Claim", "certify_m1"),
+    ".profile_ode.coeffs": ("CoeffSet", "LNConstants", "coeffs_from_C", "compute_LN", "hcsck_coeffs"),
+    ".profile_ode.integrate": ("MAX_SCAN_STEPS", "NonexistenceReport", "ProfileCurve", "ScanPoint",
+                               "ScanResult", "ShootResult", "Trajectory", "defect_scan",
+                               "hcsck_nonexistence", "integrate_v", "reconstruct_curve",
+                               "residual_check", "shoot"),
+}.items() for name in names}
+__all__ = sorted(_HOMES)
+
 
 def __getattr__(name):
-    if name in profile_ode.NUMERICAL:
-        return getattr(profile_ode, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOMES[name], __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

@@ -5,8 +5,10 @@ turns every row into a run report: command, parameters (the row's flags),
 outputs (inline values or artifact file names), a pass/fail summary, and the
 wall time.  Artifacts and report payloads are byte-identical across repeated
 runs with identical flags; the wall time lives outside the hashed payload.
-No command loads scipy; certify, alpha, futaki and grassmann never load numpy,
-and the first shoot, nonexist or scan in a process imports it in its wall time.
+Importing this module loads errors.py and no other module of hext: each
+command loads the modules it runs on its first call in a process, inside its
+wall time.  No command loads scipy; certify, alpha, futaki and grassmann never
+load numpy, and the first shoot, nonexist or scan imports it.
 
 Exit codes: 0 pass, 1 fail/error, 2 no defect bracket, 64 usage error.
 argparse only parses (numbers, choices, required flags); every rule on a
@@ -39,11 +41,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .chern_futaki import ALPHA_METHODS, futaki_closed
-from .errors import DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
-from .graded_algebra import rank1_check
-from . import profile_ode
-from .profile_ode import certify_m1
+import hext
+from .errors import ALPHA_METHOD_NAMES, DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -102,9 +101,9 @@ _D = _flag("--d", int)
 
 
 def _shoot(a) -> _Outcome:
-    result = profile_ode.shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
-    residual = profile_ode.residual_check(result.trajectory)
-    curve = profile_ode.reconstruct_curve(result.trajectory)
+    result = hext.shoot(a.m, defect_tol=a.tol, c_min=a.c_min, c_max=a.c_max)
+    residual = hext.residual_check(result.trajectory)
+    curve = hext.reconstruct_curve(result.trajectory)
     outputs = {f: getattr(result, f) for f in
                ("c_star", "defect", "a_slope", "not_hcsck", "phi_prime_end", "bracket", "iterations")}
     outputs.update(residual=residual, grid_points=int(result.trajectory.grid.size))
@@ -120,7 +119,7 @@ def _shoot(a) -> _Outcome:
 
 
 def _certify(a) -> _Outcome:
-    cert = certify_m1()
+    cert = hext.certify_m1()
     failed = cert.first_failed()
     rows = [{"id": c.id, "lhs": _frac_str(c.lhs), "cmp": c.cmp, "rhs": _frac_str(c.rhs), "pass": c.passed}
             for c in cert.claims]
@@ -136,7 +135,7 @@ def _certify(a) -> _Outcome:
 
 
 def _nonexist(a) -> _Outcome:
-    rep = profile_ode.hcsck_nonexistence(a.m)
+    rep = hext.hcsck_nonexistence(a.m)
     outputs = {
         "A": _frac_str(rep.coeffs.A),
         "B": _frac_str(rep.coeffs.B),
@@ -171,7 +170,7 @@ def _scan_csv(points) -> str:
 
 
 def _scan(a) -> _Outcome:
-    scan = profile_ode.defect_scan(a.m, a.c_min, a.c_max, a.steps)
+    scan = hext.defect_scan(a.m, a.c_min, a.c_max, a.steps)
     brackets = scan.brackets  # a property that walks every point
     outputs = {
         "points": [{"C": p.c, "defect": p.defect, "error": p.error} for p in scan.points],
@@ -186,7 +185,7 @@ def _scan(a) -> _Outcome:
 
 
 def _alpha(a) -> _Outcome:
-    table = ALPHA_METHODS[a.method](a.n, a.d)
+    table = hext.ALPHA_METHODS[a.method](a.n, a.d)
     rows = [{"q": q, "k": k, "alpha": str(v.numerator)}
             for q, row in enumerate(table.entries) for k, v in enumerate(row)]
     human = ["q,k,alpha"] + [f"{r['q']},{r['k']},{r['alpha']}" for r in rows]  # alpha.csv's lines
@@ -195,7 +194,7 @@ def _alpha(a) -> _Outcome:
 
 
 def _futaki(a) -> _Outcome:
-    outputs = {"value": _frac_str(futaki_closed(a.n, a.d, a.q).r), "kappa_coefficient": True}
+    outputs = {"value": _frac_str(hext.futaki_closed(a.n, a.d, a.q).r), "kappa_coefficient": True}
     doc = {"n": a.n, "d": a.d, "q": a.q, **outputs}
     human = [f"F_{a.q}(n={a.n}, d={a.d}) = ({outputs['value']}) * kappa"]
     artifacts = [("futaki_json", "futaki.json", lambda: json.dumps(doc, sort_keys=True) + "\n")]
@@ -203,7 +202,7 @@ def _futaki(a) -> _Outcome:
 
 
 def _grassmann(a) -> _Outcome:
-    rep = rank1_check(a.k)
+    rep = hext.rank1_check(a.k)
     identities = [{"name": i.name, "pass": i.passed, "witness": i.witness} for i in rep.identities]
     human = [
         f"{'PASS' if i.passed else 'FAIL'}  {i.name}" + (f"  witness: {i.witness}" if i.witness else "")
@@ -213,8 +212,8 @@ def _grassmann(a) -> _Outcome:
 
 
 # name: (help, flags, body).  A flag is (flag, add_argument keywords) and
-# its dest is a report parameter.  Exact bodies call the library through
-# this module's globals; integrating ones through profile_ode as they run.
+# its dest is a report parameter.  Each body calls the library through the
+# hext package as it runs, which loads the call's home module on first use.
 _COMMANDS = {
     "shoot": (
         "solve the boundary value problem by shooting on C",
@@ -238,7 +237,7 @@ _COMMANDS = {
     ),
     "alpha": (
         "Chern coefficient table for a hypersurface",
-        (_N, _D, _flag("--method", choices=sorted(ALPHA_METHODS), default="recursion")),
+        (_N, _D, _flag("--method", choices=sorted(ALPHA_METHOD_NAMES), default="recursion")),
         _alpha,
     ),
     "futaki": ("closed-formula Bando-Futaki invariant", (_N, _D, _flag("--q", int)), _futaki),

@@ -1,13 +1,13 @@
 """Exception types shared across the toolkit, and the argument rules (_integer,
 _class_index, _exact, _interval, _width, _shooting_c, _window, _scan_window,
-_defect_tol, _weights) that public functions apply before any work: no other
-module spells a rule on an integer, an exact number's type, a window, an
-interval, a width, a tolerance or a weight list.  Checks on an argument's
-shape or content stay with their function as a plain ValueError: ratpoly's
-zero polynomial, root endpoints and negative radicand, graded_algebra's
-square matrix and nonzero a, the grids of residual_check and
-reconstruct_curve, and the data classes' consistency checks.  The CLI checks
-its --out path itself.
+_defect_tol, _weights) that public functions apply before any work, and the
+alpha method names: no other module spells a rule on an integer, an exact
+number's type, a window, an interval, a width, a tolerance, a weight list or
+a method name.  Checks on an argument's shape or content stay with their
+function as a plain ValueError: ratpoly's zero polynomial, root endpoints and
+negative radicand, graded_algebra's square matrix and nonzero a, the grids of
+residual_check and reconstruct_curve, and the data classes' consistency
+checks.  The CLI checks its --out path itself.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -117,6 +117,11 @@ DEFECT_TOL_RANGE = (1e-10, 1e-3)
 SHOOT_DEFECT_TOL = 1e-8
 
 
+# the names of alpha's three methods: chern_futaki.ALPHA_METHODS maps each to
+# its function, and the CLI's --method takes them without loading that module
+ALPHA_METHOD_NAMES = ("recursion", "closed", "series")
+
+
 def _defect_tol(x) -> None:
     """InvalidInput unless x lies in DEFECT_TOL_RANGE (a NaN does not)."""
     if not DEFECT_TOL_RANGE[0] <= x <= DEFECT_TOL_RANGE[1]:
@@ -162,10 +167,6 @@ class NoBracket(HextError):
     def __init__(self, message: str, scan=None):
         self.scan = scan
         super().__init__(message)
-
-
-class EndpointSingularity(HextError):
-    """The arc coordinate diverges logarithmically at the interval endpoints."""
 
 
 class GeneratorMismatch(HextError):

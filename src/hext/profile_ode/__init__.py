@@ -1,21 +1,24 @@
 """Momentum-profile boundary value problem: exact coefficient algebra,
-adaptive integration, parameter shooting, and the m = 1 certificate.  The
-NUMERICAL names live in .integrate, which alone imports numpy (no module
-imports scipy): __getattr__ loads it at their first use and looks them up
-there every time."""
+adaptive integration, parameter shooting, and the m = 1 certificate.
 
-from .certificate import CertificateM1, Claim, certify_m1
-from .coeffs import CoeffSet, LNConstants, coeffs_from_C, compute_LN, hcsck_coeffs
+hext's loading rule holds here too: importing this package loads none of its
+modules.  Its names are the rows of hext's table homed in it; __getattr__
+imports a name's home (.certificate, .coeffs or .integrate) on first use and
+looks the name up there every time.  .integrate alone imports numpy."""
+import importlib
 
-NUMERICAL = frozenset({
-    "MAX_SCAN_STEPS", "NonexistenceReport",
-    "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
-    "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
-})
+from .. import _HOMES as _PACKAGE_HOMES
+
+_HOMES = {name: home.removeprefix(".profile_ode") for name, home in _PACKAGE_HOMES.items()
+          if home.startswith(".profile_ode.")}
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name):
-    if name in NUMERICAL:
-        from . import integrate
-        return getattr(integrate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOMES[name], __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

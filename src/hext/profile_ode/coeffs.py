@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 from .. import ratpoly
-from ..errors import _class_index, _exact, _shooting_c
+from ..errors import _class_index, _shooting_c
 
 Rational = Union[int, float, Fraction]
 
@@ -45,11 +45,6 @@ class CoeffSet:
             raise ValueError("boundary identity p(1) == 2 violated")
         if self.A * s ** 3 / 3 + self.B * s ** 2 / 2 + self.C != -2:
             raise ValueError("boundary identity p(m+1) == -2 violated")
-
-    def lambda_at(self, gamma) -> Fraction:
-        """The affine density lambda(gamma) = A*gamma + B at an int or a
-        Fraction gamma; a float or a bool raises TypeError (as _exact)."""
-        return self.A * _exact(gamma) + self.B
 
     @property
     def p(self) -> ratpoly.Poly:

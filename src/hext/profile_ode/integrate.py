@@ -21,7 +21,6 @@ import numpy as np
 
 from ..errors import (
     SHOOT_DEFECT_TOL,
-    EndpointSingularity,
     NoBracket,
     PositivityLost,
     StepFailure,
@@ -567,22 +566,6 @@ class ProfileCurve:
     def tau(self) -> np.ndarray:
         # the Legendre variable itself: f'(s) = tau
         return self.gamma - 1.0
-
-    @property
-    def ds_dgamma(self) -> np.ndarray:
-        return 1.0 / self.phi
-
-    def s_at(self, gamma: float) -> float:
-        if gamma == 1.0 or gamma == float(self.m + 1):
-            raise EndpointSingularity(
-                f"s diverges logarithmically at gamma={gamma:g}"
-            )
-        if not self.gamma[0] <= gamma <= self.gamma[-1]:  # NaN too
-            raise ValueError(
-                f"gamma={gamma:g} outside the covered range "
-                f"[{self.gamma[0]:.6g}, {self.gamma[-1]:.6g}]"
-            )
-        return float(np.interp(gamma, self.gamma, self.s))
 
     def to_csv(self) -> str:
         return _csv("gamma,tau,s,phi", (self.gamma, self.tau, self.s, self.phi))

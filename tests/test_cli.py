@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hext import cli, coeffs_from_C, profile_ode, ratpoly
-from hext.profile_ode import integrate
+from hext import chern_futaki, cli, coeffs_from_C, graded_algebra, ratpoly
+from hext.profile_ode import certificate, integrate
 from hext.cli import EXIT_FAIL, EXIT_NO_BRACKET, EXIT_OK, EXIT_USAGE, main
 from hext.errors import NoBracket, StepFailure
 
@@ -521,27 +521,26 @@ def _raise(exc):
     return fail
 
 
-# (argv, the library call that the subcommand makes: a name in hext.cli, or
-# for the numerical ones a name in integrate, which the body looks up through
-# hext.profile_ode when it runs)
+# (argv, the home module and name of the library call that the subcommand
+# makes, which the body looks up through the hext package when it runs)
 _LIBRARY_CALLS = [
-    (["shoot", "--m", "1"], "shoot"),
-    (["certify"], "certify_m1"),
-    (["nonexist", "--m", "1"], "hcsck_nonexistence"),
-    (["scan", "--m", "1", "--c-min", "2", "--c-max", "5", "--steps", "4"], "defect_scan"),
-    (["alpha", "--n", "3", "--d", "2"], None),  # through the method table
-    (["futaki", "--n", "3", "--d", "2", "--q", "1"], "futaki_closed"),
-    (["grassmann", "--k", "2"], "rank1_check"),
+    (["shoot", "--m", "1"], integrate, "shoot"),
+    (["certify"], certificate, "certify_m1"),
+    (["nonexist", "--m", "1"], integrate, "hcsck_nonexistence"),
+    (["scan", "--m", "1", "--c-min", "2", "--c-max", "5", "--steps", "4"], integrate, "defect_scan"),
+    (["alpha", "--n", "3", "--d", "2"], chern_futaki, None),  # through the method table
+    (["futaki", "--n", "3", "--d", "2", "--q", "1"], chern_futaki, "futaki_closed"),
+    (["grassmann", "--k", "2"], graded_algebra, "rank1_check"),
 ]
 
 
-@pytest.mark.parametrize("argv,call", _LIBRARY_CALLS, ids=[argv[0] for argv, _ in _LIBRARY_CALLS])
-def test_library_errors_give_one_report_form(argv, call, monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("argv,home,call", _LIBRARY_CALLS, ids=[argv[0] for argv, _, _ in _LIBRARY_CALLS])
+def test_library_errors_give_one_report_form(argv, home, call, monkeypatch, tmp_path, capsys):
     fail = _raise(StepFailure("no progress"))
     if call is None:
-        monkeypatch.setitem(cli.ALPHA_METHODS, "recursion", fail)
+        monkeypatch.setitem(home.ALPHA_METHODS, "recursion", fail)
     else:
-        monkeypatch.setattr(integrate if call in profile_ode.NUMERICAL else cli, call, fail)
+        monkeypatch.setattr(home, call, fail)
     out = tmp_path / "out"
     assert main(argv + ["--json", "--out", str(out)]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)

@@ -181,21 +181,6 @@ def test_hcsck_coeffs():
         assert compute_LN(m).lc_plus_n(cs.C) == 0
 
 
-def test_lambda_at():
-    cs = coeffs_from_C(1, F(22, 3))
-    assert cs.lambda_at(1) == F(-23, 3)
-    zero_slope = hcsck_coeffs(1)
-    for g in (F(1), F(3, 2), F(2)):
-        assert zero_slope.lambda_at(g) == zero_slope.B
-    # affineness
-    g1, g2 = F(5, 4), F(9, 5)
-    assert cs.lambda_at((g1 + g2) / 2) == (cs.lambda_at(g1) + cs.lambda_at(g2)) / 2
-    # exact only: Trajectory.lambda_values rounds through the integrator's _abc
-    for g in (1.5, True):
-        with pytest.raises(TypeError):
-            cs.lambda_at(g)
-
-
 def test_root_uniqueness_by_sturm():
     """p from any valid coefficient set has exactly one root in [1, m+1]."""
     rng = random.Random(20260810)

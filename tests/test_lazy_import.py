@@ -1,6 +1,8 @@
-"""numpy loads with the numerical names only and scipy never: the exact
-commands run without numpy, the numerical ones without scipy, and the lazy
-names resolve to one object from every package."""
+"""Each command loads the hext modules it runs and no other, numpy with the
+numerical names only and scipy never: the exact commands run without numpy,
+the numerical ones without scipy, and every public name resolves through its
+package's table to one object, the one in its home module."""
+import importlib
 import json
 import subprocess
 import sys
@@ -14,14 +16,23 @@ from hext.profile_ode import defect_scan, integrate, shoot
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name hext.profile_ode imported eagerly before its numerical names
-# became lazy, and still exports
+# every name hext.profile_ode exported while it imported .certificate and
+# .coeffs eagerly, and still exports
 PROFILE_ODE_NAMES = [
     "CertificateM1", "Claim", "certify_m1",
     "CoeffSet", "LNConstants", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
     "MAX_SCAN_STEPS", "NonexistenceReport",
     "ProfileCurve", "ScanPoint", "ScanResult", "ShootResult", "Trajectory", "defect_scan",
     "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
+]
+# every name hext exported while it imported its modules eagerly, and still
+# exports, and the alpha method table
+HEXT_NAMES = PROFILE_ODE_NAMES + [
+    "ALPHA_METHODS", "AlphaTable", "FutakiValue",
+    "alpha_closed", "alpha_recursive", "alpha_series", "futaki_closed", "futaki_localized",
+    "GeneratorMismatch", "HextError", "InvalidInput", "NoBracket", "NotIdempotentFamily",
+    "NotInvertible", "PositivityLost", "SeriesMismatch", "StepFailure", "TruncationMismatch",
+    "GrassmannElement", "TruncatedPoly", "rank1_check", "rank1_identities", "scalar_projector_check",
 ]
 
 # run in a fresh interpreter: this one has loaded numpy long ago; with
@@ -92,9 +103,17 @@ def test_every_old_name_resolves_to_one_object():
     assert shoot is integrate.shoot and defect_scan is integrate.defect_scan
     for name in PROFILE_ODE_NAMES:
         assert getattr(hext, name) is getattr(profile_ode, name), name
-    for name in profile_ode.NUMERICAL:
-        assert getattr(profile_ode, name) is getattr(integrate, name), name
-    assert profile_ode.NUMERICAL <= set(PROFILE_ODE_NAMES)
+    assert set(profile_ode._HOMES) == set(PROFILE_ODE_NAMES)
+    assert set(hext._HOMES) == set(HEXT_NAMES)
+    for package in (hext, profile_ode):
+        names = dir(package)
+        for name, home in package._HOMES.items():
+            assert name in names, name
+            module = importlib.import_module(home, package.__name__)
+            assert getattr(package, name) is getattr(module, name), name
+        star = {}
+        exec(f"from {package.__name__} import *", star)
+        assert set(star) - {"__builtins__"} == set(package._HOMES)
 
 
 def test_unknown_names_raise_attribute_error():
@@ -103,3 +122,40 @@ def test_unknown_names_raise_attribute_error():
             package.no_such_name  # noqa: B018
     with pytest.raises(ImportError):
         from hext import no_such_name  # noqa: F401
+
+
+# run in a fresh interpreter: import hext.cli, run the command given as JSON
+# (no command for []), and print the hext modules then loaded
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import hext.cli
+argv = json.loads(sys.argv[2])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert hext.cli.main(argv + ["--json"]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "hext")))
+"""
+
+_CLI = ["hext", "hext.cli", "hext.errors"]
+_CERTIFY = ["hext.profile_ode", "hext.profile_ode.certificate", "hext.profile_ode.coeffs", "hext.ratpoly"]
+_CHERN = ["hext.chern_futaki", "hext.graded_algebra"]
+_NUMERICAL = ["hext.profile_ode", "hext.profile_ode.coeffs", "hext.profile_ode.integrate", "hext.ratpoly"]
+_MODULE_SETS = [
+    ([], []),
+    (["certify"], _CERTIFY),
+    (["grassmann", "--k", "2"], ["hext.graded_algebra"]),
+    (["alpha", "--n", "4", "--d", "2", "--method", "series"], _CHERN),
+    (["futaki", "--n", "4", "--d", "2", "--q", "1"], _CHERN),
+    (["shoot", "--m", "1"], _NUMERICAL),
+    (["scan", "--m", "2", "--c-min", "-10", "--c-max", "8", "--steps", "8"], _NUMERICAL),
+    (["nonexist", "--m", "1"], _NUMERICAL),
+]
+
+
+@pytest.mark.parametrize("argv,modules", _MODULE_SETS, ids=[(argv or ["import"])[0] for argv, _ in _MODULE_SETS])
+def test_each_command_loads_the_modules_it_runs(argv, modules):
+    done = subprocess.run([sys.executable, "-c", _MODULES_PROBE, str(SRC), json.dumps(argv)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == sorted(_CLI + modules)

@@ -11,8 +11,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_tracer_finds_every_traced_name(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    import hext.cli  # noqa: F401  the tracer wraps the modules the CLI loads ...
-    import hext.profile_ode.integrate  # noqa: F401  ... and the first numerical call
+    # the tracer wraps loaded modules only, and each loads on its first call
+    import hext.chern_futaki  # noqa: F401
+    import hext.cli  # noqa: F401
+    import hext.graded_algebra  # noqa: F401
+    import hext.profile_ode.certificate  # noqa: F401
+    import hext.profile_ode.coeffs  # noqa: F401
+    import hext.profile_ode.integrate  # noqa: F401
+    import hext.ratpoly  # noqa: F401
     import tracing
 
     tracer = tracing.Tracer()
