@@ -5,11 +5,12 @@ Two exact engines live here, built on one sparse-polynomial core
 the shared sum, difference, negation, scalar multiple and equality.
 GrassmannElement is a polynomial in a central even variable lambda over the
 exterior algebra on n_gen odd generators; its lambda-free elements are the
-exterior algebra itself.  It exists to verify the rank-one determinant
-identities det(I - lam*A) * (1 - lam*a) = 1 and
-(I - lam*A)^{-1} = I + lam/(1 - lam*a) * A for A_ij = alpha_i * beta_j.
-A matrix is a list of rows.  _det works over any commutative ring with +, -
-and *; _matmul takes GrassmannElements and sums each entry into one dict.
+exterior algebra itself; it keys a monomial by one int, power << n_gen | mask.
+It exists to verify the rank-one determinant identities
+det(I - lam*A) * (1 - lam*a) = 1 and (I - lam*A)^{-1} = I + lam/(1 - lam*a) * A
+for A_ij = alpha_i * beta_j.  A matrix is a list of rows.  _det works over any
+commutative ring with +, - and *; _matmul takes GrassmannElements and sums
+each entry into one dict.
 TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
 monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
 on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
@@ -35,9 +36,10 @@ from .errors import (
 )
 
 Scalar = Union[int, Fraction]
+Key = Union[int, Tuple[int, ...]]  # a stored monomial key: packed int or exponent tuple
 
 
-def _compact(terms: Dict[tuple, Scalar]) -> Dict[tuple, Scalar]:
+def _compact(terms: Dict[Key, Scalar]) -> Dict[Key, Scalar]:
     """terms without zeros, integral coefficients as ints."""
     return {key: c.numerator if c.denominator == 1 else c for key, c in terms.items() if c}
 
@@ -49,10 +51,11 @@ class _SparsePoly:
     (generator count, truncation order); operands over different rings raise
     _mismatch.
 
-    The public constructor checks the ring parameter, every key (_key, which
-    also says whether the key survives) and every coefficient once; operator
-    results are built unchecked by _new.  __mul__ stays in each subclass body,
-    so each product is a name of its own class (perfbench wraps it there).
+    The public constructor checks the ring parameter, every key (_key returns
+    the key to store, None when the monomial vanishes) and every coefficient
+    once; operator results are built unchecked by _new.  __mul__ stays in each
+    subclass body, so each product is a name of its own class (perfbench
+    wraps it there).
     """
 
     __slots__ = ("_ring", "terms")
@@ -62,11 +65,10 @@ class _SparsePoly:
     def __init__(self, ring: int, terms: Optional[Dict[tuple, Scalar]] = None):
         _integer(self._what, ring, self._least)
         self._ring = ring
-        self.terms = _compact(
-            {key: _exact(c) for key, c in (terms or {}).items() if self._key(key)}
-        )
+        stored = ((self._key(key), c) for key, c in (terms or {}).items())
+        self.terms = _compact({key: _exact(c) for key, c in stored if key is not None})
 
-    def _new(self, terms: Dict[tuple, Scalar]):
+    def _new(self, terms: Dict[Key, Scalar]):
         """An element over self's ring with terms as given: checked, exact and
         compact already."""
         out = object.__new__(type(self))
@@ -124,13 +126,21 @@ class _SparsePoly:
 def _below_parity(b: int) -> int:
     """Bitmask (negative when infinite) whose bit i is the parity of the
     generators of b below i.  For disjoint a, b the sign of e_a * e_b is the
-    parity of (a & _below_parity(b)).bit_count()."""
+    parity of (a & _below_parity(b)).bit_count(); cut it to the low n_gen
+    bits before it meets a packed key, whose higher bits hold the power."""
     q = 0
     while b:
         low = b & -b
         q ^= -(low << 1)  # every bit above this generator
         b ^= low
     return q
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _above_parity(a: int) -> int:
+    """The mirror of _below_parity: bit i is the parity of the generators of
+    a above i, so (b & _above_parity(a)) has the parity of (a & _below_parity(b))."""
+    return _below_parity(a) ^ a ^ -(a.bit_count() & 1)  # all of a, less below i and at i
 
 
 def _label(mask: int) -> str:
@@ -149,19 +159,20 @@ class GrassmannElement(_SparsePoly):
     """Polynomial in a central even variable lambda over the exterior algebra
     on n_gen >= 0 odd generators (n_gen = 0 gives polynomials over Q).
 
-    terms maps (lambda power, generator-subset bitmask) to its coefficient.
-    Scalars enter + and - only through GrassmannElement.scalar.
+    The constructor takes terms keyed by (lambda power, generator-subset
+    bitmask); terms keys each by power << n_gen | bitmask, which sorts by
+    power, then bitmask.  Scalars enter + and - only through scalar.
     """
 
     __slots__ = ()
     _least, _what, _mismatch = 0, "the number of generators", GeneratorMismatch
     n_gen = property(lambda self: self._ring)
 
-    def _key(self, key: Tuple[int, int]) -> bool:
+    def _key(self, key: Tuple[int, int]) -> int:
         power, mask = key
         _integer("the lambda power", power, 0)
         _integer("the generator bitmask", mask, 0, (1 << self._ring) - 1)
-        return True
+        return power << self._ring | mask
 
     @classmethod
     def scalar(cls, n_gen: int, value: Scalar) -> "GrassmannElement":
@@ -178,24 +189,30 @@ class GrassmannElement(_SparsePoly):
         return cls(n_gen, {(1, 0): 1})
 
     def __mul__(self, other) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
-            return self._scale(other)
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
+        if type(other) is not GrassmannElement:  # element * element skips both checks
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other)
+            if not isinstance(other, GrassmannElement):
+                return NotImplemented
         return self._new(_compact(self._mul_into({}, other)))
 
-    def _mul_into(self, out: Dict[Tuple[int, int], Scalar], other: "GrassmannElement"):
-        """Add self * other into the dict out, uncompacted; return out."""
+    def _mul_into(self, out: Dict[int, Scalar], other: "GrassmannElement"):
+        """Add self * other into the dict out, uncompacted; return out.  The
+        factor with fewer terms runs outside, its sign mask looked up once per
+        term; the product of disjoint monomials is keyed by the sum of keys."""
         self._check(other)
-        terms = self.terms.items()
-        for (pb, mb), cb in other.terms.items():
-            below = _below_parity(mb)  # once per term of other, not per pair
-            for (pa, ma), ca in terms:
-                if ma & mb:
+        low = (1 << self._ring) - 1
+        outer, inner, parity = self.terms, other.terms.items(), _above_parity
+        if len(outer) > len(inner):
+            outer, inner, parity = other.terms, outer.items(), _below_parity
+        for ko, co in outer.items():
+            mo = ko & low
+            sign = parity(mo) & low
+            for ki, ci in inner:
+                if ki & mo:
                     continue  # repeated odd generator squares to zero
-                key = (pa + pb, ma | mb)
-                c = ca * cb
-                out[key] = out.get(key, 0) + (-c if (ma & below).bit_count() & 1 else c)
+                c = co * ci
+                out[ko + ki] = out.get(ko + ki, 0) + (-c if (ki & sign).bit_count() & 1 else c)
         return out
 
     __rmul__ = __mul__  # reached only with a scalar or foreign left operand
@@ -205,13 +222,15 @@ class GrassmannElement(_SparsePoly):
         then lowest generator bitmask) with its coefficient, as text."""
         if not self.terms:
             return None
-        power, mask = min(self.terms)
-        return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[power, mask]})"
+        key = min(self.terms)
+        power, mask = divmod(key, 1 << self._ring)
+        return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[key]})"
 
     def __repr__(self) -> str:
         if not self.terms:
             return "GrassmannElement(0)"
-        parts = [f"{c}*{_monomial(*key)}" for key, c in sorted(self.terms.items())]
+        parts = [f"{c}*{_monomial(*divmod(key, 1 << self._ring))}"
+                 for key, c in sorted(self.terms.items())]
         return "GrassmannElement(" + " + ".join(parts) + ")"
 
 
@@ -335,7 +354,7 @@ def rank1_identities(rows) -> RankOneReport:
     # (i) A^2 == a * A
     bad = _first_mismatch(_matmul(rows, rows), [[a * e for e in row] for row in rows])
     witness_i = None if bad is None else (
-        f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms)[1])}"
+        f"entry ({bad[0]},{bad[1]}) monomial {_label(min(bad[2].terms) % (1 << n_gen))}"
     )
 
     one, zero, lam = (GrassmannElement.scalar(n_gen, 1), GrassmannElement(n_gen),
@@ -392,19 +411,19 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     bad = _first_mismatch(squared, [[e * a for e in row] for row in scalars])
     if bad is not None:
         i, j, _ = bad
-        raise NotIdempotentFamily(f"(A@A)[{i}][{j}] = {squared[i][j].terms.get((0, 0), 0)} "
+        raise NotIdempotentFamily(f"(A@A)[{i}][{j}] = {squared[i][j].terms.get(0, 0)} "
                                   f"differs from a*A[{i}][{j}] = {a * rows[i][j]}")
     rank = int(sum(rows[i][i] for i in range(n)) / a)
 
     # det(I - lam*A) as a polynomial in lam over the algebra on no generators
     det = _det([[GrassmannElement(0, {(0, 0): int(i == j), (1, 0): -x})
                  for j, x in enumerate(row)] for i, row in enumerate(rows)])
-    degree = max(power for power, _ in det.terms)
+    degree = max(det.terms)  # with no generators, a key is the power of lam
 
     expected = [comb(rank, j) * (-a) ** j for j in range(rank + 1)]
     return ScalarProjectorReport(
         rank=rank,
-        det_coeffs=tuple(Fraction(det.terms.get((p, 0), 0)) for p in range(degree + 1)),
+        det_coeffs=tuple(Fraction(det.terms.get(p, 0)) for p in range(degree + 1)),
         expected_coeffs=tuple(expected),
     )
 
@@ -427,11 +446,11 @@ class TruncatedPoly(_SparsePoly):
     _least, _what, _mismatch = 1, "truncation order", TruncationMismatch
     order = property(lambda self: self._ring)
 
-    def _key(self, key: Tuple[int, int, int]) -> bool:
+    def _key(self, key: Tuple[int, int, int]) -> Optional[Tuple[int, int, int]]:
         ta, ob, ec = key
         for e in key:
             _integer("a monomial exponent", e, 0)
-        return ob + ec < self._ring and ta <= self._ring
+        return key if ob + ec < self._ring and ta <= self._ring else None
 
     @classmethod
     def const(cls, order: int, value: Scalar) -> "TruncatedPoly":

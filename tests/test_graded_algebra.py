@@ -111,8 +111,47 @@ def test_monomial_products_against_inversion_counts(n_gen):
             (pa, pb), (ca, cb) = rng.choices(range(4), k=2), rng.choices(values, k=2)
             x = GrassmannElement(n_gen, {(pa, a): ca})
             y = GrassmannElement(n_gen, {(pb, b): cb})
-            want = {} if a & b else {(pa + pb, a | b): _inversion_sign(a, b) * ca * cb}
+            # terms are keyed by the packed power << n_gen | mask
+            want = {} if a & b else {(pa + pb) << n_gen | a | b: _inversion_sign(a, b) * ca * cb}
             assert (x * y).terms == want
+
+
+@pytest.mark.parametrize("n_gen", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("sizes", [(1, 3), (3, 3), (4, 2)],
+                         ids=["left-shorter", "same-length", "right-shorter"])
+def test_multi_term_products_in_both_loop_orders(n_gen, sizes):
+    # the product walks the factor with fewer terms outside, so x * y and
+    # y * x take both loop orders; each must be the sum of its pairwise
+    # monomial products, signed by inversion counts, and even elements
+    # commute while odd ones anticommute
+    rng = random.Random(600 + 10 * n_gen + sizes[0])
+    values = [1, -2, 3, F(1, 3), F(-5, 2), F(7, 6)]
+
+    def terms(n_terms, parity):
+        out = {}
+        while len(out) < n_terms:
+            mask = rng.randrange(1 << n_gen)
+            if parity is None or mask.bit_count() % 2 == parity:
+                out[rng.randrange(4), mask] = rng.choice(values)  # lambda power 0..3
+        return out
+
+    def pairwise(x_terms, y_terms):
+        want = {}
+        for (pa, a), ca in x_terms.items():
+            for (pb, b), cb in y_terms.items():
+                if not a & b:
+                    key = (pa + pb, a | b)
+                    want[key] = want.get(key, 0) + _inversion_sign(a, b) * ca * cb
+        return GrassmannElement(n_gen, want)
+
+    for parity in (None, 0, 1):
+        for _ in range(20):
+            x_terms, y_terms = terms(sizes[0], parity), terms(sizes[1], parity)
+            x, y = GrassmannElement(n_gen, x_terms), GrassmannElement(n_gen, y_terms)
+            assert x * y == pairwise(x_terms, y_terms)
+            assert y * x == pairwise(y_terms, x_terms)
+            if parity is not None:
+                assert x * y == (-(y * x) if parity else y * x)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -218,7 +257,7 @@ def test_lam_poly_coefficients_stay_exact():
                 assert type(c) is int or (type(c) is F and c.denominator != 1)
                 kinds.add(type(c))
     assert kinds == {int, F}
-    assert type(GrassmannElement(6, {(0, 0): F(6, 3)}).terms[0, 0]) is int
+    assert type(GrassmannElement(6, {(0, 0): F(6, 3)}).terms[0]) is int
     with pytest.raises(TypeError):
         GrassmannElement(6, {(0, 0): 0.5})
     for power in (-1, 1.5):
@@ -258,7 +297,7 @@ def test_integer_arguments_are_ints(build):
     with pytest.raises(ValueError, match="must be an integer"):
         build()
     assert TruncatedPoly.t(3) ** 1 == TruncatedPoly.t(3)
-    assert GrassmannElement.generator(2, 1).terms == {(0, 0b10): 1}
+    assert GrassmannElement.generator(2, 1).terms == {0 << 2 | 0b10: 1}
 
 
 @pytest.mark.parametrize(
@@ -276,7 +315,7 @@ def test_integer_arguments_are_ints(build):
 def test_floats_do_not_enter_the_exact_layer(build):
     with pytest.raises(TypeError):
         build()
-    assert GrassmannElement.scalar(2, F(1, 10)).terms == {(0, 0): F(1, 10)}
+    assert GrassmannElement.scalar(2, F(1, 10)).terms == {0 << 2 | 0: F(1, 10)}
     assert TruncatedPoly(2, {(0, 0, 0): 3}).terms == {(0, 0, 0): F(3)}
 
 
