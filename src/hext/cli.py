@@ -18,14 +18,15 @@ one line on stderr, with no report and no artifacts: a flag argparse cannot
 parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
 outside the range its help names, an empty or too wide C window, more than
 MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that is
-empty, is or lies under a file, or has a name the OS rejects.  A library
-error ends every subcommand in one report form: summary {"pass": false,
-"reason": "error"} (exit 1), or "no-bracket" (exit 2) when --c-min and
---c-max clip shoot's root bracket to a window without a sign change, with
-the message in outputs.message.  A check that runs and fails is no error: a
-failed certificate claim, rank-one identity or non-positive hcscK margin
-comes back from the library as data, and its report keeps the full outputs
-with "pass": false (certify names its failed_claim), exit 1.
+empty, is or lies under a file, has a name the OS rejects, or (found after
+the work, before any write) holds a directory named as a file of the run.
+A library error ends every subcommand in one report form: summary {"pass":
+false, "reason": "error"} (exit 1), or "no-bracket" (exit 2) when --c-min
+and --c-max clip shoot's root bracket to a window without a sign change,
+with the message in outputs.message.  A check that runs and fails is no
+error: a failed certificate claim, rank-one identity or non-positive hcscK
+margin comes back from the library as data, and its report keeps the full
+outputs with "pass": false (certify names its failed_claim), exit 1.
 """
 from __future__ import annotations
 
@@ -245,13 +246,6 @@ _COMMANDS = {
 }
 
 
-def _write_text(out_dir: Path, name: str, text: str) -> str:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return name
-
-
 def _out_error(out: Path) -> Optional[str]:
     """Why mkdir cannot make `out` a directory, or None: its nearest existing
     ancestor is no directory or a dangling symlink, or the OS rejects a name
@@ -262,20 +256,18 @@ def _out_error(out: Path) -> Optional[str]:
         except (FileNotFoundError, NotADirectoryError):
             if p.is_symlink():  # stat follows the link to nothing; mkdir fails on the link
                 return f"{p} is a dangling symbolic link"
-            continue
         except OSError as exc:
             return exc.strerror
 
 
 def _run(args) -> int:
-    _, flags, body = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
         if args.out is not None:  # --out must be a directory, or a path mkdir can create
             why = _out_error(Path(args.out)) if args.out else "an empty path is not a directory"
             if why:  # an empty --out has its own rule: Path("") is the working directory
                 raise InvalidInput(f"--out {args.out}: {why}")
-        done = body(args)
+        done = _COMMANDS[args.command][2](args)  # the row's body
         code = EXIT_OK if done.summary["pass"] else EXIT_FAIL
     except InvalidInput as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -285,19 +277,26 @@ def _run(args) -> int:
         reason, code = ("no-bracket", EXIT_NO_BRACKET) if no_bracket else ("error", EXIT_FAIL)
         human = [f"{'no bracket' if no_bracket else 'error'}: {exc}"]
         done = _Outcome({"message": str(exc)}, human, {"pass": False, "reason": reason})
-    if args.out:
-        for key, name, text in done.artifacts:
-            done.outputs[key] = _write_text(Path(args.out), name, text())
-    wall_time_s = time.perf_counter() - started
+    if args.out:  # the outputs name the artifact files
+        done.outputs.update((key, name) for key, name, _ in done.artifacts)
     if args.out or args.json:
-        dests = [flag[2:].replace("-", "_") for flag, _ in flags]
-        report = _report_json({"command": args.command, "parameters": {d: getattr(args, d) for d in dests},
+        parameters = {k: v for k, v in vars(args).items() if k not in ("command", "json", "out")}
+        report = _report_json({"command": args.command, "parameters": parameters,
                                "outputs": done.outputs, "summary": done.summary})
-        if args.out:
-            _write_text(Path(args.out), "report.json", report)
-        if args.json:
-            sys.stdout.write(_with_wall_time(report, wall_time_s))
-    if not args.json:
+    if args.out:  # every file name is checked before the first write
+        out = Path(args.out)
+        files = [(name, text) for _, name, text in done.artifacts] + [("report.json", lambda: report)]
+        blocked = [out / name for name, _ in files if (out / name).is_dir()]
+        if blocked:
+            sys.stderr.write(f"error: --out {args.out}: {blocked[0]} is a directory\n")
+            return EXIT_USAGE
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            (out / name).write_text(text(), encoding="utf-8", newline="\n")
+    wall_time_s = time.perf_counter() - started
+    if args.json:
+        sys.stdout.write(_with_wall_time(report, wall_time_s))
+    else:
         for line in done.human:
             print(line)
     return code

@@ -2,7 +2,7 @@
 
 Two exact engines live here, built on one sparse-polynomial core
 (_SparsePoly): a map from monomial keys to exact rational coefficients with
-the shared sum, difference, negation, scalar multiple and equality.
+the shared sum, difference, negation, scalar multiple, equality and repr.
 GrassmannElement is a polynomial in a central even variable lambda over the
 exterior algebra on n_gen odd generators; its lambda-free elements are the
 exterior algebra itself; it keys a monomial by one int, power << n_gen | mask.
@@ -15,8 +15,8 @@ TruncatedPoly is a commutative polynomial ring in (t, omega, eta) where every
 monomial with omega-degree + eta-degree >= n vanishes (forms above top degree
 on an (n-1)-dimensional space) and t is kept to degree <= n; it is the series
 engine behind the Chern coefficient tables.  Each type adds its own key
-rule and product; both invert 1 - x for nilpotent x by one finite geometric
-series (_geometric).
+rule, monomial text and product; both invert 1 - x for nilpotent x by one
+finite geometric series (_geometric).
 """
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ class _SparsePoly:
 
     __slots__ = ("_ring", "terms")
     # a subclass sets _least (smallest ring parameter), _what (its name in
-    # messages), _mismatch (an exception type) and _key(key)
+    # messages), _mismatch (an exception type), _key(key) and _monomial(key)
 
     def __init__(self, ring: int, terms: Optional[Dict[tuple, Scalar]] = None):
         _integer(self._what, ring, self._least)
@@ -121,6 +121,10 @@ class _SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __repr__(self) -> str:
+        parts = [f"{c}*{self._monomial(key)}" for key, c in sorted(self.terms.items())]
+        return f"{type(self).__name__}({' + '.join(parts) or 0})"
+
 
 @functools.lru_cache(maxsize=1 << 12)
 def _below_parity(b: int) -> int:
@@ -150,11 +154,6 @@ def _label(mask: int) -> str:
     return "*".join(f"e{i + 1:02d}" for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _monomial(power: int, mask: int) -> str:
-    """lambda^2*e01 for (2, 0b1); the generator label alone at power 0."""
-    return _label(mask) if power == 0 else f"lambda^{power}*{_label(mask)}"
-
-
 class GrassmannElement(_SparsePoly):
     """Polynomial in a central even variable lambda over the exterior algebra
     on n_gen >= 0 odd generators (n_gen = 0 gives polynomials over Q).
@@ -173,6 +172,11 @@ class GrassmannElement(_SparsePoly):
         _integer("the lambda power", power, 0)
         _integer("the generator bitmask", mask, 0, (1 << self._ring) - 1)
         return power << self._ring | mask
+
+    def _monomial(self, key: int) -> str:
+        """lambda^2*e01 for the key of (2, 0b1); the generator label alone at power 0."""
+        power, mask = divmod(key, 1 << self._ring)
+        return _label(mask) if power == 0 else f"lambda^{power}*{_label(mask)}"
 
     @classmethod
     def scalar(cls, n_gen: int, value: Scalar) -> "GrassmannElement":
@@ -225,13 +229,6 @@ class GrassmannElement(_SparsePoly):
         key = min(self.terms)
         power, mask = divmod(key, 1 << self._ring)
         return f"lambda^{power} * {_label(mask)} (coefficient {self.terms[key]})"
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "GrassmannElement(0)"
-        parts = [f"{c}*{_monomial(*divmod(key, 1 << self._ring))}"
-                 for key, c in sorted(self.terms.items())]
-        return "GrassmannElement(" + " + ".join(parts) + ")"
 
 
 # -- matrix algebra over any ring with +, - and * -------------------------------
@@ -521,8 +518,5 @@ class TruncatedPoly(_SparsePoly):
         """Coefficient of t^q as a map (omega_deg, eta_deg) -> value."""
         return {(b, c): Fraction(v) for (a, b, c), v in self.terms.items() if a == q}
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "TruncatedPoly(0)"
-        parts = [f"{v}*t^{a}*w^{b}*h^{c}" for (a, b, c), v in sorted(self.terms.items())]
-        return "TruncatedPoly(" + " + ".join(parts) + ")"
+    def _monomial(self, key: Tuple[int, int, int]) -> str:
+        return "t^{}*w^{}*h^{}".format(*key)

@@ -11,7 +11,7 @@ rational upper bounds, which is sound because the bound is monotone in them.
 The chain, in order:
 
   1.  L = -33/80 and N = 11/8.
-  2.  delta' = -33/(20 L) = 4, hence C = 2 + 4/((m+1)^2 - 1) + delta' = 22/3.
+  2.  delta' = -33/(20 L) = 4, hence C = C_h + delta' = 22/3 (A = 0 at C_h = 10/3).
   3.  L*C + N = -33/20 at that C.
   4.  A = 9, B = -50/3, and q(gamma) = 3 g^4 - (25/3) g^3 + (22/3) g.
   5.  The unique root gamma_0 of p on [1, 2] lies in (1.2, 1.3):
@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .. import ratpoly
-from .coeffs import _hcsck_denominator, coeffs_from_C, compute_LN
+from .coeffs import coeffs_from_C, compute_LN, hcsck_coeffs
 
 # steps 5-7's thresholds, each read by every claim that rests on it
 _G0_LO, _G0_HI, _Q_FLOOR = Fraction(6, 5), Fraction(13, 10), Fraction(-9, 2)
@@ -98,7 +98,7 @@ def certify_m1() -> CertificateM1:
     delta_prime = Fraction(-33, 20) / ln.L
     claims.append(_claim("delta_prime", delta_prime, "==", Fraction(4)))
 
-    C = 2 + 4 / _hcsck_denominator(m) + delta_prime
+    C = hcsck_coeffs(m).C + delta_prime
     claims.append(_claim("C_value", C, "==", Fraction(22, 3)))
     claims.append(_claim("LCplusN", ln.lc_plus_n(C), "==", Fraction(-33, 20)))
 

@@ -206,12 +206,12 @@ def interval_eval(p: Poly, lo, hi) -> Tuple[Fraction, Fraction]:
     return lo_sum, hi_sum
 
 
-def sqrt_upper(x, digits: int = 30) -> Fraction:
-    """Rational r with r*r >= x and r - sqrt(x) < 10**-digits."""
+def sqrt_upper(x) -> Fraction:
+    """Rational r with r*r >= x and r - sqrt(x) < 10**-30."""
     x = _exact(x)
     if x < 0:
         raise ValueError("negative radicand")
-    s = 10 ** digits
+    s = 10 ** 30
     num = x.numerator * s * s
     ceil_scaled = -((-num) // x.denominator)
     r = math.isqrt(ceil_scaled)

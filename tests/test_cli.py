@@ -593,6 +593,19 @@ def test_out_the_os_rejects_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("blocked", ["certificate.json", "report.json"])
+def test_out_holding_a_directory_where_a_file_goes_is_usage_error(blocked, tmp_path, capsys):
+    # the run does its work, then refuses before writing any file
+    (tmp_path / blocked / "inner").mkdir(parents=True)
+    for json_flag in ([], ["--json"]):
+        assert main(["certify", "--out", str(tmp_path)] + json_flag) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {tmp_path}: {tmp_path / blocked} is a directory\n"
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == \
+            [blocked, f"{blocked}/inner"]
+
+
 def test_only_the_cli_writes_json_or_csv():
     # the library returns values; cli.py alone turns them into report and artifact text
     src = Path(cli.__file__).parent

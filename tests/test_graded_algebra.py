@@ -600,3 +600,17 @@ def test_truncation_drops_top_degrees():
     assert (w ** 2 * e).is_zero()  # total form degree n vanishes
     t = TruncatedPoly.t(n)
     assert (t ** (n + 1)).is_zero()
+
+
+@pytest.mark.parametrize("element,text", [
+    (GrassmannElement(3), "GrassmannElement(0)"),
+    (TruncatedPoly(2), "TruncatedPoly(0)"),
+    (GrassmannElement(3, {(0, 0): 2, (0, 0b101): F(-1, 2), (1, 0): 1, (2, 0b10): -3}),
+     "GrassmannElement(2*1 + -1/2*e01*e03 + 1*lambda^1*1 + -3*lambda^2*e02)"),
+    (GrassmannElement(0, {(3, 0): F(2, 3), (0, 0): 1}), "GrassmannElement(1*1 + 2/3*lambda^3*1)"),
+    (TruncatedPoly(3, {(2, 0, 1): 5, (1, 2, 0): F(-3, 4), (0, 0, 0): 1}),
+     "TruncatedPoly(1*t^0*w^0*h^0 + -3/4*t^1*w^2*h^0 + 5*t^2*w^0*h^1)"),
+], ids=["grassmann-zero", "truncpoly-zero", "grassmann-terms", "grassmann-no-generators",
+        "truncpoly-terms"])
+def test_repr_lists_terms_in_key_order(element, text):
+    assert repr(element) == text

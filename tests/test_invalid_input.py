@@ -141,7 +141,7 @@ _TYPE_ERRORS = {
     "count-roots-bool": lambda: ratpoly.count_roots(X_SQUARED_MINUS_2, False, True),
     "isolate-roots-float-width": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 0, 2, 0.5),
     "interval-eval-float": lambda: ratpoly.interval_eval(X_SQUARED_MINUS_2, 0.5, 1),
-    "sqrt-upper-bool": lambda: ratpoly.sqrt_upper(True, 3),
+    "sqrt-upper-bool": lambda: ratpoly.sqrt_upper(True),
 }
 
 

@@ -159,3 +159,11 @@ def test_each_command_loads_the_modules_it_runs(argv, modules):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == sorted(_CLI + modules)
+
+
+def test_importing_profile_ode_loads_none_of_its_modules():
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import hext.profile_ode; "
+             "print(json.dumps(sorted(n for n in sys.modules if n.partition('.')[0] in ('hext', 'numpy'))))")
+    done = subprocess.run([sys.executable, "-c", probe, str(SRC)], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["hext", "hext.profile_ode"]
