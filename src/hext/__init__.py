@@ -15,9 +15,10 @@ Three pillars:
                      Bando-Futaki formula and its check by equivariant
                      localization.
 
-One loading rule: importing hext loads no other module of it.  Each public
-name below has one home module, which the one loader's __getattr__ (also
-profile_ode's) imports on first use and looks the name up in every time.
+One loading rule: importing hext loads no other module of it.  This package
+is the one namespace that serves the public names: each name below has one
+home module, which __getattr__ imports on the name's first use and looks the
+name up in every time (hext.shoot is hext.profile_ode.integrate.shoot).
 numpy is imported by profile_ode.integrate alone, and scipy by no module.
 """
 import importlib
@@ -39,14 +40,14 @@ _HOMES = {name: home for home, names in {
                                "hcsck_nonexistence", "integrate_v", "reconstruct_curve",
                                "residual_check", "shoot"),
 }.items() for name in names}
+__all__ = sorted(_HOMES)
 
 
-def _loader(namespace, homes):
-    def __getattr__(name):
-        if name not in homes:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        return getattr(importlib.import_module(homes[name], namespace["__name__"]), name)
-    return sorted(homes), __getattr__, lambda: sorted({*namespace, *homes})
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_HOMES[name], __name__), name)
 
 
-__all__, __getattr__, __dir__ = _loader(globals(), _HOMES)
+def __dir__():
+    return sorted({*globals(), *_HOMES})

@@ -19,7 +19,10 @@ parse, an InvalidInput (a non-positive --m, a non-finite number, a --tol
 outside the range its help names, an empty or too wide C window, more than
 MAX_SCAN_STEPS scan points, n above MAX_N, ...), or an --out that is
 empty, is or lies under a file, has a name the OS rejects, or (found after
-the work, before any write) holds a directory named as a file of the run.
+the work, before any write) holds a file of the run that resolves to a
+directory, is a symbolic link loop, or links into nothing (a path whose
+parent is not a directory).  A dangling link whose target's directory
+exists is written through.
 A library error ends every subcommand in one report form: summary {"pass":
 false, "reason": "error"} (exit 1), or "no-bracket" (exit 2) when --c-min
 and --c-max clip shoot's root bracket to a window without a sign change,
@@ -35,6 +38,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import stat
 import sys
 import time
@@ -76,13 +80,13 @@ def _with_wall_time(report_json: str, wall_time_s: float) -> str:
 @dataclass
 class _Outcome:
     """What a body hands the runner; the exit code follows summary["pass"].
-    Each artifact is (output key, file name, text thunk); the thunk runs
-    only under --out."""
+    artifacts maps each artifact's file name to its text thunk, which runs
+    only under --out; its output key is the file name with "_" for "."."""
 
     outputs: Dict
     human: List[str]
     summary: Dict = field(default_factory=lambda: {"pass": True})
-    artifacts: List[Tuple[str, str, Callable[[], str]]] = field(default_factory=list)
+    artifacts: Dict[str, Callable[[], str]] = field(default_factory=dict)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,8 +118,7 @@ def _shoot(a) -> _Outcome:
         f"lambda slope A = {result.a_slope:.10g}  (hcscK excluded: {result.not_hcsck})",
         f"ODE residual (4th-order differences of v) = {residual:.3e}",
     ]
-    artifacts = [("trajectory_csv", "trajectory.csv", result.trajectory.to_csv),
-                 ("profile_curve_csv", "profile_curve.csv", curve.to_csv)]
+    artifacts = {"trajectory.csv": result.trajectory.to_csv, "profile_curve.csv": curve.to_csv}
     return _Outcome(outputs, human, artifacts=artifacts)
 
 
@@ -130,8 +133,7 @@ def _certify(a) -> _Outcome:
     ]
     human.append("all claims pass" if failed is None else f"FAILED claim: {failed}")
     summary = {"pass": failed is None, "failed_claim": failed}
-    artifacts = [("certificate_json", "certificate.json",
-                  lambda: json.dumps(rows, indent=2, sort_keys=True) + "\n")]
+    artifacts = {"certificate.json": lambda: json.dumps(rows, indent=2, sort_keys=True) + "\n"}
     return _Outcome({"claims": rows}, human, summary, artifacts)
 
 
@@ -182,7 +184,7 @@ def _scan(a) -> _Outcome:
         f"defect sign changes: {len(brackets)}",
     ] + [f"  bracket: C in ({lo:.8g}, {hi:.8g})" for lo, hi in brackets]
     summary = {"pass": True, "sign_changes": len(brackets)}
-    return _Outcome(outputs, human, summary, [("scan_csv", "scan.csv", lambda: _scan_csv(scan.points))])
+    return _Outcome(outputs, human, summary, {"scan.csv": lambda: _scan_csv(scan.points)})
 
 
 def _alpha(a) -> _Outcome:
@@ -190,7 +192,7 @@ def _alpha(a) -> _Outcome:
     rows = [{"q": q, "k": k, "alpha": str(v.numerator)}
             for q, row in enumerate(table.entries) for k, v in enumerate(row)]
     human = ["q,k,alpha"] + [f"{r['q']},{r['k']},{r['alpha']}" for r in rows]  # alpha.csv's lines
-    artifacts = [("alpha_csv", "alpha.csv", lambda: "\n".join(human) + "\n")]
+    artifacts = {"alpha.csv": lambda: "\n".join(human) + "\n"}
     return _Outcome({"rows": rows}, human, artifacts=artifacts)
 
 
@@ -198,7 +200,7 @@ def _futaki(a) -> _Outcome:
     outputs = {"value": _frac_str(hext.futaki_closed(a.n, a.d, a.q).r), "kappa_coefficient": True}
     doc = {"n": a.n, "d": a.d, "q": a.q, **outputs}
     human = [f"F_{a.q}(n={a.n}, d={a.d}) = ({outputs['value']}) * kappa"]
-    artifacts = [("futaki_json", "futaki.json", lambda: json.dumps(doc, sort_keys=True) + "\n")]
+    artifacts = {"futaki.json": lambda: json.dumps(doc, sort_keys=True) + "\n"}
     return _Outcome(outputs, human, artifacts=artifacts)
 
 
@@ -278,20 +280,24 @@ def _run(args) -> int:
         human = [f"{'no bracket' if no_bracket else 'error'}: {exc}"]
         done = _Outcome({"message": str(exc)}, human, {"pass": False, "reason": reason})
     if args.out:  # the outputs name the artifact files
-        done.outputs.update((key, name) for key, name, _ in done.artifacts)
+        done.outputs.update((name.replace(".", "_"), name) for name in done.artifacts)
     if args.out or args.json:
         parameters = {k: v for k, v in vars(args).items() if k not in ("command", "json", "out")}
         report = _report_json({"command": args.command, "parameters": parameters,
                                "outputs": done.outputs, "summary": done.summary})
     if args.out:  # every file name is checked before the first write
         out = Path(args.out)
-        files = [(name, text) for _, name, text in done.artifacts] + [("report.json", lambda: report)]
-        blocked = [out / name for name, _ in files if (out / name).is_dir()]
-        if blocked:
-            sys.stderr.write(f"error: --out {args.out}: {blocked[0]} is a directory\n")
-            return EXIT_USAGE
+        files = {**done.artifacts, "report.json": lambda: report}
+        for name in files if out.exists() else ():  # a new --out holds no file yet
+            real = Path(os.path.realpath(out / name))  # the path a write through its links opens
+            why = ("is a directory" if real.is_dir() else
+                   "is a symbolic link loop" if real.is_symlink() else  # realpath left a loop unresolved
+                   None if real.parent.is_dir() else f"resolves to {real}, whose parent is not a directory")
+            if why:
+                sys.stderr.write(f"error: --out {args.out}: {out / name} {why}\n")
+                return EXIT_USAGE
         out.mkdir(parents=True, exist_ok=True)
-        for name, text in files:
+        for name, text in files.items():
             (out / name).write_text(text(), encoding="utf-8", newline="\n")
     wall_time_s = time.perf_counter() - started
     if args.json:

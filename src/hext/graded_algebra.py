@@ -450,10 +450,6 @@ class TruncatedPoly(_SparsePoly):
         return key if ob + ec < self._ring and ta <= self._ring else None
 
     @classmethod
-    def const(cls, order: int, value: Scalar) -> "TruncatedPoly":
-        return cls(order, {(0, 0, 0): value})
-
-    @classmethod
     def t(cls, order: int) -> "TruncatedPoly":
         return cls(order, {(1, 0, 0): 1})
 

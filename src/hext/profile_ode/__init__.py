@@ -1,13 +1,7 @@
 """Momentum-profile boundary value problem: exact coefficient algebra,
 adaptive integration, parameter shooting, and the m = 1 certificate.
 
-hext's loading rule holds here too: importing this package loads none of its
-modules.  Its names are the rows of hext's table homed in it, served by
-hext's one loader: a name's home (.certificate, .coeffs or .integrate) is
-imported on first use and the name looked up there every time.  .integrate
-alone imports numpy."""
-from .. import _HOMES as _PACKAGE_HOMES, _loader
-
-_HOMES = {name: home.removeprefix(".profile_ode") for name, home in _PACKAGE_HOMES.items()
-          if home.startswith(".profile_ode.")}
-__all__, __getattr__, __dir__ = _loader(globals(), _HOMES)
+This package holds modules only: .coeffs, .integrate and .certificate.
+Importing it loads none of them, and it serves none of their names: each
+public name is served by hext alone (hext.shoot, hext.certify_m1, ...),
+from its home module here.  .integrate alone imports numpy."""

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import shlex
 import warnings
 from fractions import Fraction
@@ -604,6 +605,33 @@ def test_out_holding_a_directory_where_a_file_goes_is_usage_error(blocked, tmp_p
         assert captured.err == f"error: --out {tmp_path}: {tmp_path / blocked} is a directory\n"
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == \
             [blocked, f"{blocked}/inner"]
+
+
+@pytest.mark.parametrize("target,why", [
+    ("missing/x", "resolves to {real}, whose parent is not a directory"),
+    ("report.json", "is a symbolic link loop"),
+], ids=["into-a-missing-directory", "loop"])
+def test_out_holding_a_file_link_that_cannot_be_written_is_usage_error(target, why, tmp_path, capsys):
+    # the run does its work, then refuses before writing any file
+    link = tmp_path / "report.json"
+    link.symlink_to(tmp_path / target)
+    for json_flag in ([], ["--json"]):
+        assert main(["futaki", "--n", "3", "--d", "2", "--q", "1", "--out", str(tmp_path)] + json_flag) \
+            == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        why_text = why.format(real=os.path.realpath(link))
+        assert captured.err == f"error: --out {tmp_path}: {link} {why_text}\n"
+        assert list(tmp_path.iterdir()) == [link]
+
+
+def test_a_dangling_file_link_whose_directory_exists_is_written_through(tmp_path, capsys):
+    (tmp_path / "out").mkdir()
+    link = tmp_path / "out" / "report.json"
+    link.symlink_to(tmp_path / "report-target.json")
+    assert main(["futaki", "--n", "3", "--d", "2", "--q", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert link.is_symlink()
+    assert json.loads((tmp_path / "report-target.json").read_text())["outputs"]["futaki_json"] == "futaki.json"
 
 
 def test_only_the_cli_writes_json_or_csv():

@@ -175,10 +175,23 @@ def test_hcsck_coeffs():
     assert cs.A == 0
     assert cs.B == F(-8, 3)
     assert cs.C == F(10, 3)
-    for m in range(1, 8):
+    for m in range(1, 51):
         cs = hcsck_coeffs(m)
         assert cs.A == 0
         assert compute_LN(m).lc_plus_n(cs.C) == 0
+
+
+def test_dp_dc_factors_with_its_roots_at_the_ends():
+    """dp/dC = a1*g^3/3 + b1*g^2/2 + 1 equals
+    ((m+2)/(m+1)^2)(g - 1)(g - m - 1)(g + (m+1)/(m+2)): its two roots in
+    [1, m+1] are the ends, so it keeps one sign inside and the defect is
+    monotone in C."""
+    for m in range(1, 51):
+        a1, _, b1, _ = _linear_maps(m)
+        dp_dc = rp.poly([1, 0, b1 / 2, a1 / 3])
+        factors = [rp.poly([-1, 1]), rp.poly([-(m + 1), 1]), rp.poly([F(m + 1, m + 2), 1])]
+        product = rp.mul(rp.mul(factors[0], factors[1]), factors[2])
+        assert dp_dc == rp.scale(product, F(m + 2, (m + 1) ** 2)), m
 
 
 def test_root_uniqueness_by_sturm():

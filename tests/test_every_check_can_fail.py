@@ -64,6 +64,23 @@ _CHECKS = {
     "ln-2l-plus-n": (
         lambda: LNConstants(1, F(-1), F(1)),
         ValueError, "expected 2L + N > 2/5"),
+    # the edges of each comparison: L = 0, L > 0 with N > 0, N = 0, and
+    # 2L + N exactly 2/5 at two splits of it between L and N
+    "ln-l-zero": (
+        lambda: LNConstants(1, F(0), F(1)),
+        ValueError, "expected L < 0 and N > 0"),
+    "ln-l-positive": (
+        lambda: LNConstants(1, F(1, 2), F(1)),
+        ValueError, "expected L < 0 and N > 0"),
+    "ln-n-zero": (
+        lambda: LNConstants(1, F(-1), F(0)),
+        ValueError, "expected L < 0 and N > 0"),
+    "ln-2l-plus-n-at-two-fifths": (
+        lambda: LNConstants(1, F(-1, 10), F(3, 5)),
+        ValueError, "expected 2L + N > 2/5"),
+    "ln-2l-plus-n-at-two-fifths-small-l": (
+        lambda: LNConstants(1, F(-1, 100), F(21, 50)),
+        ValueError, "expected 2L + N > 2/5"),
     "coeffset-p-at-m-plus-1": (
         lambda: CoeffSet(1, F(2), F(0), F(0)),  # p(1) = 2 but p(2) = 2
         ValueError, "boundary identity p(m+1) == -2 violated"),
@@ -131,3 +148,8 @@ def test_check_trips(case):
         call()
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+def test_ln_constants_inside_every_bound_construct():
+    ln = LNConstants(1, F(-1, 100), F(1, 2))  # 2L + N = 12/25 > 2/5
+    assert (ln.L, ln.N) == (F(-1, 100), F(1, 2))

@@ -306,7 +306,7 @@ def test_integer_arguments_are_ints(build):
         lambda: GrassmannElement.scalar(2, 0.1),
         lambda: GrassmannElement(2, {(0, 0b11): 0.5}),
         lambda: TruncatedPoly(2, {(0, 0, 0): 0.1}),
-        lambda: TruncatedPoly.const(2, 0.5),
+        lambda: TruncatedPoly(2, {(0, 0, 0): 0.5}),
         lambda: scalar_projector_check([[0.5, 0.5], [0.5, 0.5]], 1.0),
         lambda: scalar_projector_check([[F(1, 2), F(1, 2)], [F(1, 2), F(1, 2)]], 1.0),
         lambda: futaki_localized(2, 1, [0, 0.5, 2]),
@@ -320,7 +320,7 @@ def test_floats_do_not_enter_the_exact_layer(build):
 
 
 @pytest.mark.parametrize("element", [
-    GrassmannElement.scalar(2, 1), TruncatedPoly.const(2, 1),
+    GrassmannElement.scalar(2, 1), TruncatedPoly(2, {(0, 0, 0): 1}),
 ], ids=["grassmann", "truncpoly"])
 @pytest.mark.parametrize("operand", [0.5, "x"])
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
@@ -520,7 +520,7 @@ def test_ts_geometric_series():
     e = TruncatedPoly.eta(n)
     u = t * (w * 2 + e)  # nilpotent under the truncation
     inv = (1 - u).inv()
-    series = TruncatedPoly.const(n, 1)
+    series = TruncatedPoly(n, {(0, 0, 0): 1})
     power = u
     while not power.is_zero():
         series = series + power
@@ -543,7 +543,7 @@ def test_ts_geometric_series_randomized():
         for _ in range(4):
             terms[keys[rng.randrange(len(keys))]] = F(rng.randint(-4, 4), rng.randint(1, 3))
         u = TruncatedPoly(n, terms)  # zero constant term, hence nilpotent
-        series = TruncatedPoly.const(n, 1)
+        series = TruncatedPoly(n, {(0, 0, 0): 1})
         power = u
         while not power.is_zero():
             series = series + power
@@ -577,7 +577,7 @@ def test_ts_inv_roundtrip_random():
             terms[keys[rng.randrange(len(keys))]] = F(rng.randint(-6, 6), rng.randint(1, 3))
         terms[(0, 0, 0)] = F(rng.choice([1, -1, 2, 3]))  # unit constant term
         x = TruncatedPoly(n, terms)
-        assert x.inv() * x == TruncatedPoly.const(n, 1)
+        assert x.inv() * x == TruncatedPoly(n, {(0, 0, 0): 1})
 
 
 def test_ts_inv_requires_unit():

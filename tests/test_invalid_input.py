@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from hext import (
+    MAX_SCAN_STEPS,
     CoeffSet,
     GrassmannElement,
     InvalidInput,
@@ -24,13 +25,15 @@ from hext import (
     ratpoly,
     coeffs_from_C,
     compute_LN,
+    defect_scan,
     futaki_closed,
     futaki_localized,
+    hcsck_coeffs,
     hcsck_nonexistence,
     rank1_check,
     scalar_projector_check,
+    shoot,
 )
-from hext.profile_ode import MAX_SCAN_STEPS, defect_scan, hcsck_coeffs, shoot
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hext"
 X_SQUARED_MINUS_2 = ratpoly.poly([-2, 0, 1])
@@ -133,7 +136,7 @@ _TYPE_ERRORS = {
     "lc-plus-n-c-bool": lambda: compute_LN(1).lc_plus_n(True),
     "lc-plus-n-c-str": lambda: compute_LN(1).lc_plus_n("1/3"),
     "grassmann-coefficient-bool": lambda: GrassmannElement.scalar(2, True),
-    "truncpoly-coefficient-bool": lambda: TruncatedPoly.const(2, True),
+    "truncpoly-coefficient-bool": lambda: TruncatedPoly(2, {(0, 0, 0): True}),
     "futaki-weight-bool": lambda: futaki_localized(2, 1, [0, True, 2]),
     "projector-entry-bool": lambda: scalar_projector_check([[True, False], [False, False]], 1),
     "projector-a-bool": lambda: scalar_projector_check([[1, 0], [0, 0]], True),

@@ -1,23 +1,25 @@
 """Each command loads the hext modules it runs and no other, numpy with the
 numerical names only and scipy never: the exact commands run without numpy,
-the numerical ones without scipy, and every public name resolves through its
-package's table to one object, the one in its home module."""
+the numerical ones without scipy, and every public name resolves through
+hext's table to one object, the one in its home module.  hext.profile_ode
+holds modules only and serves no name."""
 import importlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import hext
-from hext import profile_ode
-from hext.profile_ode import defect_scan, integrate, shoot
+from hext import defect_scan, profile_ode, shoot
+from hext.profile_ode import integrate
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name hext.profile_ode exported while it imported .certificate and
-# .coeffs eagerly, and still exports
+# every name homed in a module of hext.profile_ode, which that package
+# exported while it imported .certificate and .coeffs eagerly
 PROFILE_ODE_NAMES = [
     "CertificateM1", "Claim", "certify_m1",
     "CoeffSet", "LNConstants", "coeffs_from_C", "compute_LN", "hcsck_coeffs",
@@ -101,19 +103,23 @@ def test_numerical_commands_run_with_scipy_blocked():
 
 def test_every_old_name_resolves_to_one_object():
     assert shoot is integrate.shoot and defect_scan is integrate.defect_scan
-    for name in PROFILE_ODE_NAMES:
-        assert getattr(hext, name) is getattr(profile_ode, name), name
-    assert set(profile_ode._HOMES) == set(PROFILE_ODE_NAMES)
     assert set(hext._HOMES) == set(HEXT_NAMES)
-    for package in (hext, profile_ode):
-        names = dir(package)
-        for name, home in package._HOMES.items():
-            assert name in names, name
-            module = importlib.import_module(home, package.__name__)
-            assert getattr(package, name) is getattr(module, name), name
-        star = {}
-        exec(f"from {package.__name__} import *", star)
-        assert set(star) - {"__builtins__"} == set(package._HOMES)
+    names = dir(hext)
+    for name, home in hext._HOMES.items():
+        assert name in names, name
+        module = importlib.import_module(home, hext.__name__)
+        assert getattr(hext, name) is getattr(module, name), name
+    star = {}
+    exec("from hext import *", star)
+    assert set(star) - {"__builtins__"} == set(hext._HOMES)
+
+
+def test_profile_ode_serves_no_names():
+    assert not hasattr(profile_ode, "__getattr__")
+    public = [name for name in vars(profile_ode) if not name.startswith("_")]
+    assert all(isinstance(getattr(profile_ode, name), types.ModuleType) for name in public), public
+    with pytest.raises(ImportError):
+        from hext.profile_ode import shoot  # noqa: F401, F811
 
 
 def test_unknown_names_raise_attribute_error():
