@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 
 # every public name, by its home module
 _HOMES = {name: home for home, names in {
-    ".chern_futaki": ("ALPHA_METHODS", "AlphaTable", "FutakiValue", "alpha_closed", "alpha_recursive",
-                      "alpha_series", "futaki_closed", "futaki_localized"),
+    ".chern_futaki": ("AlphaTable", "FutakiValue", "alpha_closed", "alpha_recursive", "alpha_series",
+                      "futaki_closed", "futaki_localized"),
     ".errors": ("GeneratorMismatch", "HextError", "InvalidInput", "NoBracket", "NotIdempotentFamily",
                 "NotInvertible", "PositivityLost", "SeriesMismatch", "StepFailure", "TruncationMismatch"),
     ".graded_algebra": ("GrassmannElement", "TruncatedPoly", "rank1_check", "rank1_identities",

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import List, Tuple
 
-from .errors import ALPHA_METHOD_NAMES, SeriesMismatch, _integer, _weights
+from .errors import SeriesMismatch, _integer, _weights
 from .graded_algebra import TruncatedPoly
 
 # the largest ambient dimension: the suite checks the three alpha methods
@@ -145,10 +145,6 @@ def alpha_series(n: int, d: int) -> AlphaTable:
     denom = 1 + t * (w * d + e)
     series = numer * denom.inv()
     return _table_from_series(series, n, d)
-
-
-# the three methods by name, as the CLI's --method takes them
-ALPHA_METHODS = dict(zip(ALPHA_METHOD_NAMES, (alpha_recursive, alpha_closed, alpha_series)))
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import hext
-from .errors import ALPHA_METHOD_NAMES, DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
+from .errors import DEFECT_TOL_RANGE, SHOOT_DEFECT_TOL, HextError, InvalidInput, NoBracket
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,8 +187,12 @@ def _scan(a) -> _Outcome:
     return _Outcome(outputs, human, summary, {"scan.csv": lambda: _scan_csv(scan.points)})
 
 
+# each --method choice and the function of hext that computes it
+_ALPHA_METHODS = {"recursion": "alpha_recursive", "closed": "alpha_closed", "series": "alpha_series"}
+
+
 def _alpha(a) -> _Outcome:
-    table = hext.ALPHA_METHODS[a.method](a.n, a.d)
+    table = getattr(hext, _ALPHA_METHODS[a.method])(a.n, a.d)
     rows = [{"q": q, "k": k, "alpha": str(v.numerator)}
             for q, row in enumerate(table.entries) for k, v in enumerate(row)]
     human = ["q,k,alpha"] + [f"{r['q']},{r['k']},{r['alpha']}" for r in rows]  # alpha.csv's lines
@@ -240,7 +244,7 @@ _COMMANDS = {
     ),
     "alpha": (
         "Chern coefficient table for a hypersurface",
-        (_N, _D, _flag("--method", choices=sorted(ALPHA_METHOD_NAMES), default="recursion")),
+        (_N, _D, _flag("--method", choices=sorted(_ALPHA_METHODS), default="recursion")),
         _alpha,
     ),
     "futaki": ("closed-formula Bando-Futaki invariant", (_N, _D, _flag("--q", int)), _futaki),

@@ -1,11 +1,11 @@
-"""Exception types shared across the toolkit, and the argument rules (_integer,
+"""Exception types shared across the toolkit, the argument rules (_integer,
 _class_index, _exact, _interval, _width, _shooting_c, _window, _scan_window,
-_defect_tol, _weights) that public functions apply before any work, and the
-alpha method names: no other module spells a rule on an integer, an exact
-number's type, a window, an interval, a width, a tolerance, a weight list or
-a method name.  Checks on an argument's shape or content stay with their
-function as a plain ValueError: ratpoly's zero polynomial, root endpoints and
-negative radicand, graded_algebra's square matrix and nonzero a, the grids of
+_defect_tol, _weights) that public functions apply before any work, and
+shoot's defect tolerances: no other module spells a rule on an integer, an
+exact number's type, a window, an interval, a width, a tolerance or a weight
+list.  Checks on an argument's shape or content stay with their function as
+a plain ValueError: ratpoly's zero polynomial, root endpoints and negative
+radicand, graded_algebra's square matrix and nonzero a, the grids of
 residual_check and reconstruct_curve, and the data classes' consistency
 checks.  The CLI checks its --out path itself.
 
@@ -92,7 +92,7 @@ def _window(lo, hi) -> None:
     if not all(x is None or _finite(x) for x in (lo, hi)):
         raise InvalidInput("the C window must be finite")
     if lo is not None and hi is not None and not lo < hi:
-        raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is empty")
+        raise InvalidInput(f"the C window [{float(lo):.10g}, {float(hi):.10g}] is empty")
 
 
 def _scan_window(lo, hi) -> None:
@@ -101,7 +101,8 @@ def _scan_window(lo, hi) -> None:
     if lo is None or hi is None:
         raise InvalidInput("a scan needs both ends of its C window")
     _window(lo, hi)
-    if not math.isfinite(float(hi) - float(lo)):
+    lo, hi = float(lo), float(hi)
+    if not math.isfinite(hi - lo):
         raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is wider than the float range")
 
 
@@ -115,11 +116,6 @@ DEFECT_TOL_RANGE = (1e-10, 1e-3)
 
 # shoot's default tolerance, which the CLI's --tol takes
 SHOOT_DEFECT_TOL = 1e-8
-
-
-# the names of alpha's three methods: chern_futaki.ALPHA_METHODS maps each to
-# its function, and the CLI's --method takes them without loading that module
-ALPHA_METHOD_NAMES = ("recursion", "closed", "series")
 
 
 def _defect_tol(x) -> None:

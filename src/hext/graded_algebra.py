@@ -303,8 +303,8 @@ def _geometric(x, one, length: int):
 @dataclass(frozen=True)
 class IdentityCheck:
     name: str
-    passed: bool
-    witness: Optional[str] = None
+    witness: Optional[str] = None  # None, or where the identity fails
+    passed = property(lambda self: self.witness is None)
 
 
 @dataclass
@@ -376,7 +376,7 @@ def rank1_identities(rows) -> RankOneReport:
 
     names = ("A_squared_equals_aA", "inverse_formula", "determinant_geometric")
     witnesses = (witness_i, witness_ii, witness_iii)
-    return RankOneReport([IdentityCheck(n, w is None, w) for n, w in zip(names, witnesses)])
+    return RankOneReport([IdentityCheck(n, w) for n, w in zip(names, witnesses)])
 
 
 @dataclass

@@ -43,11 +43,7 @@ class Claim:
     lhs: Fraction
     cmp: str
     rhs: Fraction
-    passed: bool
-
-
-def _claim(cid: str, lhs: Fraction, cmp: str, rhs: Fraction) -> Claim:
-    return Claim(id=cid, lhs=lhs, cmp=cmp, rhs=rhs, passed=_CMP[cmp](lhs, rhs))
+    passed = property(lambda self: _CMP[self.cmp](self.lhs, self.rhs))
 
 
 @dataclass
@@ -92,40 +88,40 @@ def certify_m1() -> CertificateM1:
     width = Fraction(1, 10 ** 6)  # of every Sturm-isolated interval
 
     ln = compute_LN(m)
-    claims.append(_claim("L_value", ln.L, "==", Fraction(-33, 80)))
-    claims.append(_claim("N_value", ln.N, "==", Fraction(11, 8)))
+    claims.append(Claim("L_value", ln.L, "==", Fraction(-33, 80)))
+    claims.append(Claim("N_value", ln.N, "==", Fraction(11, 8)))
 
     delta_prime = Fraction(-33, 20) / ln.L
-    claims.append(_claim("delta_prime", delta_prime, "==", Fraction(4)))
+    claims.append(Claim("delta_prime", delta_prime, "==", Fraction(4)))
 
     C = hcsck_coeffs(m).C + delta_prime
-    claims.append(_claim("C_value", C, "==", Fraction(22, 3)))
-    claims.append(_claim("LCplusN", ln.lc_plus_n(C), "==", Fraction(-33, 20)))
+    claims.append(Claim("C_value", C, "==", Fraction(22, 3)))
+    claims.append(Claim("LCplusN", ln.lc_plus_n(C), "==", Fraction(-33, 20)))
 
     cs = coeffs_from_C(m, C)
-    claims.append(_claim("A_value", cs.A, "==", Fraction(9)))
-    claims.append(_claim("B_value", cs.B, "==", Fraction(-50, 3)))
+    claims.append(Claim("A_value", cs.A, "==", Fraction(9)))
+    claims.append(Claim("B_value", cs.B, "==", Fraction(-50, 3)))
 
     p, q = cs.p, cs.q
     expected_q = ratpoly.poly([0, Fraction(22, 3), 0, Fraction(-25, 3), 3])
     q_diff = sum(abs(c) for c in ratpoly.sub(q, expected_q))
-    claims.append(_claim("q_polynomial", Fraction(q_diff), "==", Fraction(0)))
+    claims.append(Claim("q_polynomial", Fraction(q_diff), "==", Fraction(0)))
 
     # root bracketing of p on [1, 2]
     p_lo = ratpoly.eval_at(p, _G0_LO)
     p_hi = ratpoly.eval_at(p, _G0_HI)
-    claims.append(_claim("p_sign_at_6_5", p_lo, ">", Fraction(0)))
-    claims.append(_claim("p_sign_at_13_10", p_hi, "<", Fraction(0)))
+    claims.append(Claim("p_sign_at_6_5", p_lo, ">", Fraction(0)))
+    claims.append(Claim("p_sign_at_13_10", p_hi, "<", Fraction(0)))
     # one Sturm-isolated interval per root: the count and gamma_0's interval
     intervals = ratpoly.isolate_roots(p, Fraction(1), Fraction(2), width)
-    claims.append(_claim("gamma0_unique", Fraction(len(intervals)), "==", Fraction(1)))
+    claims.append(Claim("gamma0_unique", Fraction(len(intervals)), "==", Fraction(1)))
     if len(intervals) != 1:
         return CertificateM1(claims, details)
     g0_lo, g0_hi = intervals[0]
     details["gamma0_lo"] = g0_lo
     details["gamma0_hi"] = g0_hi
-    claims.append(_claim("gamma0_above_1_2", g0_lo, ">", _G0_LO))
-    claims.append(_claim("gamma0_below_1_3", g0_hi, "<", _G0_HI))
+    claims.append(Claim("gamma0_above_1_2", g0_lo, ">", _G0_LO))
+    claims.append(Claim("gamma0_below_1_3", g0_hi, "<", _G0_HI))
 
     # certified minimum of q over [1, 2]: interval enclosures at the isolated
     # critical points plus exact endpoint values
@@ -136,11 +132,11 @@ def certify_m1() -> CertificateM1:
         lower_bounds.append(enc_lo)
     q_min_bound = min(lower_bounds)
     details["q_min_lower_bound"] = q_min_bound
-    claims.append(_claim("q_min_bound", q_min_bound, ">", _Q_FLOOR))
+    claims.append(Claim("q_min_bound", q_min_bound, ">", _Q_FLOOR))
 
     # v'(gamma_0) = 2*sqrt(2)*sqrt(v(gamma_0)) >= 4*gamma_0 > 4*(6/5) = 24/5,
     # and past the root v' > 24/5 + min q > 24/5 - 9/2
-    claims.append(_claim("v_prime_floor", 4 * _G0_LO + _Q_FLOOR, ">", Fraction(0)))
+    claims.append(Claim("v_prime_floor", 4 * _G0_LO + _Q_FLOOR, ">", Fraction(0)))
 
     # two-step upper bound with h = 1/2, exact P increments
     h = Fraction(1, 2)
@@ -153,7 +149,7 @@ def certify_m1() -> CertificateM1:
     details["upper_at_3_2"] = u1
     u2 = _step_upper(u1, P_2 - P_15, h)
     details["upper_at_2"] = u2
-    claims.append(_claim("v2_upper_bound", u2, "<=", _V2_CEILING))
-    claims.append(_claim("v2_below_target", _V2_CEILING, "<", Fraction(2 * (m + 1) ** 2)))
+    claims.append(Claim("v2_upper_bound", u2, "<=", _V2_CEILING))
+    claims.append(Claim("v2_below_target", _V2_CEILING, "<", Fraction(2 * (m + 1) ** 2)))
 
     return CertificateM1(claims=claims, details=details)

@@ -109,21 +109,14 @@ def coeffs_from_C(m: int, C: Rational) -> CoeffSet:
     return CoeffSet(m=m, C=C, A=a1 * C + a0, B=b1 * C + b0)
 
 
-def _hcsck_denominator(m: int) -> Fraction:
-    """(m+1)^2 - 1, the denominator of C_h = 2 + 4/((m+1)^2 - 1)."""
-    return Fraction((m + 1) ** 2 - 1)
-
-
 def hcsck_coeffs(m: int) -> CoeffSet:
-    """The unique coefficient set with A == 0 (constant lambda).
-
-    Solving A(C) = 0 gives C = 2 + 4/((m+1)^2 - 1); B then follows from the
-    boundary constraints.
+    """The unique coefficient set with A == 0 (constant lambda): C_h is the
+    root -a0/a1 of A(C) = a1*C + a0 (a1 > 0 for every m), which is
+    2 + 4/((m+1)^2 - 1); B then follows from the boundary constraints.
     """
-    _class_index(m)  # before dividing by (m+1)^2 - 1, which is 0 at m = -2 and 0
-    cs = coeffs_from_C(m, 2 + 4 / _hcsck_denominator(m))
-    assert cs.A == 0
-    return cs
+    _class_index(m)  # before _linear_maps divides by m
+    a1, a0, _, _ = _linear_maps(m)
+    return coeffs_from_C(m, -a0 / a1)
 
 
 def compute_LN(m: int) -> LNConstants:

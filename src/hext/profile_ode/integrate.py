@@ -30,8 +30,7 @@ from ..errors import (
     _scan_window,
     _window,
 )
-from .coeffs import (CoeffSet, Rational, _hcsck_denominator, _linear_maps, coeffs_from_C, compute_LN,
-                     hcsck_coeffs)
+from .coeffs import CoeffSet, Rational, _linear_maps, coeffs_from_C, compute_LN, hcsck_coeffs
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
@@ -392,7 +391,7 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     _class_index(m)
     _scan_window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
-    cs = np.linspace(C_lo, C_hi, steps)
+    cs = np.linspace(float(C_lo), float(C_hi), steps)  # an exact end would make an object array
     return ScanResult(m=m, points=_solve_defects(m, cs))
 
 
@@ -449,8 +448,8 @@ def shoot(
         return solves[c][0]
 
     c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
-    lo = c_h if c_min is None else max(c_min, c_h)
-    hi = c_top if c_max is None else min(c_max, c_top)
+    lo = c_h if c_min is None else max(float(c_min), c_h)  # an exact end stays out of the float results
+    hi = c_top if c_max is None else min(float(c_max), c_top)
 
     def scan() -> ScanResult:
         return ScanResult(m=m, points=tuple(
@@ -530,7 +529,7 @@ def hcsck_nonexistence(m: int) -> NonexistenceReport:
     integral = compute_LN(m).lc_plus_n(cs.C)
     margin = _defect(m, _integrate(m, cs.C))
 
-    s1 = _hcsck_denominator(m)
+    s1 = Fraction((m + 1) ** 2 - 1)  # the quoted set's denominator, as it writes it
     alt_B = -12 / s1
     alt_C = 4 + 8 / s1
     alt_boundary_ok = (alt_B / 2 + alt_C) == 2

@@ -118,6 +118,15 @@ def test_a_failed_claim_is_returned(monkeypatch):
     assert [c.id for c in cert.claims if not c.passed] == ["v2_upper_bound"]
 
 
+def test_a_verdict_is_its_own_comparison():
+    # a claim stores its comparison, not a verdict that could disagree with it
+    assert certificate.Claim("x", F(1), "<", F(0)).passed is False
+    assert certificate.Claim("x", F(0), "<", F(1)).passed is True
+    claims = certify_m1().claims
+    assert all(c.passed == certificate._CMP[c.cmp](c.lhs, c.rhs) for c in claims)
+    assert {c.cmp for c in claims} == {"==", "<", "<=", ">"}
+
+
 def test_two_roots_of_p_end_the_certificate(monkeypatch):
     monkeypatch.setattr(ratpoly, "isolate_roots", lambda *a: [(F(1), F(3, 2)), (F(3, 2), F(2))])
     cert = certify_m1()

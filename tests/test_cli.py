@@ -529,7 +529,7 @@ _LIBRARY_CALLS = [
     (["certify"], certificate, "certify_m1"),
     (["nonexist", "--m", "1"], integrate, "hcsck_nonexistence"),
     (["scan", "--m", "1", "--c-min", "2", "--c-max", "5", "--steps", "4"], integrate, "defect_scan"),
-    (["alpha", "--n", "3", "--d", "2"], chern_futaki, None),  # through the method table
+    (["alpha", "--n", "3", "--d", "2"], chern_futaki, "alpha_recursive"),
     (["futaki", "--n", "3", "--d", "2", "--q", "1"], chern_futaki, "futaki_closed"),
     (["grassmann", "--k", "2"], graded_algebra, "rank1_check"),
 ]
@@ -538,10 +538,7 @@ _LIBRARY_CALLS = [
 @pytest.mark.parametrize("argv,home,call", _LIBRARY_CALLS, ids=[argv[0] for argv, _, _ in _LIBRARY_CALLS])
 def test_library_errors_give_one_report_form(argv, home, call, monkeypatch, tmp_path, capsys):
     fail = _raise(StepFailure("no progress"))
-    if call is None:
-        monkeypatch.setitem(home.ALPHA_METHODS, "recursion", fail)
-    else:
-        monkeypatch.setattr(home, call, fail)
+    monkeypatch.setattr(home, call, fail)
     out = tmp_path / "out"
     assert main(argv + ["--json", "--out", str(out)]) == EXIT_FAIL
     doc = json.loads(capsys.readouterr().out)

@@ -181,6 +181,13 @@ def test_hcsck_coeffs():
         assert compute_LN(m).lc_plus_n(cs.C) == 0
 
 
+def test_hcsck_C_is_the_closed_form_of_the_readme():
+    # hcsck_coeffs derives C_h as the root of A(C); the README's closed form
+    # is the independent oracle
+    for m in range(1, 51):
+        assert hcsck_coeffs(m).C == 2 + F(4, (m + 1) ** 2 - 1)
+
+
 def test_dp_dc_factors_with_its_roots_at_the_ends():
     """dp/dC = a1*g^3/3 + b1*g^2/2 + 1 equals
     ((m+2)/(m+1)^2)(g - 1)(g - m - 1)(g + (m+1)/(m+2)): its two roots in

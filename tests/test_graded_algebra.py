@@ -20,7 +20,7 @@ from hext.errors import (
     NotInvertible,
     TruncationMismatch,
 )
-from hext.graded_algebra import _det, _matmul
+from hext.graded_algebra import IdentityCheck, _det, _matmul
 
 
 def _cofactor(rows):
@@ -187,6 +187,13 @@ def test_rank1_identities_fail_on_a_corrupted_matrix(k):
         "lambda^2 * e01*e02*e03*e04 (coefficient 1)",
     ]
     assert next(i for i in rep.identities if not i.passed).name == "A_squared_equals_aA"
+
+
+def test_an_identity_passes_exactly_when_it_has_no_witness():
+    # an identity stores its witness, not a verdict that could disagree with it
+    assert IdentityCheck("x", "w").passed is False
+    assert IdentityCheck("x").passed is True
+    assert IdentityCheck("x", None).passed is True
 
 
 def test_rank1_rejects_out_of_range():

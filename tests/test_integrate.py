@@ -384,6 +384,17 @@ def test_defect_scan_takes_any_window_top():
         defect_scan(1, 5.0, 2.0, 8)
 
 
+@pytest.mark.parametrize("lo,hi", [(F(1, 3), 5), (0, F(9, 2))], ids=["fraction-int", "int-fraction"])
+def test_an_exact_scan_window_gives_the_float_window_points(lo, hi):
+    # np.linspace on an exact end would build an object array of Fractions
+    # and ints, which the scan CSV's "{:.17g}" refuses before Python 3.12
+    # and writes with other digits from 3.12 on
+    got, ref = defect_scan(1, lo, hi, 4), defect_scan(1, float(lo), float(hi), 4)
+    assert all(type(p.c) is float for p in got.points)
+    assert repr(got.points) == repr(ref.points)
+    assert repr(got.brackets) == repr(ref.brackets)
+
+
 @pytest.mark.parametrize("m", [1, 8])
 def test_batched_scan_matches_per_point_solves(m):
     scan = defect_scan(m, -50.0, float(c_top(m, F(1, 100))), 64)

@@ -54,6 +54,10 @@ _CALLS = {
     "scan-huge-int-window": lambda: defect_scan(1, -10**400, 1.0, 8),
     "scan-window-wider-than-floats": lambda: defect_scan(1, -1.7e308, 1.7e308, 5),
     "scan-window-2e308-wide": lambda: defect_scan(1, -1e308, 1e308, 5),
+    # a Fraction end once met the message's float format: a TypeError
+    "shoot-empty-fraction-window": lambda: shoot(1, c_min=F(5), c_max=F(4)),
+    "scan-empty-fraction-window": lambda: defect_scan(1, F(5), F(2), 4),
+    "scan-fraction-window-wider-than-floats": lambda: defect_scan(1, F(-1.7e308), F(1.7e308), 5),
     "scan-bool-window-bottom": lambda: defect_scan(1, False, 1.0, 2),
     "scan-bool-window-top": lambda: defect_scan(1, -1.0, True, 2),
     "scan-open-window-bottom": lambda: defect_scan(1, None, 1.0, 8),

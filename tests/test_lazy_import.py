@@ -28,9 +28,9 @@ PROFILE_ODE_NAMES = [
     "hcsck_nonexistence", "integrate_v", "reconstruct_curve", "residual_check", "shoot",
 ]
 # every name hext exported while it imported its modules eagerly, and still
-# exports, and the alpha method table
+# exports
 HEXT_NAMES = PROFILE_ODE_NAMES + [
-    "ALPHA_METHODS", "AlphaTable", "FutakiValue",
+    "AlphaTable", "FutakiValue",
     "alpha_closed", "alpha_recursive", "alpha_series", "futaki_closed", "futaki_localized",
     "GeneratorMismatch", "HextError", "InvalidInput", "NoBracket", "NotIdempotentFamily",
     "NotInvertible", "PositivityLost", "SeriesMismatch", "StepFailure", "TruncationMismatch",

@@ -1,5 +1,6 @@
 """Shooting: the root bracket, the false-position root loop, and solution
 posts."""
+import json
 from fractions import Fraction as F
 
 import numpy as np
@@ -213,6 +214,20 @@ def test_clips_outside_the_root_bracket_change_nothing():
     # eps-floor window (2.23 at m = 4) lie outside [C_h, C_top]: no clip
     res = shoot(4, c_min=-1e300, c_max=3.0)
     assert res.c_star == shoot(4).c_star and res.bracket == shoot(4).bracket
+
+
+@pytest.mark.parametrize("c_min,c_max", [(F(4), None), (4, None), (None, F(43, 10))],
+                         ids=["fraction-min", "int-min", "fraction-max"])
+def test_an_exact_clip_gives_the_float_clip_results(c_min, c_max):
+    # the bracket and the scan hold floats whatever the clips' type, so the
+    # JSON report takes them
+    got = shoot(1, c_min=c_min, c_max=c_max)
+    ref = shoot(1, c_min=None if c_min is None else float(c_min),
+                c_max=None if c_max is None else float(c_max))
+    fields = ("c_star", "defect", "a_slope", "not_hcsck", "phi_prime_end", "bracket", "iterations")
+    assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(ref, f)) for f in fields]
+    assert repr(got.scan.points) == repr(ref.scan.points)
+    assert json.dumps(got.bracket) == json.dumps(ref.bracket)
 
 
 @pytest.mark.parametrize("window,signs", [
