@@ -1,13 +1,13 @@
-"""Exception types shared across the toolkit, the argument rules (_integer,
-_class_index, _exact, _interval, _width, _shooting_c, _window, _scan_window,
-_defect_tol, _weights) that public functions apply before any work, and
-shoot's defect tolerances: no other module spells a rule on an integer, an
-exact number's type, a window, an interval, a width, a tolerance or a weight
-list.  Checks on an argument's shape or content stay with their function as
-a plain ValueError: ratpoly's zero polynomial, root endpoints and negative
-radicand, graded_algebra's square matrix and nonzero a, the grids of
-residual_check and reconstruct_curve, and the data classes' consistency
-checks.  The CLI checks its --out path itself.
+"""Exception types shared across the toolkit, the argument rules that public
+functions apply before any work, each but _integer and _class_index returning
+the value it checked for its caller to compute with (a float from _window,
+_scan_window and _defect_tol, else a Fraction), and shoot's defect tolerances:
+no other module spells a rule on an integer, an exact number's type, a window,
+an interval, a width, a tolerance or a weight list.  Checks on an argument's
+shape or content stay with their function as a plain ValueError: ratpoly's
+zero polynomial, root endpoints and negative radicand, graded_algebra's square
+matrix and nonzero a, the grids of residual_check and reconstruct_curve, and
+the data classes' consistency checks.  The CLI checks its --out path itself.
 
 A failed certificate claim, rank-one identity or hcscK margin is not an
 error: it is returned as data (CertificateM1, RankOneReport,
@@ -76,41 +76,43 @@ def _shooting_c(c) -> Fraction:
     return _exact(c)
 
 
-def _finite(x) -> bool:
-    """math.isfinite, with an int too large for a float counted as not finite."""
+def _float(x) -> float:
+    """x as a float, NaN where not finite or beyond the float range; a str raises TypeError."""
     try:
-        return math.isfinite(x)
+        return float(x) if math.isfinite(x) else math.nan
     except OverflowError:
-        return False
+        return math.nan
 
 
-def _window(lo, hi) -> None:
-    """InvalidInput unless each of lo and hi is None (no bound) or a finite
-    number, no bool, and lo < hi when both are given."""
+def _window(lo, hi) -> Tuple[float, float]:
+    """lo and hi as floats (as _float), None (no bound) as -inf or inf;
+    InvalidInput for a bool end, an end that is not finite, or lo >= hi."""
     if isinstance(lo, bool) or isinstance(hi, bool):
         raise InvalidInput("a C window end must be a number, not a bool")
-    if not all(x is None or _finite(x) for x in (lo, hi)):
-        raise InvalidInput("the C window must be finite")
-    if lo is not None and hi is not None and not lo < hi:
-        raise InvalidInput(f"the C window [{float(lo):.10g}, {float(hi):.10g}] is empty")
+    lo, hi = -math.inf if lo is None else _float(lo), math.inf if hi is None else _float(hi)
+    if lo < hi:  # never with a NaN end
+        return lo, hi
+    raise InvalidInput("the C window must be finite" if math.isnan(lo) or math.isnan(hi) else
+                       f"the C window [{lo:.10g}, {hi:.10g}] is empty")
 
 
-def _scan_window(lo, hi) -> None:
+def _scan_window(lo, hi) -> Tuple[float, float]:
     """_window with both ends given, and the width hi - lo must be a finite
     float too: the scan spaces its grid by it."""
     if lo is None or hi is None:
         raise InvalidInput("a scan needs both ends of its C window")
-    _window(lo, hi)
-    lo, hi = float(lo), float(hi)
-    if not math.isfinite(hi - lo):
-        raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is wider than the float range")
+    lo, hi = _window(lo, hi)
+    if math.isfinite(hi - lo):
+        return lo, hi
+    raise InvalidInput(f"the C window [{lo:.10g}, {hi:.10g}] is wider than the float range")
 
 
 # shoot's defect tolerance: every m = 1..8 converges at 1e-2 and some fail at
 # 0.1; above the defects at the bracket edges a tolerance would accept an edge
 # as the root.  At the floor every m = 1..32 converges in at most 6 solves
 # (a tier-1 test); at 1e-11 m = 28, 29 and 30 end in StepFailure, and at
-# 1e-12 14 of the 32 do, the first at m = 16
+# 1e-12 14 of the 32 do, the first at m = 16.  The float spacing of C near C*
+# bounds |defect|: at the default 1e-8, 192 of m = 1..400 fail, from m = 158
 DEFECT_TOL_RANGE = (1e-10, 1e-3)
 
 
@@ -118,11 +120,12 @@ DEFECT_TOL_RANGE = (1e-10, 1e-3)
 SHOOT_DEFECT_TOL = 1e-8
 
 
-def _defect_tol(x) -> None:
-    """InvalidInput unless x lies in DEFECT_TOL_RANGE (a NaN does not)."""
-    if not DEFECT_TOL_RANGE[0] <= x <= DEFECT_TOL_RANGE[1]:
-        raise InvalidInput("the defect tolerance must lie in [%g, %g], got %r"
-                           % (*DEFECT_TOL_RANGE, x))
+def _defect_tol(x) -> float:
+    """x as a float (as _float); InvalidInput unless in DEFECT_TOL_RANGE (a NaN is not)."""
+    tol = _float(x)
+    if not DEFECT_TOL_RANGE[0] <= tol <= DEFECT_TOL_RANGE[1]:
+        raise InvalidInput("the defect tolerance must lie in [%g, %g], got %r" % (*DEFECT_TOL_RANGE, x))
+    return tol
 
 
 def _weights(n: int, weights) -> List[Fraction]:

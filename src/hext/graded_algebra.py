@@ -402,14 +402,12 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
     a = _exact(a)
     if a == 0:
         raise ValueError("a must be nonzero")
-    # A @ A == a * A, exactly, over the algebra on no generators
-    scalars = [[GrassmannElement.scalar(0, x) for x in row] for row in rows]
-    squared = _matmul(scalars, scalars)
-    bad = _first_mismatch(squared, [[e * a for e in row] for row in scalars])
-    if bad is not None:
-        i, j, _ = bad
-        raise NotIdempotentFamily(f"(A@A)[{i}][{j}] = {squared[i][j].terms.get(0, 0)} "
-                                  f"differs from a*A[{i}][{j}] = {a * rows[i][j]}")
+    # A @ A == a * A, exactly, on the Fraction rows, in row-major order
+    for i, row in enumerate(rows):
+        for j, col in enumerate(zip(*rows)):
+            if (square := sum(x * y for x, y in zip(row, col))) != a * row[j]:
+                raise NotIdempotentFamily(f"(A@A)[{i}][{j}] = {square} "
+                                          f"differs from a*A[{i}][{j}] = {a * row[j]}")
     rank = int(sum(rows[i][i] for i in range(n)) / a)
 
     # det(I - lam*A) as a polynomial in lam over the algebra on no generators
@@ -417,11 +415,10 @@ def scalar_projector_check(A, a) -> ScalarProjectorReport:
                  for j, x in enumerate(row)] for i, row in enumerate(rows)])
     degree = max(det.terms)  # with no generators, a key is the power of lam
 
-    expected = [comb(rank, j) * (-a) ** j for j in range(rank + 1)]
     return ScalarProjectorReport(
         rank=rank,
         det_coeffs=tuple(Fraction(det.terms.get(p, 0)) for p in range(degree + 1)),
-        expected_coeffs=tuple(expected),
+        expected_coeffs=tuple(comb(rank, j) * (-a) ** j for j in range(rank + 1)),
     )
 
 

@@ -389,10 +389,9 @@ def defect_scan(m: int, C_lo: float, C_hi: float, steps: int) -> ScanResult:
     per point, not raised: a C whose v reaches V_FLOOR, which lies above the
     root, is a PositivityLost point."""
     _class_index(m)
-    _scan_window(C_lo, C_hi)
+    C_lo, C_hi = _scan_window(C_lo, C_hi)
     _integer("the number of scan points", steps, 2, MAX_SCAN_STEPS)
-    cs = np.linspace(float(C_lo), float(C_hi), steps)  # an exact end would make an object array
-    return ScanResult(m=m, points=_solve_defects(m, cs))
+    return ScanResult(m=m, points=_solve_defects(m, np.linspace(C_lo, C_hi, steps)))
 
 
 def _defect(m: int, sol: _Steps) -> float:
@@ -430,13 +429,14 @@ def shoot(
     sampled from the step polynomials of the solve at c_star.  The root loop
     stops once a solve has |defect| < defect_tol, or the bracket is narrower
     than 1e-12, or after 60 steps; c_star is the solved C of least |defect|,
-    and StepFailure is raised unless |defect| < defect_tol there.
+    and StepFailure is raised unless |defect| < defect_tol there; the float
+    spacing of C bounds |defect|: 1e-8 first fails at m = 158, where 1e-7 holds.
     `iterations` counts the solves, the C_h one included, and `scan` holds
     the solves in the clipped bracket in C order.  Requires defect_tol in
     DEFECT_TOL_RANGE, [1e-10, 1e-3], and finite c_min < c_max where given.
     """
-    _defect_tol(defect_tol)
-    _window(c_min, c_max)
+    defect_tol = _defect_tol(defect_tol)
+    c_min, c_max = _window(c_min, c_max)
     hcsck = hcsck_coeffs(m)  # validates m
     c_h = float(hcsck.C)
     solves = {}  # C -> (defect, solve) of every solve
@@ -448,8 +448,7 @@ def shoot(
         return solves[c][0]
 
     c_top = c_h + defect(c_h) / -float(compute_LN(m).L)
-    lo = c_h if c_min is None else max(float(c_min), c_h)  # an exact end stays out of the float results
-    hi = c_top if c_max is None else min(float(c_max), c_top)
+    lo, hi = max(c_min, c_h), min(c_max, c_top)
 
     def scan() -> ScanResult:
         return ScanResult(m=m, points=tuple(

@@ -384,7 +384,10 @@ def test_defect_scan_takes_any_window_top():
         defect_scan(1, 5.0, 2.0, 8)
 
 
-@pytest.mark.parametrize("lo,hi", [(F(1, 3), 5), (0, F(9, 2))], ids=["fraction-int", "int-fraction"])
+@pytest.mark.parametrize("lo,hi", [
+    (F(1, 3), 5), (0, F(9, 2)), (np.float32(1 / 3), 5),
+    (4.3, np.float32(4.3)),  # compared as given, numpy rounds 4.3 to float32: equal ends
+], ids=["fraction-int", "int-fraction", "float32-int", "float-float32"])
 def test_an_exact_scan_window_gives_the_float_window_points(lo, hi):
     # np.linspace on an exact end would build an object array of Fractions
     # and ints, which the scan CSV's "{:.17g}" refuses before Python 3.12

@@ -62,6 +62,10 @@ _CALLS = {
     "scan-bool-window-top": lambda: defect_scan(1, -1.0, True, 2),
     "scan-open-window-bottom": lambda: defect_scan(1, None, 1.0, 8),
     "scan-open-window-top": lambda: defect_scan(1, -1.0, None, 8),
+    # distinct exact ends that round to one float: the window is decided on
+    # the floats it is scanned and clipped at
+    "scan-window-empty-as-floats": lambda: defect_scan(1, F(1, 3), F(1, 3) + F(1, 10**30), 3),
+    "shoot-window-empty-as-floats": lambda: shoot(1, c_min=F(4), c_max=F(4) + F(1, 10**30)),
     "scan-too-many-steps": lambda: defect_scan(1, 0.0, 1.0, MAX_SCAN_STEPS + 1),
     "scan-huge-steps": lambda: defect_scan(1, 0.0, 1.0, 10**30),
     "scan-one-step": lambda: defect_scan(1, 0.0, 1.0, 1),
@@ -149,6 +153,9 @@ _TYPE_ERRORS = {
     "isolate-roots-float-width": lambda: ratpoly.isolate_roots(X_SQUARED_MINUS_2, 0, 2, 0.5),
     "interval-eval-float": lambda: ratpoly.interval_eval(X_SQUARED_MINUS_2, 0.5, 1),
     "sqrt-upper-bool": lambda: ratpoly.sqrt_upper(True),
+    # the float layer takes numbers only: float() would parse a str
+    "shoot-c-min-str": lambda: shoot(1, c_min="4"),
+    "scan-window-str": lambda: defect_scan(1, "0", 1.0, 4),
 }
 
 

@@ -202,6 +202,15 @@ def test_shoot_converges_at_the_defect_tol_floor(m):
     assert abs(res.defect) < DEFECT_TOL_RANGE[0] and res.iterations <= 6
 
 
+@pytest.mark.parametrize("tol", [1e-8, F(1, 10**8)], ids=["float", "fraction"])
+def test_shoot_at_the_default_tolerance_fails_first_at_m_158(tol):
+    # the float spacing of C near C* bounds |defect|, not the 1e-12 stop: at
+    # 1e-8 m = 158 is the first of 192 failures in m = 1..400; 1e-7 reaches it
+    with pytest.raises(StepFailure, match=r"m=158 .* after 6 solves, not below 1e-08$"):
+        shoot(158, defect_tol=tol)
+    assert abs(shoot(158, defect_tol=1e-7).defect) < 1e-7
+
+
 def test_shoot_refuses_a_solution_without_interior_positivity(monkeypatch):
     monkeypatch.setattr(Trajectory, "interior_positive", lambda self: False)
     with pytest.raises(StepFailure) as info:
@@ -216,8 +225,8 @@ def test_clips_outside_the_root_bracket_change_nothing():
     assert res.c_star == shoot(4).c_star and res.bracket == shoot(4).bracket
 
 
-@pytest.mark.parametrize("c_min,c_max", [(F(4), None), (4, None), (None, F(43, 10))],
-                         ids=["fraction-min", "int-min", "fraction-max"])
+@pytest.mark.parametrize("c_min,c_max", [(F(4), None), (4, None), (None, F(43, 10)), (None, np.float32(4.3))],
+                         ids=["fraction-min", "int-min", "fraction-max", "float32-max"])
 def test_an_exact_clip_gives_the_float_clip_results(c_min, c_max):
     # the bracket and the scan hold floats whatever the clips' type, so the
     # JSON report takes them
