@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -123,8 +124,9 @@ def _taylor(v0, q, sqrt=math.sqrt):
 
 
 # a node's step is _SAFETY times the least (|v_k| / tol)^(-1/k), k = K-1, K,
-# tol = _TOL * max(1, v_0); both solves take numpy's power, not Python's,
-# which differs in the last bit
+# tol = _TOL * max(1, v_0); both solves take numpy's power, which differs from
+# Python's in the last bit for ~5% of arguments (numpy 2.4.6, AVX-512 Xeon): a
+# solve repeats bit for bit per machine and numpy build, untested across CPUs
 _POWERS = np.array([-1.0 / (_ORDER - 1), -1.0 / _ORDER])
 
 
@@ -152,13 +154,13 @@ class Trajectory:
     """A sampled solution v(gamma) of the reduced problem.
 
     The grid spans [1, m+1] strictly increasingly, v(1) = 2 exactly, and
-    v > 0 at every grid point (anything else is an error, not a Trajectory).
-    phi and v are related pointwise by v = (2*gamma + phi)^2 / 2.
+    v > 0 at every grid point (anything else is an error, not a Trajectory);
+    both are read-only copies.  phi is given pointwise by v = (2*gamma + phi)^2 / 2.
     """
 
     def __init__(self, grid: np.ndarray, v: np.ndarray, meta: CoeffSet):
-        grid = np.asarray(grid, dtype=float)
-        v = np.asarray(v, dtype=float)
+        grid = np.array(grid, dtype=float)
+        v = np.array(v, dtype=float)
         if grid.ndim != 1 or grid.shape != v.shape or grid.size < 2:
             raise ValueError("grid and v must be matching 1-d arrays")
         if grid[0] != 1.0 or abs(grid[-1] - (meta.m + 1)) > 1e-12:
@@ -169,8 +171,8 @@ class Trajectory:
             raise ValueError("initial value v(1) must be exactly 2")
         if not np.all((v > 0) & (v < np.inf)):
             raise ValueError("v must stay positive and finite on a Trajectory")
-        self.grid = grid
-        self.v = v
+        grid.flags.writeable = v.flags.writeable = False  # to_csv formats gamma and phi once
+        self.grid, self.v = grid, v
         self.meta = meta
 
     @property
@@ -203,23 +205,27 @@ class Trajectory:
         g = self.grid[1:-1]
         return bool(np.all(self.v[1:-1] > 2.0 * g * g))
 
+    @cached_property
+    def _text(self) -> Tuple[List[str], List[str]]:
+        """gamma and phi in %.17g, formatted once for both CSVs."""
+        return tuple(list(map("%.17g".__mod__, c.tolist())) for c in (self.grid, self.phi))
+
     def to_csv(self) -> str:
         """CSV with header gamma,v,phi,phi_prime,lambda; 17 significant digits."""
-        return _csv("gamma,v,phi,phi_prime,lambda",
-                    (self.grid, self.v, self.phi, self.phi_prime, self.lambda_values))
+        gamma, phi = self._text
+        return _csv("gamma,v,phi,phi_prime,lambda", (gamma, self.v, phi, self.phi_prime, self.lambda_values))
 
 
 def _csv(header: str, cols) -> str:
-    """The header, then one line of %.17g values per row of cols, LF-terminated.
+    """The header, then an LF-terminated line per row of cols: float arrays in %.17g, lists as text.
 
-    Formatting the floats is the whole cost, and no byte-identical way is
-    faster in pure Python.  On a shoot trajectory (5 x 1025 values, 2-vCPU
-    Xeon VM) this join takes 550-850 ns a value, '%.17g' % x alone 540-910,
-    repr (other bytes, too) 830-1070, ndarray.astype("U25") 1290-1540 and
-    np.char.mod("%.17g", ...) 1350-1470.
-    """
-    row = ",".join(["%.17g"] * len(cols)).__mod__
-    return "\n".join([header, *map(row, zip(*(c.tolist() for c in cols)))]) + "\n"
+    Formatting the floats is the whole cost.  Per value no byte-identical way
+    is faster in pure Python (5 x 1025 values, 2-vCPU Xeon VM): '%.17g' % x
+    takes 540-910 ns, repr (other bytes) 830-1070, astype("U25") 1290-1540 and
+    np.char.mod 1350-1470; one % for the whole file takes 15% less than a % a row."""
+    fmt = ",".join(["%s" if isinstance(c, list) else "%.17g" for c in cols]) + "\n"
+    rows = zip(*(c if isinstance(c, list) else c.tolist() for c in cols))
+    return f"{header}\n" + fmt * len(cols[0]) % tuple(chain.from_iterable(rows))
 
 
 class _Steps(NamedTuple):
@@ -474,9 +480,11 @@ def shoot(
         b, fb = c, fc
     c_star = min(solves, key=lambda c: abs(solves[c][0]))
     d_star, sol = solves[c_star]
-    if not abs(d_star) < defect_tol:
-        raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|="
-                          f"{abs(d_star):g} after {len(solves)} solves, not below {defect_tol:g}")
+    if not abs(d_star) < defect_tol:  # the next float C toward the root shows if C's spacing is at fault
+        step = abs(_integrate(m, math.nextafter(c_star, math.copysign(math.inf, d_star))).v_end - sol.v_end)
+        note = f" (one float step of C moves it by {step:.2g})" if step >= defect_tol else ""
+        raise StepFailure(f"shooting for m={m} stopped at C={c_star:.12g} with |defect|={abs(d_star):g}"
+                          f"{note} after {len(solves)} solves, not below {defect_tol:g}")
     traj = _trajectory(coeffs_from_C(m, c_star), sol)
     if not traj.interior_positive():
         raise StepFailure("shooting solution lost interior positivity (phi <= 0)")
@@ -559,6 +567,8 @@ class ProfileCurve:
     gamma: np.ndarray
     s: np.ndarray
     phi: np.ndarray
+    trajectory: Trajectory
+    rows: slice  # the trajectory's grid rows the curve keeps: gamma and phi are its own there
 
     @property
     def tau(self) -> np.ndarray:
@@ -566,7 +576,8 @@ class ProfileCurve:
         return self.gamma - 1.0
 
     def to_csv(self) -> str:
-        return _csv("gamma,tau,s,phi", (self.gamma, self.tau, self.s, self.phi))
+        gamma, phi = self.trajectory._text
+        return _csv("gamma,tau,s,phi", (gamma[self.rows], self.tau, self.s, phi[self.rows]))
 
 
 def reconstruct_curve(t: Trajectory) -> ProfileCurve:
@@ -575,14 +586,13 @@ def reconstruct_curve(t: Trajectory) -> ProfileCurve:
     if not t.interior_positive():
         raise ValueError("profile curve needs phi > 0 on the open interval")
     g = t.grid
-    mask = (g >= 1.0 + _CURVE_MARGIN) & (g <= (t.m + 1) - _CURVE_MARGIN)
-    if mask.sum() < 3:
+    rows = slice(np.searchsorted(g, 1 + _CURVE_MARGIN), np.searchsorted(g, t.m + 1 - _CURVE_MARGIN, "right"))
+    if rows.stop - rows.start < 3:
         raise ValueError("margin leaves too few interior points")
-    gamma = g[mask]
-    phi = t.phi[mask]
+    gamma, phi = g[rows], t.phi[rows]
     integrand = 1.0 / phi
     ds = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(gamma)
     s = np.concatenate(([0.0], np.cumsum(ds)))
     gamma_mid = 1.0 + t.m / 2.0
     s = s - np.interp(gamma_mid, gamma, s)
-    return ProfileCurve(m=t.m, gamma=gamma, s=s, phi=phi)
+    return ProfileCurve(m=t.m, gamma=gamma, s=s, phi=phi, trajectory=t, rows=rows)

@@ -211,6 +211,21 @@ def test_shoot_at_the_default_tolerance_fails_first_at_m_158(tol):
     assert abs(shoot(158, defect_tol=1e-7).defect) < 1e-7
 
 
+def test_a_missed_tolerance_names_the_float_step_of_c_that_exceeds_it():
+    # at m = 158 the next float C toward the root moves the defect by more
+    # than 1e-8, so no C meets that tolerance; the root loop's count stays
+    with pytest.raises(StepFailure, match=r"m=158 .*\|defect\|=1\.03537e-08 \(one float step of C moves it "
+                                          r"by 2\.2e-08\) after 6 solves, not below 1e-08$"):
+        shoot(158, defect_tol=1e-8)
+
+
+def test_a_padded_defect_names_no_float_step(defect_padded):
+    # the padding, not C's float spacing, keeps m = 16 from 1e-10
+    with pytest.raises(StepFailure, match=r"m=16 .* solves, not below 1e-10$") as info:
+        shoot(16, defect_tol=1e-10)
+    assert "float step" not in str(info.value)
+
+
 def test_shoot_refuses_a_solution_without_interior_positivity(monkeypatch):
     monkeypatch.setattr(Trajectory, "interior_positive", lambda self: False)
     with pytest.raises(StepFailure) as info:
@@ -293,3 +308,39 @@ def test_csv_formats_edge_values_like_per_value_formatting():
     cols = (col, col[::-1])
     assert _csv("a,b", cols) == _csv_per_value("a,b", cols)
     assert _csv("a,b", cols).split("\n")[1] == "-0,0.33333333333333331"
+
+
+def test_csv_takes_text_cells_beside_float_columns():
+    col = np.array([-0.0, 5e-324, 1e300, 1 / 3])
+    cells = [f"{x:.17g}" for x in col[::-1].tolist()]
+    assert _csv("a,b,c", (col, cells, col)) == _csv_per_value("a,b,c", (col, col[::-1], col))
+
+
+def test_a_trajectory_keeps_read_only_copies_so_its_csv_text_stays_true():
+    t = integrate_v(1, 3)
+    text = t.to_csv()
+    with pytest.raises(ValueError, match="read-only"):
+        t.v[5] = 3.0
+    assert t.to_csv() == text
+    grid, v = t.grid.copy(), t.v.copy()
+    u = Trajectory(grid, v, t.meta)
+    assert grid.flags.writeable and v.flags.writeable and not np.shares_memory(u.v, v)
+
+
+@pytest.mark.parametrize("m,first,rows", [(1, 2, 1021), (2, 1, 1023), (3, 1, 1023), (8, 1, 1023)])
+def test_curve_csv_shares_the_trajectory_gamma_and_phi_text(m, first, rows):
+    # the curve keeps one contiguous range of the trajectory's rows (its
+    # grid step is below the curve margin only at m = 1), and its CSV lines
+    # carry those rows' gamma and phi fields as the trajectory's CSV writes them
+    t = shoot(m).trajectory
+    curve = reconstruct_curve(t)
+    traj_lines = t.to_csv().split("\n")[1:-1]
+    curve_lines = curve.to_csv().split("\n")[1:-1]
+    assert len(curve_lines) == rows
+    for i, line in enumerate(curve_lines):
+        gamma, _, _, phi = line.split(",")
+        row = traj_lines[first + i].split(",")
+        assert (gamma, phi) == (row[0], row[2])
+    assert t.to_csv() == _csv_per_value("gamma,v,phi,phi_prime,lambda",
+                                        (t.grid, t.v, t.phi, t.phi_prime, t.lambda_values))
+    assert curve.to_csv() == _csv_per_value("gamma,tau,s,phi", (curve.gamma, curve.tau, curve.s, curve.phi))
