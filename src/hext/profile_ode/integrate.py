@@ -47,9 +47,9 @@ _CURVE_MARGIN = 1e-3  # cut from each end of a profile curve, where s diverges
 GRID_POINTS = 1025  # uniform samples of the step polynomials in a Trajectory
 
 # a scan holds per C only its node, v and v's Taylor coefficients there:
-# 4096 points at m = 8 take 0.04-0.06 s over [-10, 8] and 0.05-0.09 s over
-# [2.2, 50] (all C above the root) and allocate at most 2.9 MB, on a 2-vCPU
-# Xeon VM
+# 4096 points at m = 8 take 0.037-0.039 s over [-10, 8] and 0.054-0.058 s
+# over [2.2, 50] (all C above the root) and allocate at most 2.9 MB, on a
+# 2-vCPU Xeon VM
 MAX_SCAN_STEPS = 4096
 
 # a solve whose v reaches this floor at a node raises PositivityLost; as v
@@ -97,30 +97,42 @@ def _q(a, b, c, t):
 _RISE = [TWO_SQRT2 / (k + 1) for k in range(_ORDER)]
 
 
-def _taylor(v0, q, sqrt=math.sqrt):
-    """v's Taylor coefficients v_0.._ORDER at a node where v = v0 > 0 and _q
-    gives q, for a float or an array of one node per C (with np.sqrt): each
-    column takes its float's operations, so it is that float bit for bit.
-    s = sqrt(v) has s_k = (v_k - sum_{j=1}^{k-1} s_j s_{k-j})/(2 s_0), the sum
-    taken as twice the terms with j < k-j plus s_{k/2}^2, and the equation
-    gives v_{k+1} = (2*sqrt(2)*s_k + q_k)/(k+1)."""
-    s = [sqrt(v0)]
-    v = [v0, _RISE[0] * s[0] + q[0]]
-    two_s0 = s[0] + s[0]
-    for k in range(1, _ORDER):
-        total = v[k]
-        if k > 1:
-            acc = s[1] * s[k - 1]  # a fresh array, so += updates it in place
-            for j in range(2, (k + 1) // 2):
-                acc += s[j] * s[k - j]
+def _compiled_taylor():
+    """_taylor(v0, q, sqrt=math.sqrt): v's Taylor coefficients v_0.._ORDER at
+    a node where v = v0 > 0 and _q gives q, for a float or an array of one
+    node per C (with np.sqrt): each column takes its float's operations, so
+    it is that float bit for bit.  s = sqrt(v) has
+    s_k = (v_k - sum_{j=1}^{k-1} s_j s_{k-j})/(2 s_0), the sum taken as
+    s_1 s_{k-1}, plus s_j s_{k-j} for each 1 < j < k-j, then for k > 2
+    doubled, plus s_{k/2}^2 for even k, one term at a time into one
+    accumulator; then v_{k+1} = (2*sqrt(2)*s_k + q_k)/(k+1).  It is compiled
+    once per process (0.7-1.3 ms) as straight-line code, s_k and v_k locals
+    and the _RISE factors literals (repr gives a float back exactly): a
+    float node takes 3.2-4.2 us against 10.3-12.1 us as a loop over list
+    indices (2-vCPU Xeon VM; Jorba & Zou generate their jet code likewise)."""
+    lines = ["def _taylor(v0, q, sqrt=math.sqrt):",
+             "    q0, q1, q2, q3, q4 = q",  # _q's five terms of the quartic q
+             "    s0 = sqrt(v0)",
+             "    two_s0 = s0 + s0"]
+    for k in range(_ORDER):
+        if k == 1:
+            lines.append("    s1 = v1 / two_s0")
+        elif k > 1:
+            lines.append(f"    acc = s1 * s{k - 1}")  # a fresh array, so += updates it in place
+            lines += [f"    acc += s{j} * s{k - j}" for j in range(2, (k + 1) // 2)]
             if k > 2:  # at k = 2, s_1^2 is the whole sum
-                acc += acc
+                lines.append("    acc += acc")
                 if k % 2 == 0:
-                    acc += s[k // 2] * s[k // 2]
-            total = total - acc
-        s.append(total / two_s0)
-        v.append(_RISE[k] * s[k] + q[k] if k < len(q) else _RISE[k] * s[k])
-    return v
+                    lines.append(f"    acc += s{k // 2} * s{k // 2}")
+            lines.append(f"    s{k} = (v{k} - acc) / two_s0")
+        lines.append(f"    v{k + 1} = {_RISE[k]!r} * s{k}" + (f" + q{k}" if k < 5 else ""))
+    lines.append(f"    return [{', '.join(f'v{k}' for k in range(_ORDER + 1))}]")
+    namespace = {"math": math}
+    exec(compile("\n".join(lines), "<hext _taylor>", "exec"), namespace)
+    return namespace["_taylor"]
+
+
+_taylor = _compiled_taylor()
 
 
 # a node's step is _SAFETY times the least (|v_k| / tol)^(-1/k), k = K-1, K,
@@ -268,10 +280,13 @@ def _solve_batch(m: int, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> Tuple[n
     col, t, v = np.arange(n), np.ones(n), np.full(n, 2.0)
     with np.errstate(all="ignore"):
         while col.size:
-            stop = ~((V_FLOOR < v) & (v < np.inf) & (t < t_end))
-            if stop.any():
+            go = (V_FLOOR < v) & (v < np.inf) & (t < t_end)
+            if not go.all():
+                stop = ~go
                 v_at[col[stop]], t_at[col[stop]] = v[stop], t[stop]
-                col, t, v, a, b, c = (x[~stop] for x in (col, t, v, a, b, c))
+                col, t, v, a, b, c = (x[go] for x in (col, t, v, a, b, c))
+                if not col.size:
+                    break
             k = _taylor(v, _q(a, b, c, t), np.sqrt)
             tol = _TOL * np.maximum(1.0, v)
             h = _SAFETY * np.minimum(np.power(np.abs(k[-2]) / tol, _POWERS[0]),
@@ -560,15 +575,25 @@ class ProfileCurve:
     s is anchored to zero at gamma_mid = 1 + m/2.  The quadrature excludes
     _CURVE_MARGIN at each endpoint, where 1/phi has a logarithmic singularity
     (phi vanishes linearly there); that divergence is the cylindrical
-    geometry of the ends, not an error.
+    geometry of the ends, not an error.  m, gamma and phi are the
+    trajectory's, on the grid rows the curve keeps.
     """
 
-    m: int
-    gamma: np.ndarray
     s: np.ndarray
-    phi: np.ndarray
     trajectory: Trajectory
-    rows: slice  # the trajectory's grid rows the curve keeps: gamma and phi are its own there
+    rows: slice
+
+    @property
+    def m(self) -> int:
+        return self.trajectory.m
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.trajectory.grid[self.rows]
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self.trajectory.phi[self.rows]
 
     @property
     def tau(self) -> np.ndarray:
@@ -595,4 +620,4 @@ def reconstruct_curve(t: Trajectory) -> ProfileCurve:
     s = np.concatenate(([0.0], np.cumsum(ds)))
     gamma_mid = 1.0 + t.m / 2.0
     s = s - np.interp(gamma_mid, gamma, s)
-    return ProfileCurve(m=t.m, gamma=gamma, s=s, phi=phi, trajectory=t, rows=rows)
+    return ProfileCurve(s=s, trajectory=t, rows=rows)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hext import Trajectory, coeffs_from_C, integrate_v, reconstruct_curve
+from hext import ProfileCurve, Trajectory, coeffs_from_C, integrate_v, reconstruct_curve
 from hext.profile_ode import integrate
 
 
@@ -45,3 +45,18 @@ def test_curve_csv(shot_m1):
     assert lines[0] == "gamma,tau,s,phi"
     row = lines[1].split(",")
     assert float(row[1]) == float(row[0]) - 1.0
+
+
+def test_curve_m_gamma_and_phi_are_its_trajectory_rows(shot_m1):
+    t = shot_m1.trajectory
+    curve = reconstruct_curve(t)
+    assert curve.m == t.m
+    assert curve.gamma.tobytes() == t.grid[curve.rows].tobytes()
+    assert curve.phi.tobytes() == t.phi[curve.rows].tobytes()
+    # a curve built by hand has no gamma or phi of its own, so its CSV
+    # writes the fields it reads
+    with pytest.raises(TypeError):
+        ProfileCurve(m=1, gamma=t.grid[10:13], s=np.zeros(3), phi=t.phi[10:13], trajectory=t, rows=slice(10, 13))
+    hand = ProfileCurve(s=np.zeros(3), trajectory=t, rows=slice(10, 13))
+    rows = [line.split(",") for line in hand.to_csv().split("\n")[1:-1]]
+    assert [(float(r[0]), float(r[3])) for r in rows] == list(zip(hand.gamma.tolist(), hand.phi.tolist()))

@@ -1,8 +1,9 @@
 """Integrator contracts: the Taylor recursion against its full sum in
-mpmath, each scan point (the recursion on arrays) against its scalar solve
-(on floats), the scalar solve against C*_ref and solve_ivp, initial
-condition, certified bounds, positivity, refinement stability, residuals,
-memory, and the CSV surface."""
+mpmath and, bit for bit, against the loop it is generated from, each scan
+point (the recursion on arrays) against its scalar solve (on floats), the
+scalar solve against C*_ref and solve_ivp, initial condition, certified
+bounds, positivity, refinement stability, residuals, memory, and the CSV
+surface."""
 import ast
 import math
 import random
@@ -70,6 +71,49 @@ def test_taylor_coefficients_against_the_full_sum():
     assert np.array(cols).T.tobytes() == np.array(floats).tobytes()
 
 
+def _taylor_loop(v0, q, sqrt=math.sqrt):
+    """The recursion as a loop over list indices, as _taylor ran before it
+    was generated: the reference it must equal bit for bit."""
+    rise = integrate._RISE
+    s = [sqrt(v0)]
+    v = [v0, rise[0] * s[0] + q[0]]
+    two_s0 = s[0] + s[0]
+    for k in range(1, integrate._ORDER):
+        total = v[k]
+        if k > 1:
+            acc = s[1] * s[k - 1]  # a fresh array, so += updates it in place
+            for j in range(2, (k + 1) // 2):
+                acc += s[j] * s[k - j]
+            if k > 2:  # at k = 2, s_1^2 is the whole sum
+                acc += acc
+                if k % 2 == 0:
+                    acc += s[k // 2] * s[k // 2]
+            total = total - acc
+        s.append(total / two_s0)
+        v.append(rise[k] * s[k] + q[k] if k < len(q) else rise[k] * s[k])
+    return v
+
+
+@pytest.mark.parametrize("width", [None, 1, 2, 64])
+def test_generated_taylor_is_the_loop_bit_for_bit(width):
+    # floats (width None, 200 nodes) and arrays of one node per column: v0
+    # over [1e-8, 1e6], both ends included, q of either sign, some entries
+    # +-0.0 and the first column's q_0 and q_4 -0.0 and 0.0
+    rng = random.Random(41 if width is None else width)
+    size = width or 200
+    v0 = [1e-8, 1e6, *(10 ** rng.uniform(-8, 6) for _ in range(size))][:size]
+    q = [[rng.choice((0.0, -0.0, 1.0, -1.0, 1.0, -1.0)) * 10 ** rng.uniform(-3, 3) for _ in range(size)]
+         for _ in range(5)]
+    q[0][0], q[4][0] = -0.0, 0.0
+    if width is None:
+        got = [integrate._taylor(x, col) for x, col in zip(v0, zip(*q))]
+        want = [_taylor_loop(x, col) for x, col in zip(v0, zip(*q))]
+    else:
+        got = integrate._taylor(np.array(v0), [np.array(x) for x in q], np.sqrt)
+        want = _taylor_loop(np.array(v0), [np.array(x) for x in q], np.sqrt)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 # (m, C window, points): one workload-style window per m, two windows with
 # lost points, two whose C lie above the root (all but the first lost in
 # the second), one at C ~ -1e30, which DOP853 failed and the Taylor solve carries,
@@ -95,6 +139,16 @@ def test_batch_loop_is_solve_ivp_bit_for_bit(m, lo, hi, n, batch):
     assert found == [_scalar(m, p.c) for p in points]
     if lo <= -1e300:
         assert any(p.error and not p.lost for p in points)
+
+
+def test_a_batch_stops_when_its_last_column_leaves(monkeypatch):
+    # every window's batch expands v only on columns still running
+    widths, real_taylor = [], integrate._taylor
+    monkeypatch.setattr(integrate, "_taylor",
+                        lambda v0, q, sqrt=math.sqrt: widths.append(np.size(v0)) or real_taylor(v0, q, sqrt))
+    for window in _BATCH_WINDOWS:
+        defect_scan(*window)
+    assert widths and min(widths) > 0
 
 
 # per window, the brackets and the number of lost points, all at the top,
